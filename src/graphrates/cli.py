@@ -13,7 +13,6 @@ to converge. A failed validate suite exits 1.
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -102,6 +101,14 @@ def _parse_model(cfg):
     return mu, C
 
 
+def _from_config(build, *args, **kwargs):
+    """Build a library object from config values; its ValueError is a config error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _resolve_seed(cfg, args):
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
@@ -111,11 +118,11 @@ def _resolve_seed(cfg, args):
     return seed
 
 
-def _manifest(command, cfg, args, seed=None):
+def _manifest(command, cfg, seed=None):
     resolved = dict(cfg)
     if seed is not None:
         resolved["seed"] = seed
-    return {"command": command, "config": resolved, "threads": args.threads}
+    return {"command": command, "config": resolved}
 
 
 def _emit(doc, args, text=None):
@@ -156,9 +163,9 @@ def _cmd_generate(args):
     mu, C = _parse_model(cfg)
     n = _require(cfg, "n", int)
     seed = _resolve_seed(cfg, args)
-    graph = sample_colored_graph(ModelParams(mu, C, n), seed)
+    graph = sample_colored_graph(_from_config(ModelParams, mu, C, n), seed)
     cc, pc, nc = empirical_measures(graph)
-    doc = {"manifest": _manifest("generate", cfg, args, seed),
+    doc = {"manifest": _manifest("generate", cfg, seed),
            "graph": graph.to_dict(),
            "color_counts": cc.to_dict(), "pair_counts": pc.to_dict(),
            "neighborhood_counts": nc.to_dict()}
@@ -182,8 +189,9 @@ def _load_graph(cfg, args):
             raise ConfigError(f"bad graph file {cfg['graph_path']}: {exc}") from exc
     if "mu" in cfg:
         mu, C = _parse_model(cfg)
-        return sample_colored_graph(ModelParams(mu, C, _require(cfg, "n", int)),
-                                    _resolve_seed(cfg, args))
+        return sample_colored_graph(
+            _from_config(ModelParams, mu, C, _require(cfg, "n", int)),
+            _resolve_seed(cfg, args))
     raise ConfigError("measure needs one of: graph, graph_path, or mu/C/n/seed")
 
 
@@ -191,7 +199,7 @@ def _cmd_measure(args):
     cfg = _load_config(args.config)
     graph = _load_graph(cfg, args)
     cc, pc, nc = empirical_measures(graph)
-    doc = {"manifest": _manifest("measure", cfg, args, cfg.get("seed", args.seed)),
+    doc = {"manifest": _manifest("measure", cfg, cfg.get("seed", args.seed)),
            "n": graph.n, "edge_count": graph.edge_count,
            "color_counts": cc.to_dict(), "pair_counts": pc.to_dict(),
            "neighborhood_counts": nc.to_dict()}
@@ -207,7 +215,7 @@ def _cmd_rate(args):
         pair = PairMeasure.from_dict(_require(cfg, "pair", dict))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad measure in config: {exc}") from exc
-    doc = {"manifest": _manifest("rate", cfg, args),
+    doc = {"manifest": _manifest("rate", cfg),
            "J": rates.rate_J(pair, nu, mu, C).to_dict()}
     if "omega" in cfg:
         omega = _parse_mu(cfg["omega"])
@@ -228,7 +236,7 @@ def _cmd_degree_rate(args):
     c = float(_require(cfg, "c", (int, float)))
     mean = cfg.get("mean")
     value = rates.rate_delta(degrees, c, mean=None if mean is None else float(mean))
-    doc = {"manifest": _manifest("degree-rate", cfg, args),
+    doc = {"manifest": _manifest("degree-rate", cfg),
            "value": value if math.isfinite(value) else "inf"}
     _emit(doc, args)
     return 0
@@ -239,7 +247,7 @@ def _cmd_edge_rate(args):
     mu, C = _parse_model(cfg)
     x = float(_require(cfg, "x", (int, float)))
     mode = cfg.get("mode", "zeta")
-    doc = {"manifest": _manifest("edge-rate", cfg, args)}
+    doc = {"manifest": _manifest("edge-rate", cfg)}
     if mode == "zeta":
         doc["value"] = rates.rate_zeta(x, mu, C)
         if mu.alphabet.m == 1:
@@ -253,14 +261,19 @@ def _cmd_edge_rate(args):
                        for n in sizes]
     elif mode == "mc":
         seed = _resolve_seed(cfg, args)
-        doc["manifest"] = _manifest("edge-rate", cfg, args, seed)
-        exp = TailExperiment(
-            mu=mu, C=C, event=cfg.get("event", {"kind": "edges", "x": x}),
+        doc["manifest"] = _manifest("edge-rate", cfg, seed)
+        event = cfg.get("event", {"kind": "edges", "x": x})
+        if not isinstance(event, dict):
+            raise ConfigError("event must be a JSON object")
+        exp = _from_config(
+            TailExperiment, mu=mu, C=C, event=event,
             sizes=tuple(int(n) for n in _require(cfg, "sizes", list)),
             replicas=int(_require(cfg, "replicas", int)), seed=seed,
             replica_offset=int(cfg.get("replica_offset", 0)))
         est = estimate_tail_exponent(exp)
-        prediction = rates.rate_zeta(x, mu, C)
+        # only the edge event has a rate here, taken at the event's own x
+        prediction = (rates.rate_zeta(float(event["x"]), mu, C)
+                      if event["kind"] == "edges" else None)
         if args.out and args.out.endswith(".csv"):
             with open(args.out, "w") as fh:
                 fh.write(est.to_csv(rate_prediction=prediction))
@@ -293,7 +306,7 @@ def _cmd_ising(args):
                             "oracle": oracles.ising_oracle(float(beta), float(c)),
                             "iterations": report.iterations,
                             "converged": report.converged})
-    doc = {"manifest": _manifest("ising", cfg, args), "records": records}
+    doc = {"manifest": _manifest("ising", cfg), "records": records}
     _emit(doc, args)
     return 0
 
@@ -308,7 +321,7 @@ def _cmd_sample_conditional(args):
         raise ConfigError(f"bad counts: {exc}") from exc
     seed = _resolve_seed(cfg, args)
     graph = sample_conditional(omega_n, pair_n, seed)
-    doc = {"manifest": _manifest("sample-conditional", cfg, args, seed),
+    doc = {"manifest": _manifest("sample-conditional", cfg, seed),
            "graph": graph.to_dict()}
     _emit(doc, args, text=graph.to_text())
     return 0
@@ -324,7 +337,7 @@ def _cmd_approximate(args):
     pair = product_kernel_measure(C, mu)
     pair_hat, nu_hat = consistify(pair, nu, eps)
     _, phi2 = phi(nu_hat)
-    doc = {"manifest": _manifest("approximate", cfg, args, cfg.get("seed", args.seed)),
+    doc = {"manifest": _manifest("approximate", cfg, cfg.get("seed", args.seed)),
            "consistify": {
                "pair": pair_hat.to_dict(), "nu_atoms": len(nu_hat.support),
                "consistency_residual": float(np.abs(phi2 - pair_hat.weights).max()),
@@ -333,8 +346,8 @@ def _cmd_approximate(args):
     if "n" in cfg:
         n = _require(cfg, "n", int)
         seed = _resolve_seed(cfg, args)
-        doc["manifest"] = _manifest("approximate", cfg, args, seed)
-        graph = sample_colored_graph(ModelParams(mu, C, n), seed)
+        doc["manifest"] = _manifest("approximate", cfg, seed)
+        graph = sample_colored_graph(_from_config(ModelParams, mu, C, n), seed)
         cc, pc, _ = empirical_measures(graph)
         nu_n = quantize(cc, pc, nu, seed)
         color, adj = phi_counts(nu_n)
@@ -411,8 +424,6 @@ def build_parser():
         p.add_argument("--seed", type=_seed_arg,
                        help="override the config seed (unsigned 64-bit)")
         p.add_argument("--out", help="output path; .csv/.txt pick the flat formats")
-        p.add_argument("--threads", type=int,
-                       help="BLAS thread hint, recorded in the manifest")
         if name == "validate":
             p.add_argument("--suite", default="all",
                            choices=sorted(acceptance.SUITES),
@@ -422,12 +433,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("config error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

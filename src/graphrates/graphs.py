@@ -2,11 +2,14 @@
 
 The model: n vertices with i.i.d. colors from mu, and each unordered pair
 (u, v) an edge independently with probability p_n(a, b) = min(C(a, b)/n, 1)
-where a, b are the endpoint colors. The conditional sampler instead fixes the
-exact color counts and per-color-pair edge counts and draws uniformly from the
-graphs realizing them: a seeded shuffle of the fixed color multiset, then for
-every unordered color pair exactly n(a, b) distinct edge slots sampled without
-replacement.
+where a, b are the endpoint colors. The free sampler draws, per unordered
+color pair, the Bernoulli(p_n(a, b)) slots that hold an edge by skipping
+geometric gaps between successes (Batagelj & Brandes 2005). The conditional
+sampler instead fixes the exact color counts and per-color-pair edge counts
+and draws uniformly from the graphs realizing them: a seeded shuffle of the
+fixed color multiset, then for every unordered color pair exactly n(a, b)
+distinct edge slots drawn without replacement. Both samplers index the pair
+slots of a color-class pair the same way and share one slot-to-edge decoder.
 """
 
 import math
@@ -17,11 +20,6 @@ import numpy as np
 from .errors import InfeasibleError
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodCounts, PairCounts, _check_same_alphabet)
-
-# Bernoulli draws are streamed over pair slots up to this size, geometric
-# skipping above it; both are exact samplers of the same product law.
-_STREAM_LIMIT = 10_000
-_CHUNK = 1 << 20
 
 
 class ColoredGraph:
@@ -127,50 +125,51 @@ class ModelParams:
 # slot machinery: pair slots are indexed 0..S-1 per color-class pair
 
 
-def _triangle_offset(i, k):
-    # slots before row i when enumerating pairs (i, j), i < j, of k vertices
-    return i * k - (i * (i + 1)) // 2
+def _slot_count(ka, kb, same):
+    """Pair slots between classes of ka and kb vertices (one class if same)."""
+    return ka * (ka - 1) // 2 if same else ka * kb
 
 
-def _decode_triangle(slots, k):
-    """Map slot indices to (i, j), i < j, within a class of k vertices."""
-    s = np.asarray(slots, dtype=np.int64)
-    i = np.floor((2 * k - 1 - np.sqrt((2 * k - 1) ** 2 - 8.0 * s)) / 2).astype(np.int64)
-    i = np.clip(i, 0, k - 2)
-    # float sqrt can be off by one row either way
-    for _ in range(2):
-        i = np.where(_triangle_offset(i + 1, k) <= s, i + 1, i)
-        i = np.where(_triangle_offset(i, k) > s, i - 1, i)
-    j = s - _triangle_offset(i, k) + i + 1
-    return i, j
+def _slots_to_edges(A, B, slots, same):
+    """Edges (u, v), u < v, for slot indices between vertex classes A and B.
+
+    A and B are sorted vertex arrays. Within one class (same) the slots
+    enumerate the pairs i < j of A row by row, row i starting at slot
+    i k - i (i + 1) / 2 for k = |A|; across two classes slot s joins
+    A[s // |B|] and B[s % |B|].
+    """
+    if same:
+        rows = np.arange(A.size)
+        starts = rows * A.size - rows * (rows + 1) // 2
+        i = np.searchsorted(starts, slots, side="right") - 1
+        j = slots - starts[i] + i + 1
+        return np.column_stack((A[i], A[j]))
+    u = A[slots // B.size]
+    v = B[slots % B.size]
+    return np.column_stack((np.minimum(u, v), np.maximum(u, v)))
 
 
-def _bernoulli_slots(S, p, rng, streamed):
-    """Indices of successes among S independent Bernoulli(p) slots."""
+def _bernoulli_slots(S, p, rng):
+    """Indices of successes among S independent Bernoulli(p) slots.
+
+    Gaps between successes are iid Geometric(p) on {1, 2, ...}, so the hits
+    are the partial sums of the gaps that stay below S. Each batch covers the
+    expected remaining hits plus four standard deviations, so one batch
+    almost always suffices.
+    """
     if S <= 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(S, dtype=np.int64)
-    if streamed:
-        out = []
-        for start in range(0, S, _CHUNK):
-            stop = min(start + _CHUNK, S)
-            hits = np.flatnonzero(rng.random(stop - start) < p)
-            if hits.size:
-                out.append(hits + start)
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-    # geometric skipping: gaps between successes are iid Geometric(p) on {1,2,..}
-    log1mp = math.log1p(-p)
     out = []
     pos = -1
     while pos < S:
-        remaining = S - pos
-        batch = max(1024, int(remaining * p * 1.25) + 64)
-        gaps = 1 + np.floor(np.log(rng.random(batch)) / log1mp).astype(np.int64)
-        steps = pos + np.cumsum(gaps)
-        out.append(steps[steps < S])
+        mean = (S - pos) * p
+        batch = int(mean + 4.0 * math.sqrt(mean)) + 8
+        steps = pos + np.cumsum(rng.geometric(p, batch))
+        out.append(steps)
         pos = int(steps[-1])
-    hits = np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+    hits = np.concatenate(out)
     return hits[hits < S]
 
 
@@ -181,29 +180,15 @@ def sample_colored_graph(params, seed):
     colors = rng.choice(m, size=n, p=params.mu.weights / params.mu.weights.sum())
     classes = [np.flatnonzero(colors == a) for a in range(m)]
     probs = params.edge_probabilities
-    streamed = n <= _STREAM_LIMIT
 
     parts = []
     for a in range(m):
         for b in range(a, m):
-            p = float(probs[a, b])
-            A, B = classes[a], classes[b]
-            if a == b:
-                k = A.size
-                S = k * (k - 1) // 2
-                slots = _bernoulli_slots(S, p, rng, streamed)
-                if slots.size:
-                    i, j = _decode_triangle(slots, k)
-                    parts.append(np.column_stack((A[i], A[j])))
-            else:
-                S = A.size * B.size
-                slots = _bernoulli_slots(S, p, rng, streamed)
-                if slots.size:
-                    u = A[slots // B.size]
-                    v = B[slots % B.size]
-                    parts.append(np.column_stack((np.minimum(u, v), np.maximum(u, v))))
-    edges = np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
-    return ColoredGraph(n, m, colors, edges)
+            A, B, same = classes[a], classes[b], a == b
+            slots = _bernoulli_slots(_slot_count(A.size, B.size, same),
+                                     float(probs[a, b]), rng)
+            parts.append(_slots_to_edges(A, B, slots, same))
+    return ColoredGraph(n, m, colors, np.concatenate(parts))
 
 
 def empirical_measures(graph):
@@ -233,22 +218,13 @@ def empirical_measures(graph):
             NeighborhoodCounts(n, atom_counts))
 
 
-def _floyd_sample(S, k, rng):
-    """k distinct slots from range(S), uniform over k-subsets."""
-    chosen = set()
-    for t in range(S - k, S):
-        r = int(rng.integers(0, t + 1))
-        chosen.add(t if r in chosen else r)
-    return sorted(chosen)
-
-
-def sample_conditional(omega_n, pair_n, seed, max_retries=3):
+def sample_conditional(omega_n, pair_n, seed):
     """Uniform graph with exact color counts omega_n and edge counts pair_n.
 
     Colors are a seeded shuffle of the fixed multiset; per unordered color
-    pair {a, b}, exactly pair_n.edge_counts[a, b] distinct slots are drawn by
-    Floyd sampling over the slot index space. max_retries is reserved for
-    future sampling modes that can fail; without-replacement sampling cannot.
+    pair {a, b}, exactly pair_n.edge_counts[a, b] distinct slots are drawn
+    uniformly over the k-subsets of the slot index space. Raises
+    InfeasibleError when a color pair asks for more edges than it has slots.
     """
     if omega_n.n != pair_n.n:
         raise ValueError(f"size mismatch: omega_n.n={omega_n.n}, pair_n.n={pair_n.n}")
@@ -256,38 +232,21 @@ def sample_conditional(omega_n, pair_n, seed, max_retries=3):
     n, m = omega_n.n, omega_n.alphabet.m
     need = pair_n.edge_counts
 
-    counts = omega_n.counts
-    for a in range(m):
-        for b in range(a, m):
-            slots = (int(counts[a]) * (int(counts[a]) - 1) // 2 if a == b
-                     else int(counts[a]) * int(counts[b]))
-            if need[a, b] > slots:
-                raise InfeasibleError(
-                    f"{int(need[a, b])} edges requested between colors {a},{b} "
-                    f"but only {slots} simple-edge slots exist")
-
     rng = np.random.default_rng(seed)
-    colors = np.repeat(np.arange(m, dtype=np.int64), counts)
+    colors = np.repeat(np.arange(m, dtype=np.int64), omega_n.counts)
     rng.shuffle(colors)
     classes = [np.flatnonzero(colors == a) for a in range(m)]
 
     parts = []
     for a in range(m):
         for b in range(a, m):
-            k = int(need[a, b])
-            if k == 0:
-                continue
-            A, B = classes[a], classes[b]
-            if a == b:
-                S = A.size * (A.size - 1) // 2
-                slots = np.asarray(_floyd_sample(S, k, rng), dtype=np.int64)
-                i, j = _decode_triangle(slots, A.size)
-                parts.append(np.column_stack((A[i], A[j])))
-            else:
-                S = A.size * B.size
-                slots = np.asarray(_floyd_sample(S, k, rng), dtype=np.int64)
-                u = A[slots // B.size]
-                v = B[slots % B.size]
-                parts.append(np.column_stack((np.minimum(u, v), np.maximum(u, v))))
-    edges = np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
-    return ColoredGraph(n, m, colors, edges)
+            A, B, same = classes[a], classes[b], a == b
+            S, k = _slot_count(A.size, B.size, same), int(need[a, b])
+            if k > S:
+                raise InfeasibleError(
+                    f"{k} edges requested between colors {a},{b} "
+                    f"but only {S} simple-edge slots exist")
+            # the slots' order is irrelevant: ColoredGraph sorts the edges
+            slots = rng.choice(S, k, replace=False, shuffle=False)
+            parts.append(_slots_to_edges(A, B, slots, same))
+    return ColoredGraph(n, m, colors, np.concatenate(parts))

@@ -34,7 +34,8 @@ from .seeds import derive_child_seed
 # boundaries are part of the merge contract, so this constant is load-bearing
 REPLICA_BLOCK = 65536
 
-_EVENT_KINDS = ("edges", "degree_zero", "pair")
+# each event kind with the keys its event dict must carry
+_EVENT_KEYS = {"edges": ("x",), "degree_zero": ("t",), "pair": ("a", "b", "s")}
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,8 @@ class TailExperiment:
     event is one of
       {"kind": "edges", "x": real}          -- |E| >= x * n
       {"kind": "degree_zero", "t": real}    -- fraction of isolated vertices >= t
-      {"kind": "pair", "a": int, "b": int, "s": real} -- L2(a,b) >= s
+      {"kind": "pair", "a": int, "b": int, "s": real} -- L2(a,b) >= s, with
+                                                         a, b colors of mu
     replica_offset shifts the global replica index range so an experiment can
     be split into shards whose hit counts and weight sums add up to the
     monolithic run's.
@@ -67,8 +69,18 @@ class TailExperiment:
         if self.replica_offset < 0:
             raise ValueError("replica_offset must be >= 0")
         kind = self.event.get("kind")
-        if kind not in _EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}, expected one of {_EVENT_KINDS}")
+        if kind not in _EVENT_KEYS:
+            raise ValueError(f"unknown event kind {kind!r}, "
+                             f"expected one of {tuple(_EVENT_KEYS)}")
+        missing = [key for key in _EVENT_KEYS[kind] if key not in self.event]
+        if missing:
+            raise ValueError(f"{kind} event is missing {missing}")
+        if kind == "pair":
+            m = self.mu.alphabet.m
+            a, b = self.event["a"], self.event["b"]
+            if not all(isinstance(c, (int, np.integer)) and 0 <= c < m for c in (a, b)):
+                raise ValueError(f"pair event colors a={a!r}, b={b!r} must be "
+                                 f"integers in [0, {m})")
 
 
 @dataclass
@@ -110,13 +122,15 @@ class ExponentEstimate:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "replicas", "hits", "p_hat", "exponent",
-                         "rate_prediction", "ci_half_width"])
+                         "rate_prediction", "ci_half_width", "weight_sum",
+                         "weight_sq_sum"])
         for row in self.rows:
             writer.writerow([row["n"], row["replicas"], row["hits"],
                              row["p_hat"],
                              "" if row["exponent"] is None else row["exponent"],
                              "" if rate_prediction is None else rate_prediction,
-                             "" if row["se"] is None else 1.96 * row["se"]])
+                             "" if row["se"] is None else 1.96 * row["se"],
+                             row["weight_sum"], row["weight_sq_sum"]])
         return buf.getvalue()
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -117,17 +118,50 @@ def test_edge_rate_exact_rows(tmp_path):
 
 
 def test_edge_rate_mc_csv(tmp_path):
-    cfg = _write(tmp_path, "mc.json",
-                 {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc",
-                  "sizes": [50, 100], "replicas": 20000, "seed": 3})
-    out = tmp_path / "est.csv"
-    assert main(["edge-rate", "--config", cfg, "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
+    base = {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc", "sizes": [50, 100],
+            "seed": 3}
+
+    def run(name, replicas, offset=0):
+        cfg = _write(tmp_path, f"{name}.json",
+                     dict(base, replicas=replicas, replica_offset=offset))
+        out = tmp_path / f"{name}.csv"
+        assert main(["edge-rate", "--config", cfg, "--out", str(out)]) == 0
+        return out.read_text()
+
+    text = run("mc", 20000)
+    lines = text.strip().splitlines()
     assert lines[0].startswith("n,replicas,hits,p_hat,exponent")
     assert len(lines) == 3
-    manifest = json.loads((tmp_path / "est.csv.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "mc.csv.manifest.json").read_text())
     assert manifest["command"] == "edge-rate"
     assert manifest["config"]["seed"] == 3
+
+    # CSV shards carry the weight sums, so they merge into the full run's
+    full = list(csv.DictReader(text.splitlines()))
+    left = list(csv.DictReader(run("left", 7001).splitlines()))
+    right = list(csv.DictReader(run("right", 12999, offset=7001).splitlines()))
+    for f, lo, hi in zip(full, left, right):
+        assert int(f["hits"]) == int(lo["hits"]) + int(hi["hits"])
+        for key in ("weight_sum", "weight_sq_sum"):
+            assert float(lo[key]) + float(hi[key]) == pytest.approx(
+                float(f[key]), rel=1e-12)
+
+
+def test_edge_rate_mc_prediction_matches_event(tmp_path):
+    def run(name, event):
+        cfg = _write(tmp_path, f"{name}.json",
+                     {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc",
+                      "sizes": [50], "replicas": 200, "seed": 3, "event": event})
+        code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg],
+                              name=f"{name}-out.json")
+        assert code == 0
+        return doc["rate_prediction"]
+
+    # the edge rate is taken at the event's own x, not the top-level one
+    assert run("edges", {"kind": "edges", "x": 1.5}) == pytest.approx(
+        rate_zeta_er(1.5, 2.0), abs=1e-8)
+    # no edge rate predicts the isolated-vertex tail
+    assert run("deg0", {"kind": "degree_zero", "t": 0.2}) is None
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +249,19 @@ def test_asymmetric_kernel_exit_2(tmp_path):
     assert main(["generate", "--config", cfg]) == 2
 
 
-def test_bad_threads_exit_2(tmp_path):
-    cfg = _write(tmp_path, "gen.json", dict(BENCH, n=10, seed=0))
-    assert main(["generate", "--config", cfg, "--threads", "0"]) == 2
+def test_zero_size_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "gen.json", dict(BENCH, n=0, seed=0))
+    assert main(["generate", "--config", cfg]) == 2
+    assert "n must be >= 1" in capsys.readouterr().err
+
+
+def test_pair_event_color_outside_alphabet_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "mc.json",
+                 {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc", "sizes": [50],
+                  "replicas": 100, "seed": 3,
+                  "event": {"kind": "pair", "a": 3, "b": 0, "s": 0.1}})
+    assert main(["edge-rate", "--config", cfg]) == 2
+    assert "pair event colors" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,7 @@ def test_sampler_er_mean_edge_count():
     assert abs(np.mean(counts) - N * p) <= 3 * se_mean
 
 
-def test_sampler_streaming_path_agrees_with_model():
-    # n above the dense-mask cutoff exercises the geometric-gap path;
+def test_sampler_large_n_edge_count_agrees_with_model():
     # check the edge count lands where the binomial law says it should
     n, c = 20000, 1.5
     params = ModelParams(ColorMeasure(A1, [1.0], probability=True),
@@ -82,6 +81,34 @@ def test_sampler_streaming_path_agrees_with_model():
     mean = (n - 1) * c / 2
     sd = math.sqrt(n * (n - 1) / 2 * (c / n))
     assert abs(g.edge_count - mean) <= 5 * sd
+
+
+@pytest.mark.parametrize("mu, C, base", [
+    (ColorMeasure(A1, [1.0], probability=True), Kernel.constant(2.0), 2024),
+    # C(0,0)/n = 2 clips to p = 1; the other pairs keep p = 0.2 and 0.4
+    (MU2, Kernel(A2, [[10.0, 1.0], [1.0, 2.0]]), 2025),
+])
+def test_sampler_small_n_pair_law(mu, C, base):
+    """n = 5: each vertex pair, grouped by endpoint colors, is an edge with
+    frequency within 4 SE of p(a, b) over 20,000 seeds."""
+    n, reps = 5, 20000
+    params = ModelParams(mu, C, n)
+    colors = np.empty((reps, n), dtype=np.int64)
+    adj = np.zeros((reps, n, n), dtype=bool)
+    for i in range(reps):
+        g = sample_colored_graph(params, derive_child_seed(base, i))
+        colors[i] = g.colors
+        adj[i, g.edges[:, 0], g.edges[:, 1]] = True
+    u, v = np.triu_indices(n, 1)
+    lo = np.minimum(colors[:, u], colors[:, v])
+    hi = np.maximum(colors[:, u], colors[:, v])
+    for a in range(mu.alphabet.m):
+        for b in range(a, mu.alphabet.m):
+            p = params.edge_probabilities[a, b]
+            group = (lo == a) & (hi == b)  # [seed, vertex pair]
+            trials = group.sum(axis=0)
+            freq = (group & adj[:, u, v]).sum(axis=0) / trials
+            assert np.all(np.abs(freq - p) <= 4 * np.sqrt(p * (1 - p) / trials))
 
 
 def test_empirical_measures_empty_graph():
@@ -142,6 +169,23 @@ def test_sample_conditional_infeasible():
     with pytest.raises(InfeasibleError):
         # 2x1 bipartite slots: at most 2 cross edges
         sample_conditional(ColorCounts(3, [2, 1]), PairCounts(3, [[0, 3], [3, 0]]), 1)
+
+
+def test_sample_conditional_cross_class_uniform():
+    # two colors of two vertices and two cross edges: 6 color arrangements
+    # times C(4, 2) = 6 edge sets, each with probability 1/36
+    oc = ColorCounts(4, [2, 2])
+    ec = PairCounts(4, [[0, 2], [2, 0]])
+    reps = 9000
+    counts = {}
+    for i in range(reps):
+        g = sample_conditional(oc, ec, derive_child_seed(2026, i))
+        key = (g.colors.tobytes(), g.edges.tobytes())
+        counts[key] = counts.get(key, 0) + 1
+    p = 1.0 / 36.0
+    band = 4.0 * math.sqrt(p * (1.0 - p) / reps)
+    assert len(counts) == 36
+    assert all(abs(c / reps - p) <= band for c in counts.values())
 
 
 def test_sample_conditional_deterministic():

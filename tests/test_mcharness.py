@@ -165,6 +165,14 @@ def test_experiment_validation():
     with pytest.raises(ValueError):
         TailExperiment(mu=MU1, C=Kernel.constant(2.0),
                        event={"kind": "nope"}, sizes=(50,), replicas=10, seed=0)
+    with pytest.raises(ValueError):
+        TailExperiment(mu=MU1, C=Kernel.constant(2.0), event={"kind": "degree_zero"},
+                       sizes=(50,), replicas=10, seed=0)  # no threshold t
+    for a, b in ((0, 2), (-1, 0), (0.0, 1)):
+        with pytest.raises(ValueError):
+            TailExperiment(mu=MU2, C=C2,
+                           event={"kind": "pair", "a": a, "b": b, "s": 0.1},
+                           sizes=(50,), replicas=10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +184,8 @@ def test_to_csv_shape_and_zero_hit_rows():
     est = estimate_tail_exponent(exp)
     text = est.to_csv(rate_prediction=0.5)
     lines = text.strip().splitlines()
-    assert lines[0] == "n,replicas,hits,p_hat,exponent,rate_prediction,ci_half_width"
+    assert lines[0] == ("n,replicas,hits,p_hat,exponent,rate_prediction,"
+                        "ci_half_width,weight_sum,weight_sq_sum")
     fields = lines[1].split(",")
     assert fields[0] == "50" and fields[2] == "0"
     assert fields[4] == ""  # no exponent when nothing hit
