@@ -1,8 +1,8 @@
 """Rate functions, samplers, and diagnostics for sparse colored graphs."""
 
 from .errors import BudgetError, ConfigError, InfeasibleError, NonConvergenceError
-from .graphs import (ColoredGraph, ModelParams, empirical_measures,
-                     sample_colored_graph, sample_conditional)
+from .graphs import (ColoredGraph, ModelParams, empirical_measures, sample_colored_graph,
+                     sample_conditional, sample_conditional_batch)
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodCounts, NeighborhoodMeasure, PairCounts,
                        PairMeasure, cap_degrees, consistify,
@@ -30,6 +30,6 @@ __all__ = [
     "poisson_limit_law", "product_kernel_measure", "psi", "q_measure",
     "quantize", "rate_I", "rate_I_omega", "rate_J", "rate_J_tilde",
     "rate_delta", "rate_zeta", "rate_zeta_er", "relative_entropy",
-    "sample_colored_graph", "sample_conditional", "solve_degree_fixed_point",
-    "total_variation", "zeta_inner",
+    "sample_colored_graph", "sample_conditional", "sample_conditional_batch",
+    "solve_degree_fixed_point", "total_variation", "zeta_inner",
 ]

@@ -14,7 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import oracles, rates, varsolve
-from .graphs import ModelParams, empirical_measures, sample_colored_graph, sample_conditional
+from .graphs import (ColoredGraph, ModelParams, empirical_measures, sample_colored_graph,
+                     sample_conditional_batch)
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodCounts, NeighborhoodMeasure, PairCounts,
                        PairMeasure, cap_degrees, consistify, phi, phi_counts,
@@ -324,11 +325,10 @@ def _mixed_battery():
 def _conditional_battery():
     omega_n = ColorCounts(60, [35, 25])
     pair_n = PairCounts(60, [[20, 15], [15, 10]])
-    out = []
-    for i in range(200):
-        g = sample_conditional(omega_n, pair_n, derive_child_seed(CONDITIONAL_SEED, i))
-        out.append((g, *empirical_measures(g)))
-    return omega_n, pair_n, tuple(out)
+    seeds = [derive_child_seed(CONDITIONAL_SEED, i) for i in range(200)]
+    graphs = [ColoredGraph(60, 2, colors, edges)
+              for colors, edges in zip(*sample_conditional_batch(omega_n, pair_n, seeds))]
+    return omega_n, pair_n, tuple((g, *empirical_measures(g)) for g in graphs)
 
 
 def criterion_7(tol=None):
@@ -355,16 +355,12 @@ def criterion_8(tol=None):
         for _, cc, pc, _ in battery)
 
     reps = int(t["uniform_seeds"])
-    counts = {}
-    oc = ColorCounts(4, [4])
-    ec = PairCounts(4, [[2]])
-    for i in range(reps):
-        g = sample_conditional(oc, ec, derive_child_seed(UNIFORMITY_SEED, i))
-        key = g.edges.tobytes()
-        counts[key] = counts.get(key, 0) + 1
+    seeds = [derive_child_seed(UNIFORMITY_SEED, i) for i in range(reps)]
+    _, edges = sample_conditional_batch(ColorCounts(4, [4]), PairCounts(4, [[2]]), seeds)
+    _, counts = np.unique(edges.reshape(reps, -1), axis=0, return_counts=True)
     p = 1.0 / 15.0
     band = t["se_mult"] * math.sqrt(p * (1.0 - p) / reps)
-    freqs = [v / reps for v in counts.values()]
+    freqs = (counts / reps).tolist()
     uniform_ok = len(counts) == 15 and all(abs(f - p) <= band for f in freqs)
     passed = exact_ok and uniform_ok
     details = {"exact_ok": exact_ok, "distinct_graphs": len(counts),

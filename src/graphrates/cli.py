@@ -126,10 +126,10 @@ def _manifest(command, cfg, seed=None):
 
 
 def _emit(doc, args, text=None):
-    """Write the JSON document, or the plain-text payload for .txt targets."""
+    """Write the JSON document, or for .txt targets the payload text() builds."""
     if args.out and args.out.endswith(".txt") and text is not None:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write(text())
         with open(args.out + ".manifest.json", "w") as fh:
             json.dump(doc["manifest"], fh, indent=2)
             fh.write("\n")
@@ -169,7 +169,7 @@ def _cmd_generate(args):
            "graph": graph.to_dict(),
            "color_counts": cc.to_dict(), "pair_counts": pc.to_dict(),
            "neighborhood_counts": nc.to_dict()}
-    _emit(doc, args, text=graph.to_text())
+    _emit(doc, args, text=graph.to_text)
     return 0
 
 
@@ -245,8 +245,8 @@ def _cmd_degree_rate(args):
 def _cmd_edge_rate(args):
     cfg = _load_config(args.config)
     mu, C = _parse_model(cfg)
-    x = float(_require(cfg, "x", (int, float)))
     mode = cfg.get("mode", "zeta")
+    x = None if mode == "mc" and "event" in cfg else float(_require(cfg, "x", (int, float)))
     doc = {"manifest": _manifest("edge-rate", cfg)}
     if mode == "zeta":
         doc["value"] = rates.rate_zeta(x, mu, C)
@@ -323,7 +323,7 @@ def _cmd_sample_conditional(args):
     graph = sample_conditional(omega_n, pair_n, seed)
     doc = {"manifest": _manifest("sample-conditional", cfg, seed),
            "graph": graph.to_dict()}
-    _emit(doc, args, text=graph.to_text())
+    _emit(doc, args, text=graph.to_text)
     return 0
 
 

@@ -8,18 +8,33 @@ geometric gaps between successes (Batagelj & Brandes 2005). The conditional
 sampler instead fixes the exact color counts and per-color-pair edge counts
 and draws uniformly from the graphs realizing them: a seeded shuffle of the
 fixed color multiset, then for every unordered color pair exactly n(a, b)
-distinct edge slots drawn without replacement. Both samplers index the pair
-slots of a color-class pair the same way and share one slot-to-edge decoder.
+distinct edge slots drawn without replacement; sample_conditional_batch
+draws it for many seeds at once, as arrays. All samplers index the pair slots
+of a color-class pair the same way and share one slot-to-local-index decoder.
 """
 
 import math
-from collections import Counter
 
 import numpy as np
 
 from .errors import InfeasibleError
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodCounts, PairCounts, _check_same_alphabet)
+
+
+def _sorted_edges(edges, n):
+    """Edges of shape (R, E, 2) sorted per graph by u n + v, ColoredGraph's checks made.
+
+    Graph r gets keys in [r n^2, (r + 1) n^2), so one flat sort orders all R graphs.
+    """
+    u, v = edges[..., 0], edges[..., 1]
+    if (u < 0).any() or (u >= v).any() or (v >= n).any():
+        raise ValueError(f"edges must satisfy 0 <= u < v < n = {n} (no loops)")
+    key = (u * n + v + n * n * np.arange(len(u))[:, None]).ravel()
+    order = key.argsort()
+    if (key[order[1:]] == key[order[:-1]]).any():
+        raise ValueError("duplicate edges")
+    return edges.reshape(-1, 2)[order].reshape(edges.shape)
 
 
 class ColoredGraph:
@@ -32,16 +47,7 @@ class ColoredGraph:
             raise ValueError(f"colors shape {colors.shape} != ({n},)")
         if n and (colors.min() < 0 or colors.max() >= m):
             raise ValueError("color index outside alphabet")
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ValueError("edge endpoint outside vertex range")
-            if np.any(edges[:, 0] >= edges[:, 1]):
-                raise ValueError("edges must satisfy u < v (no loops)")
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges = edges[order]
-            if np.any(np.all(edges[1:] == edges[:-1], axis=1)):
-                raise ValueError("duplicate edges")
+        edges = _sorted_edges(np.asarray(edges, dtype=np.int64).reshape(1, -1, 2), n)[0]
         self.n = n
         self.alphabet = Alphabet(m)
         self.colors = colors.copy()
@@ -58,11 +64,7 @@ class ColoredGraph:
         return int(self.edges.shape[0])
 
     def degrees(self):
-        deg = np.zeros(self.n, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def __eq__(self, other):
         return (isinstance(other, ColoredGraph) and self.n == other.n
@@ -130,23 +132,26 @@ def _slot_count(ka, kb, same):
     return ka * (ka - 1) // 2 if same else ka * kb
 
 
-def _slots_to_edges(A, B, slots, same):
-    """Edges (u, v), u < v, for slot indices between vertex classes A and B.
+def _slot_pairs(ka, kb, slots, same):
+    """Class-local indices (i, j) of slot indices, for slot arrays of any shape.
 
-    A and B are sorted vertex arrays. Within one class (same) the slots
-    enumerate the pairs i < j of A row by row, row i starting at slot
-    i k - i (i + 1) / 2 for k = |A|; across two classes slot s joins
-    A[s // |B|] and B[s % |B|].
+    Within one class of k = ka vertices (same) the slots enumerate the pairs
+    i < j row by row, row i starting at slot i k - i (i + 1) / 2; across two
+    classes slot s is the pair (s // kb, s % kb).
     """
     if same:
-        rows = np.arange(A.size)
-        starts = rows * A.size - rows * (rows + 1) // 2
+        rows = np.arange(ka)
+        starts = rows * ka - rows * (rows + 1) // 2
         i = np.searchsorted(starts, slots, side="right") - 1
-        j = slots - starts[i] + i + 1
-        return np.column_stack((A[i], A[j]))
-    u = A[slots // B.size]
-    v = B[slots % B.size]
-    return np.column_stack((np.minimum(u, v), np.maximum(u, v)))
+        return i, slots - starts[i] + i + 1
+    return np.divmod(slots, kb)
+
+
+def _slots_to_edges(A, B, slots, same):
+    """Edges (u, v), u < v, for slot indices between sorted vertex classes A and B."""
+    i, j = _slot_pairs(A.size, B.size, slots, same)
+    u, v = A[i], B[j]
+    return np.column_stack((u, v) if same else (np.minimum(u, v), np.maximum(u, v)))
 
 
 def _bernoulli_slots(S, p, rng):
@@ -178,7 +183,7 @@ def sample_colored_graph(params, seed):
     n, m = params.n, params.mu.alphabet.m
     rng = np.random.default_rng(seed)
     colors = rng.choice(m, size=n, p=params.mu.weights / params.mu.weights.sum())
-    classes = [np.flatnonzero(colors == a) for a in range(m)]
+    classes = [(colors == a).nonzero()[0] for a in range(m)]
     probs = params.edge_probabilities
 
     parts = []
@@ -202,20 +207,40 @@ def empirical_measures(graph):
     colors = graph.colors
     color_counts = np.bincount(colors, minlength=m)
 
-    tally = np.zeros((m, m), dtype=np.int64)
-    deg = np.zeros((n, m), dtype=np.int64)
-    if graph.edges.size:
-        cu = colors[graph.edges[:, 0]]
-        cv = colors[graph.edges[:, 1]]
-        np.add.at(tally, (cu, cv), 1)
-        np.add.at(deg, (graph.edges[:, 0], cv), 1)
-        np.add.at(deg, (graph.edges[:, 1], cu), 1)
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    cu, cv = colors[u], colors[v]
+    tally = np.bincount(cu * m + cv, minlength=m * m).reshape(m, m)
+    deg = np.bincount(np.concatenate((u * m + cv, v * m + cu)), minlength=n * m).reshape(n, m)
     edge_counts = tally + tally.T
     edge_counts[np.diag_indices(m)] = np.diag(tally)
 
-    atom_counts = Counter(zip(colors.tolist(), map(tuple, deg.tolist())))
+    # count equal (color, degree vector) rows; the stable sort puts each
+    # atom's first vertex first, so atoms keep first-appearance order
+    rows = np.concatenate((colors[:, None], deg), axis=1)
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    new = (rows[1:] != rows[:-1]).any(axis=1)
+    bounds = np.concatenate(([True], new, [True])).nonzero()[0]
+    keep = order[bounds[:-1]].argsort()
+    atom_counts = {(row[0], tuple(row[1:])): c for row, c in
+                   zip(rows[bounds[keep]].tolist(), (bounds[1:] - bounds[:-1])[keep].tolist())}
     return (ColorCounts(n, color_counts), PairCounts(n, edge_counts),
             NeighborhoodCounts(n, atom_counts))
+
+
+def _conditional_plan(omega_n, pair_n):
+    """(a, b, slots, edges) per color pair a <= b; InfeasibleError if edges > slots."""
+    if omega_n.n != pair_n.n:
+        raise ValueError(f"size mismatch: omega_n.n={omega_n.n}, pair_n.n={pair_n.n}")
+    _check_same_alphabet(omega_n, pair_n)
+    m, sizes = omega_n.alphabet.m, omega_n.counts.tolist()
+    plan = [(a, b, _slot_count(sizes[a], sizes[b], a == b), int(pair_n.edge_counts[a, b]))
+            for a in range(m) for b in range(a, m)]
+    for a, b, S, k in plan:
+        if k > S:
+            raise InfeasibleError(f"{k} edges requested between colors {a},{b} "
+                                  f"but only {S} simple-edge slots exist")
+    return plan
 
 
 def sample_conditional(omega_n, pair_n, seed):
@@ -226,27 +251,41 @@ def sample_conditional(omega_n, pair_n, seed):
     uniformly over the k-subsets of the slot index space. Raises
     InfeasibleError when a color pair asks for more edges than it has slots.
     """
-    if omega_n.n != pair_n.n:
-        raise ValueError(f"size mismatch: omega_n.n={omega_n.n}, pair_n.n={pair_n.n}")
-    _check_same_alphabet(omega_n, pair_n)
+    plan = _conditional_plan(omega_n, pair_n)
     n, m = omega_n.n, omega_n.alphabet.m
-    need = pair_n.edge_counts
-
     rng = np.random.default_rng(seed)
     colors = np.repeat(np.arange(m, dtype=np.int64), omega_n.counts)
     rng.shuffle(colors)
-    classes = [np.flatnonzero(colors == a) for a in range(m)]
-
-    parts = []
-    for a in range(m):
-        for b in range(a, m):
-            A, B, same = classes[a], classes[b], a == b
-            S, k = _slot_count(A.size, B.size, same), int(need[a, b])
-            if k > S:
-                raise InfeasibleError(
-                    f"{k} edges requested between colors {a},{b} "
-                    f"but only {S} simple-edge slots exist")
-            # the slots' order is irrelevant: ColoredGraph sorts the edges
-            slots = rng.choice(S, k, replace=False, shuffle=False)
-            parts.append(_slots_to_edges(A, B, slots, same))
+    classes = [(colors == a).nonzero()[0] for a in range(m)]
+    # the slots' order is irrelevant: ColoredGraph sorts the edges
+    parts = [_slots_to_edges(classes[a], classes[b],
+                             rng.choice(S, k, replace=False, shuffle=False), a == b)
+             for a, b, S, k in plan]
     return ColoredGraph(n, m, colors, np.concatenate(parts))
+
+
+def sample_conditional_batch(omega_n, pair_n, seeds):
+    """colors (R, n) and edges (R, |E|, 2) of sample_conditional for R seeds.
+
+    Row r equals sample_conditional(omega_n, pair_n, seeds[r]) bit for bit:
+    each seed keeps its own random stream, while the checks, the decoding
+    and the sorting run once for the whole batch.
+    """
+    plan = _conditional_plan(omega_n, pair_n)
+    n, m, seeds = omega_n.n, omega_n.alphabet.m, list(seeds)
+    colors = np.tile(np.repeat(np.arange(m, dtype=np.int64), omega_n.counts), (len(seeds), 1))
+    slots = [np.empty((len(seeds), k), dtype=np.int64) for *_, k in plan]
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.shuffle(colors[r])
+        for out, (_, _, S, k) in zip(slots, plan):
+            out[r] = rng.choice(S, k, replace=False, shuffle=False)
+    # a stable sort lists each class's vertices in increasing order
+    classes = np.split(np.argsort(colors, axis=1, kind="stable"),
+                       np.cumsum(omega_n.counts)[:-1], axis=1)
+    parts = []
+    for drawn, (a, b, _, _) in zip(slots, plan):
+        i, j = _slot_pairs(classes[a].shape[1], classes[b].shape[1], drawn, a == b)
+        u, v = np.take_along_axis(classes[a], i, 1), np.take_along_axis(classes[b], j, 1)
+        parts.append(np.stack((np.minimum(u, v), np.maximum(u, v)), axis=-1))
+    return colors, _sorted_edges(np.concatenate(parts, axis=1), n)

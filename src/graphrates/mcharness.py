@@ -19,6 +19,7 @@ the order of summation differs.
 import io
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ from .seeds import derive_child_seed
 # boundaries are part of the merge contract, so this constant is load-bearing
 REPLICA_BLOCK = 65536
 
-# each event kind with the keys its event dict must carry
+# each event kind with the keys its event dict must carry, threshold last
 _EVENT_KEYS = {"edges": ("x",), "degree_zero": ("t",), "pair": ("a", "b", "s")}
 
 
@@ -75,6 +76,9 @@ class TailExperiment:
         missing = [key for key in _EVENT_KEYS[kind] if key not in self.event]
         if missing:
             raise ValueError(f"{kind} event is missing {missing}")
+        thr = self.event[_EVENT_KEYS[kind][-1]]
+        if isinstance(thr, bool) or not (isinstance(thr, numbers.Real) and math.isfinite(thr)):
+            raise ValueError(f"{kind} event threshold {thr!r} is not a finite real number")
         if kind == "pair":
             m = self.mu.alphabet.m
             a, b = self.event["a"], self.event["b"]

@@ -56,6 +56,21 @@ def test_generate_txt_round_trips_through_parser(tmp_path):
     assert sidecar["config"]["seed"] == 3
 
 
+def test_generate_json_output_skips_text(tmp_path, monkeypatch):
+    def no_text(self):
+        raise AssertionError("to_text called for JSON output")
+
+    monkeypatch.setattr(ColoredGraph, "to_text", no_text)
+    cfg = _write(tmp_path, "gen.json", dict(BENCH, n=60, seed=3))
+    code, doc = _run_json(tmp_path, ["generate", "--config", cfg])
+    assert code == 0 and doc["graph"]["n"] == 60
+    cond = _write(tmp_path, "cond.json", {"n": 4, "color_counts": [4],
+                                          "edge_counts": [[2]], "seed": 1})
+    code, doc = _run_json(tmp_path, ["sample-conditional", "--config", cond],
+                          name="cond-out.json")
+    assert code == 0 and len(doc["graph"]["edges"]) == 2
+
+
 def test_generate_deterministic_output(tmp_path):
     cfg = _write(tmp_path, "gen.json", dict(BENCH, n=100, seed=42))
     _, doc_a = _run_json(tmp_path, ["generate", "--config", cfg], name="a.json")
@@ -262,6 +277,24 @@ def test_pair_event_color_outside_alphabet_exit_2(tmp_path, capsys):
                   "event": {"kind": "pair", "a": 3, "b": 0, "s": 0.1}})
     assert main(["edge-rate", "--config", cfg]) == 2
     assert "pair event colors" in capsys.readouterr().err
+
+
+def test_event_threshold_not_a_number_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "mc.json",
+                 {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc", "sizes": [50],
+                  "replicas": 100, "seed": 3, "event": {"kind": "edges", "x": "big"}})
+    assert main(["edge-rate", "--config", cfg]) == 2
+    assert "not a finite real number" in capsys.readouterr().err
+
+
+def test_edge_rate_mc_event_needs_no_top_level_x(tmp_path):
+    base = {"mu": [1.0], "C": 2.0, "mode": "mc", "sizes": [50], "replicas": 100, "seed": 3}
+    cfg = _write(tmp_path, "deg0.json", dict(base, event={"kind": "degree_zero", "t": 0.2}))
+    code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg])
+    assert code == 0 and doc["estimate"]["rows"][0]["replicas"] == 100
+    # the default mc event and zeta mode still read x
+    for name, bare in (("mc", base), ("zeta", dict(base, mode="zeta"))):
+        assert main(["edge-rate", "--config", _write(tmp_path, f"{name}.json", bare)]) == 2
 
 
 # ---------------------------------------------------------------------------

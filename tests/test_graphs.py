@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from graphrates import (Alphabet, ColorCounts, ColoredGraph, ColorMeasure,
                         Kernel, ModelParams, PairCounts, empirical_measures,
-                        phi_counts, sample_colored_graph, sample_conditional)
+                        phi_counts, sample_colored_graph, sample_conditional,
+                        sample_conditional_batch)
 from graphrates.errors import InfeasibleError
 from graphrates.seeds import derive_child_seed
 
@@ -192,6 +193,33 @@ def test_sample_conditional_deterministic():
     oc = ColorCounts(12, [7, 5])
     ec = PairCounts(12, [[3, 4], [4, 2]])
     assert sample_conditional(oc, ec, 77) == sample_conditional(oc, ec, 77)
+
+
+@pytest.mark.parametrize("counts, edges", [
+    ([4], [[2]]),                                         # one color
+    ([35, 25], [[20, 15], [15, 10]]),                     # two unequal classes
+    ([12, 10, 8], [[5, 3, 0], [3, 4, 80], [0, 80, 2]]),   # zero pair and k = S cross
+    ([5, 4], [[10, 0], [0, 6]]),                          # k = S within a class
+])
+def test_sample_conditional_batch_matches_single_draws(counts, edges):
+    oc, ec = ColorCounts(sum(counts), counts), PairCounts(sum(counts), edges)
+    seeds = [derive_child_seed(404, i) for i in range(60)]
+    colors, batch_edges = sample_conditional_batch(oc, ec, seeds)
+    assert colors.shape == (60, oc.n)
+    assert batch_edges.shape == (60, int(np.triu(ec.edge_counts).sum()), 2)
+    for r, seed in enumerate(seeds):
+        g = sample_conditional(oc, ec, seed)
+        assert np.array_equal(colors[r], g.colors)
+        assert np.array_equal(batch_edges[r], g.edges)
+
+
+def test_sample_conditional_batch_infeasible_and_empty():
+    with pytest.raises(InfeasibleError):
+        sample_conditional_batch(ColorCounts(3, [2, 1]), PairCounts(3, [[0, 3], [3, 0]]), [1])
+    colors, edges = sample_conditional_batch(ColorCounts(5, [3, 2]),
+                                             PairCounts(5, [[1, 2], [2, 1]]), [])
+    assert colors.shape == (0, 5)
+    assert edges.shape == (0, 4, 2)
 
 
 def test_model_params_edge_probabilities_clip():

@@ -168,6 +168,9 @@ def test_experiment_validation():
     with pytest.raises(ValueError):
         TailExperiment(mu=MU1, C=Kernel.constant(2.0), event={"kind": "degree_zero"},
                        sizes=(50,), replicas=10, seed=0)  # no threshold t
+    for bad in ("big", float("nan"), float("inf"), True, None):
+        with pytest.raises(ValueError):
+            _er_experiment(bad, (50,), 10, seed=0)
     for a, b in ((0, 2), (-1, 0), (0.0, 1)):
         with pytest.raises(ValueError):
             TailExperiment(mu=MU2, C=C2,
