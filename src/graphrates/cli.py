@@ -49,9 +49,21 @@ def _require(cfg, key, kind=None):
     if key not in cfg:
         raise ConfigError(f"config is missing required key {key!r}")
     value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true/false parse to bool, which Python counts as an int
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
         raise ConfigError(f"config key {key!r} has wrong type {type(value).__name__}")
     return value
+
+
+def _real(value, key):
+    """A config number as a float; a bool, string or other value is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _rate_json(value):
+    return value if math.isfinite(value) else "inf"
 
 
 def _parse_mu(raw):
@@ -235,9 +247,8 @@ def _cmd_degree_rate(args):
         raise ConfigError(f"degrees must map integers to probabilities: {exc}") from exc
     c = float(_require(cfg, "c", (int, float)))
     mean = cfg.get("mean")
-    value = rates.rate_delta(degrees, c, mean=None if mean is None else float(mean))
-    doc = {"manifest": _manifest("degree-rate", cfg),
-           "value": value if math.isfinite(value) else "inf"}
+    value = rates.rate_delta(degrees, c, mean=None if mean is None else _real(mean, "mean"))
+    doc = {"manifest": _manifest("degree-rate", cfg), "value": _rate_json(value)}
     _emit(doc, args)
     return 0
 
@@ -249,7 +260,7 @@ def _cmd_edge_rate(args):
     x = None if mode == "mc" and "event" in cfg else float(_require(cfg, "x", (int, float)))
     doc = {"manifest": _manifest("edge-rate", cfg)}
     if mode == "zeta":
-        doc["value"] = rates.rate_zeta(x, mu, C)
+        doc["value"] = _rate_json(rates.rate_zeta(x, mu, C))
         if mu.alphabet.m == 1:
             doc["er_closed_form"] = rates.rate_zeta_er(x, float(C.values[0, 0]))
     elif mode == "exact":
@@ -272,7 +283,7 @@ def _cmd_edge_rate(args):
             replica_offset=int(cfg.get("replica_offset", 0)))
         est = estimate_tail_exponent(exp)
         # only the edge event has a rate here, taken at the event's own x
-        prediction = (rates.rate_zeta(float(event["x"]), mu, C)
+        prediction = (_rate_json(rates.rate_zeta(float(event["x"]), mu, C))
                       if event["kind"] == "edges" else None)
         if args.out and args.out.endswith(".csv"):
             with open(args.out, "w") as fh:
@@ -293,17 +304,17 @@ def _cmd_ising(args):
     cfg = _load_config(args.config)
     betas = cfg.get("beta", 0.0)
     cs = _require(cfg, "c", (int, float, list))
-    betas = betas if isinstance(betas, list) else [betas]
-    cs = cs if isinstance(cs, list) else [cs]
+    betas = [_real(b, "beta") for b in (betas if isinstance(betas, list) else [betas])]
+    cs = [_real(c, "c") for c in (cs if isinstance(cs, list) else [cs])]
     records = []
     for beta in betas:
         for c in cs:
             if not c > 0:
                 raise ConfigError(f"c must be positive, got {c!r}")
-            report = varsolve.ising_annealed(float(beta), float(c))
-            records.append({"beta": float(beta), "c": float(c),
+            report = varsolve.ising_annealed(beta, c)
+            records.append({"beta": beta, "c": c,
                             "value": report.value,
-                            "oracle": oracles.ising_oracle(float(beta), float(c)),
+                            "oracle": oracles.ising_oracle(beta, c),
                             "iterations": report.iterations,
                             "converged": report.converged})
     doc = {"manifest": _manifest("ising", cfg), "records": records}

@@ -264,8 +264,9 @@ def rate_delta(d, c, mean=None):
 def rate_zeta(x, mu, C):
     """Rate for the edge count per vertex, via the two-layer infimum.
 
-    x ln x - x + inf_y {psi(y) - x ln(y/2) + y/2}; the inner problem is
-    handled by varsolve.zeta_inner.
+    x ln x - x + inf_y {psi(y) - x ln(y/2) + y/2}, whose two layers
+    varsolve.zeta_inner solves as one minimization over color laws. +inf
+    for x > 0 when C vanishes on supp mu: no edge can form.
     """
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x!r}")

@@ -1,11 +1,13 @@
 """Solvers for the model's low-dimensional variational problems.
 
-Covers the degree-distribution fixed point, the constrained entropy
-minimization psi(y) = inf { H(omega||mu) : omega' C omega = y }, the inner
-infimum of the edge-count rate, the four-variable annealed Ising
-optimization, and the numeric Legendre dual of the conditional pair rate.
-All solvers are deterministic: multi-starts come from a fixed
-low-discrepancy set, never from an RNG.
+Covers the degree-distribution fixed point, the minimizations over color
+laws omega on supp mu, the four-variable annealed Ising optimization, and
+the numeric Legendre dual of the conditional pair rate. One face solver,
+multi-start SLSQP in softmax coordinates, does every minimization over color
+laws: psi(y) = inf { H(omega||mu) : omega' C omega = y }, the edge rate's
+inner infimum and the attainable range of omega' C omega. All solvers are
+deterministic: multi-starts come from a fixed low-discrepancy set, never
+from an RNG.
 """
 
 import math
@@ -13,19 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import rel_entr
+from scipy.special import logsumexp
 
 from .errors import NonConvergenceError
 from .measures import _check_same_alphabet
 
 FIXED_POINT_TOL = 1e-12
 CONSTRAINT_TOL = 1e-8
-GOLDEN_TOL = 1e-10
 OBJECTIVE_TOL = 1e-10
 
-_PENALTY_SCHEDULE = tuple(10.0 ** k for k in range(2, 9))
 _N_STARTS = 32
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -106,13 +105,7 @@ def solve_degree_fixed_point(mean, c):
 
 
 # ---------------------------------------------------------------------------
-# constrained entropy minimization on the simplex
-
-
-def _softmax(z):
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+# minimization over color laws on the support of mu
 
 
 def _simplex_starts(k, mu_w):
@@ -135,25 +128,65 @@ def _simplex_starts(k, mu_w):
     return starts[:_N_STARTS]
 
 
-def _quad_form(w, C_w):
-    return float(w @ C_w @ w)
-
-
-def _attainable_range(mu, C):
-    """Numeric range [ymin, ymax] of omega' C omega over the admissible face.
-
-    Colors with mu(a) = 0 are excluded (any finite-entropy omega vanishes
-    there). Vertex and two-color segment optima are exact candidates; the
-    multi-start Nelder-Mead sweep covers interior optima for k >= 3.
-    """
+def _face(mu, C):
+    """supp mu, mu renormalised on it and C restricted to it: every omega with
+    H(omega||mu) < inf vanishes off supp mu."""
     _check_same_alphabet(mu, C)
     idx = np.flatnonzero(mu.weights > 0)
-    k = idx.size
-    C_a = C.values[np.ix_(idx, idx)]
-    mu_a = mu.weights[idx] / mu.weights[idx].sum()
-    qmu = _quad_form(mu_a, C_a)
+    return idx, mu.weights[idx] / mu.weights[idx].sum(), C.values[np.ix_(idx, idx)]
 
-    candidates = [qmu, _quad_form(np.full(k, 1.0 / k), C_a)]
+
+def _face_minimize(objective, mu_a, constraint=None):
+    """Multi-start SLSQP minimum of objective over probability vectors w > 0.
+
+    w = softmax(0, z) for z in R^(k-1), k >= 2; pinning the first coordinate
+    leaves the constrained problem no flat direction. objective(w, log w) and
+    the optional equality constraint(w) return a value and its gradient in w.
+    A start counts when SLSQP succeeds and meets the constraint within
+    CONSTRAINT_TOL. Returns the best start's value (+inf when none counts),
+    its w, the largest entry of its objective gradient in z, and the
+    iterations summed over all starts.
+    """
+    def point(z):
+        lw = np.concatenate(([0.0], z))
+        lw -= logsumexp(lw)
+        return np.exp(lw), lw
+
+    def in_z(w, grad):
+        return (w * (grad - w @ grad))[1:]
+
+    def fun(z):
+        w, lw = point(z)
+        value, grad = objective(w, lw)
+        return value, in_z(w, grad)
+
+    constraints = () if constraint is None else {
+        "type": "eq", "fun": lambda z: constraint(point(z)[0])[0],
+        "jac": lambda z: in_z(point(z)[0], constraint(point(z)[0])[1])}
+    best, iterations = (math.inf, mu_a, math.inf), 0
+    for w0 in _simplex_starts(mu_a.size, mu_a):
+        res = minimize(fun, np.log(w0[1:] / w0[0]), jac=True, method="SLSQP",
+                       constraints=constraints, options={"ftol": 1e-12})
+        iterations += int(res.nit)
+        w, _ = point(res.x)
+        if not res.success or (constraint is not None
+                               and abs(constraint(w)[0]) > CONSTRAINT_TOL):
+            continue
+        value, grad = fun(res.x)
+        if value < best[0]:
+            best = (value, w, float(np.abs(grad).max()))
+    return (*best, iterations)
+
+
+def _attainable_range(mu_a, C_a):
+    """Numeric range [ymin, ymax] of w' C w over the face, and its value at mu.
+
+    Vertex and two-color segment optima are exact candidates; for k >= 3 the
+    face solver covers interior optima.
+    """
+    k = mu_a.size
+    qmu = float(mu_a @ C_a @ mu_a)
+    candidates = [qmu, float(C_a.sum()) / (k * k)]
     for i in range(k):
         candidates.append(C_a[i, i])
         for j in range(i + 1, k):
@@ -167,106 +200,70 @@ def _attainable_range(mu, C):
     ymin, ymax = min(candidates), max(candidates)
     if k > 2:
         for sign in (1.0, -1.0):
-            def quad_obj(z):
-                return sign * _quad_form(_softmax(z), C_a)
-            for w0 in _simplex_starts(k, mu_a):
-                res = minimize(quad_obj, np.log(w0), method="Nelder-Mead",
-                               options={"xatol": 1e-10, "fatol": 1e-12,
-                                        "maxiter": 2000})
-                y = _quad_form(_softmax(res.x), C_a)
-                ymin, ymax = min(ymin, y), max(ymax, y)
-    return ymin, ymax, qmu, idx
-
-
-def _entropy_on_face(w, mu_a):
-    return float(np.sum(rel_entr(w, mu_a)))
-
-
-def _psi_on_face(y, mu_a, C_a):
-    """Penalty-method minimum of H(omega||mu) subject to omega' C omega = y."""
-    k = mu_a.size
-    best = math.inf
-    for w0 in _simplex_starts(k, mu_a):
-        z = np.log(w0)
-        for pen in _PENALTY_SCHEDULE:
-            def obj(z_, pen=pen):
-                w = _softmax(z_)
-                return (_entropy_on_face(w, mu_a)
-                        + pen * (_quad_form(w, C_a) - y) ** 2)
-            res = minimize(obj, z, method="Nelder-Mead",
-                           options={"xatol": 1e-11, "fatol": 1e-13,
-                                    "maxiter": 3000})
-            z = res.x
-        w = _softmax(z)
-        if abs(_quad_form(w, C_a) - y) <= CONSTRAINT_TOL:
-            best = min(best, _entropy_on_face(w, mu_a))
-    return best
-
-
-def _psi_given_range(y, mu, C, range_info):
-    ymin, ymax, qmu, idx = range_info
-    scale = max(1.0, abs(ymax))
-    if abs(y - qmu) <= 1e-12 * scale:
-        return 0.0
-    if y < ymin - 1e-9 * scale or y > ymax + 1e-9 * scale:
-        return math.inf
-    C_a = C.values[np.ix_(idx, idx)]
-    mu_a = mu.weights[idx] / mu.weights[idx].sum()
-    value = _psi_on_face(min(max(y, ymin), ymax), mu_a, C_a)
-    if math.isinf(value):
-        raise NonConvergenceError(
-            f"no multi-start satisfied the constraint at y={y!r}")
-    return max(value, 0.0)
+            def signed_q(w, lw):
+                return sign * float(w @ C_a @ w), 2.0 * sign * (C_a @ w)
+            w = _face_minimize(signed_q, mu_a)[1]
+            y = float(w @ C_a @ w)
+            ymin, ymax = min(ymin, y), max(ymax, y)
+    return ymin, ymax, qmu
 
 
 def psi(y, mu, C):
     """inf H(omega||mu) over probability omega with omega' C omega = y.
 
-    +inf when y lies outside the attainable range of the quadratic form.
+    +inf when y lies outside the attainable range of the quadratic form;
+    inside it, the face solver minimises the entropy under the constraint.
     """
     if y < 0:
         raise ValueError(f"y must be nonnegative, got {y!r}")
-    return _psi_given_range(y, mu, C, _attainable_range(mu, C))
+    _, mu_a, C_a = _face(mu, C)
+    ymin, ymax, qmu = _attainable_range(mu_a, C_a)
+    scale = max(1.0, abs(ymax))
+    if y < ymin - 1e-9 * scale or y > ymax + 1e-9 * scale:
+        return math.inf
+    y = min(max(y, ymin), ymax)
+    if abs(y - qmu) <= 1e-12 * scale:
+        return 0.0
+    log_mu = np.log(mu_a)
+    value = _face_minimize(lambda w, lw: (float(w @ (lw - log_mu)), lw - log_mu + 1.0),
+                           mu_a, lambda w: (float(w @ C_a @ w) - y, 2.0 * (C_a @ w)))[0]
+    if math.isinf(value):
+        raise NonConvergenceError(f"no multi-start satisfied the constraint at y={y!r}")
+    return max(value, 0.0)
 
 
 def zeta_inner(x, mu, C):
-    """Golden-section minimum of psi(y) - x ln(y/2) + y/2 over attainable y.
+    """Inner infimum of the edge rate, inf_y {psi(y) - x ln(y/2) + y/2}.
 
-    A degenerate attainable range (the constant-kernel case) short-circuits
-    to the single feasible point, where psi vanishes.
+    y enters only through q = omega' C omega, so this is one minimization of
+    H(omega||mu) - x ln(q/2) + q/2 over color laws omega on supp mu. argmin
+    is the minimizer omega* over the full alphabet (zero off supp mu), so
+    y* = omega*' C omega*; residual is its largest gradient entry in softmax
+    coordinates. Where q is constant on the face (one color, or C vanishing
+    there) omega* = mu, and a vanishing C gives +inf for x > 0.
     """
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x!r}")
-    range_info = _attainable_range(mu, C)
-    ymin, ymax, qmu, _ = range_info
-    scale = max(1.0, abs(ymax))
+    idx, mu_a, C_a = _face(mu, C)
+    log_mu = np.log(mu_a)
 
-    def g(y):
-        log_part = 0.0 if x == 0 else -x * math.log(y / 2.0)
-        return _psi_given_range(y, mu, C, range_info) + log_part + y / 2.0
+    def objective(w, lw):
+        Cw = C_a @ w
+        q = float(w @ Cw)
+        log_part = x * math.log(q / 2.0) if x > 0 else 0.0
+        slope = 1.0 - 2.0 * x / q if x > 0 else 1.0
+        return (float(w @ (lw - log_mu)) - log_part + q / 2.0,
+                lw - log_mu + 1.0 + slope * Cw)
 
-    if ymax - ymin <= 1e-10 * scale:
-        return SolveReport((qmu,), g(qmu), 0.0, 0, True)
-
-    lo = ymin if ymin > 0 else 1e-12 * scale
-    hi = ymax
-    c1 = hi - _GOLDEN * (hi - lo)
-    c2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = g(c1), g(c2)
-    iterations = 0
-    while hi - lo > GOLDEN_TOL and iterations < 300:
-        if f1 <= f2:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - _GOLDEN * (hi - lo)
-            f1 = g(c1)
-        else:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + _GOLDEN * (hi - lo)
-            f2 = g(c2)
-        iterations += 1
-    y_star, f_star = (c1, f1) if f1 <= f2 else (c2, f2)
-    width = hi - lo
-    return SolveReport((y_star,), f_star, width, iterations, width <= GOLDEN_TOL)
+    if idx.size == 1 or not C_a.any():
+        value = math.inf if x > 0 and not C_a.any() else objective(mu_a, log_mu)[0]
+        w, residual, iterations = mu_a, 0.0, 0
+    else:
+        value, w, residual, iterations = _face_minimize(objective, mu_a)
+    omega = np.zeros(mu.alphabet.m)
+    omega[idx] = w
+    # the face solver reports an infinite residual when no start converged
+    return SolveReport(tuple(omega), value, residual, iterations, math.isfinite(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -379,36 +376,27 @@ def ising_annealed(beta, c):
 # numeric Legendre dual of the conditional pair rate
 
 
-def legendre_i_omega(pair, omega, C, grid_spec=None):
+def legendre_i_omega(pair, omega, C):
     """(1/2) sup_g { <pair, g> + <C omega x omega, 1 - e^g> } over symmetric g.
 
     The objective is separable per entry, so coordinate ascent lands on the
-    clipped analytic optimum g(a,b) = ln(pair/(C omega x omega)) in one
-    sweep. +inf when pair charges a zero of the reference product.
-    grid_spec: optional {"clip": G, "sweeps": k} overriding the defaults.
+    analytic optimum g(a,b) = ln(pair/(C omega x omega)), clipped to [-40, 40],
+    in one sweep. +inf when pair charges a zero of the reference product.
     """
     _check_same_alphabet(pair, omega, C)
     m = pair.alphabet.m
     if m > 3:
         raise ValueError(f"dual check is limited to m <= 3, got m={m}")
-    spec = {"clip": 40.0, "sweeps": 2}
-    if grid_spec:
-        spec.update(grid_spec)
-    clip = float(spec["clip"])
-
-    w = omega.weights
-    ref = C.values * np.outer(w, w)
+    clip = 40.0
+    ref = C.values * np.outer(omega.weights, omega.weights)
     p = pair.weights
     if np.any((ref == 0.0) & (p > 0.0)):
         return math.inf
 
     g = np.full((m, m), -clip)
-    for _ in range(int(spec["sweeps"])):
-        for a in range(m):
-            for b in range(m):
-                if p[a, b] > 0.0:
-                    g[a, b] = min(max(math.log(p[a, b] / ref[a, b]), -clip), clip)
-                else:
-                    g[a, b] = -clip
+    for a in range(m):
+        for b in range(m):
+            if p[a, b] > 0.0:
+                g[a, b] = min(max(math.log(p[a, b] / ref[a, b]), -clip), clip)
     value = float(np.sum(p * g) + np.sum(ref * (1.0 - np.exp(g))))
     return 0.5 * value

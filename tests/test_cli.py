@@ -5,7 +5,7 @@ import math
 import pytest
 
 from graphrates import (Alphabet, ColorMeasure, ColoredGraph, Kernel,
-                        poisson_limit_law, product_kernel_measure,
+                        poisson_limit_law, product_kernel_measure, rate_zeta,
                         rate_zeta_er)
 from graphrates.cli import main
 
@@ -122,6 +122,21 @@ def test_edge_rate_zeta_matches_closed_form(tmp_path):
     assert abs(doc["value"] - doc["er_closed_form"]) <= 1e-8
 
 
+def test_edge_rate_zeta_two_colors(tmp_path):
+    cfg = _write(tmp_path, "bench.json", dict(BENCH, x=1.5))
+    code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg])
+    assert code == 0
+    mu = ColorMeasure(Alphabet(2), BENCH["mu"], probability=True)
+    assert doc["value"] == rate_zeta(1.5, mu, Kernel(Alphabet(2), BENCH["C"]))
+    assert "er_closed_form" not in doc
+
+
+def test_edge_rate_kernel_vanishing_on_support_prints_inf(tmp_path):
+    cfg = _write(tmp_path, "void.json", {"mu": [1.0, 0.0], "C": [[0, 1], [1, 0]], "x": 0.5})
+    code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg])
+    assert code == 0 and doc["value"] == "inf"
+
+
 def test_edge_rate_exact_rows(tmp_path):
     cfg = _write(tmp_path, "ex.json",
                  {"mu": [1.0], "C": 2.0, "x": 1.5, "mode": "exact",
@@ -177,6 +192,15 @@ def test_edge_rate_mc_prediction_matches_event(tmp_path):
         rate_zeta_er(1.5, 2.0), abs=1e-8)
     # no edge rate predicts the isolated-vertex tail
     assert run("deg0", {"kind": "degree_zero", "t": 0.2}) is None
+
+
+def test_edge_rate_mc_two_color_prediction(tmp_path):
+    cfg = _write(tmp_path, "mc.json",
+                 dict(BENCH, mode="mc", sizes=[50], replicas=200, seed=3,
+                      event={"kind": "edges", "x": 1.5}))
+    code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg])
+    assert code == 0
+    assert math.isfinite(doc["rate_prediction"]) and doc["rate_prediction"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +292,17 @@ def test_zero_size_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "gen.json", dict(BENCH, n=0, seed=0))
     assert main(["generate", "--config", cfg]) == 2
     assert "n must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    ("edge-rate", {"mu": [1.0], "C": 2.0, "x": True}, "'x'"),
+    ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "mean": "abc"}, "'mean'"),
+    ("ising", {"beta": "hot", "c": 2.0}, "'beta'"),
+])
+def test_non_number_exit_2(tmp_path, capsys, command, payload, key):
+    cfg = _write(tmp_path, "bad.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_pair_event_color_outside_alphabet_exit_2(tmp_path, capsys):

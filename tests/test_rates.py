@@ -219,6 +219,18 @@ def test_rate_zeta_zero_at_typical_density():
     assert rate_zeta(1.0, MU1, Kernel.constant(2.0)) == 0.0
 
 
+def test_rate_zeta_kernel_vanishing_on_support():
+    # C is zero on supp mu, so no edge can form: one color, then two
+    A3 = Alphabet(3)
+    cases = ((ColorMeasure(A2, [1.0, 0.0], probability=True),
+              Kernel(A2, [[0.0, 1.0], [1.0, 0.0]])),
+             (ColorMeasure(A3, [0.5, 0.5, 0.0], probability=True),
+              Kernel(A3, [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 3.0]])))
+    for mu, C in cases:
+        assert rate_zeta(0.0, mu, C) == 0.0
+        assert rate_zeta(0.5, mu, C) == math.inf
+
+
 def test_rate_value_serialization():
     rv = RateValue(1.5, {"color": 0.5, "pair": 1.0})
     assert RateValue.from_dict(rv.to_dict()).value == 1.5

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import rel_entr
 
 from graphrates import (Alphabet, ColorMeasure, Kernel, SolveReport,
                         ising_annealed, legendre_i_omega, product_kernel_measure,
@@ -129,6 +130,81 @@ def test_zeta_er_midpoint_convexity():
     vals = [rate_zeta(float(x), mu1, C) for x in xs]
     for i in range(1, len(xs) - 1):
         assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# multicolor edge rate: the one-level solver against independent references
+
+
+def _exact_psi_m2(ys, mu_w, C):
+    """psi for m = 2, vectorised in y: omega = (t, 1 - t) on the level set
+    omega' C omega = y solves a quadratic in t, so psi is the smaller
+    entropy over its roots in [0, 1]."""
+    (c00, c01), (_, c11) = C
+    a, b = c00 - 2 * c01 + c11, 2 * (c01 - c11)
+    ys = np.asarray(ys, dtype=float)
+    disc = np.sqrt(np.maximum(b * b - 4 * a * (c11 - ys), 0.0))
+    best = np.full(ys.shape, np.inf)
+    for t in ((-b - disc) / (2 * a), (-b + disc) / (2 * a)):
+        tc = np.clip(t, 0.0, 1.0)
+        h = rel_entr(tc, mu_w[0]) + rel_entr(1.0 - tc, mu_w[1])
+        best = np.where((t >= 0.0) & (t <= 1.0), np.minimum(best, h), best)
+    return best
+
+
+def test_psi_matches_quadratic_roots():
+    mu46 = ColorMeasure(A2, [0.4, 0.6], probability=True)
+    C213 = Kernel(A2, [[2.0, 1.0], [1.0, 3.0]])
+    # both kernels have attainable range [5/3, 3]; 3 is the vertex omega = (0, 1),
+    # and near 5/3 the constraint is almost tangent to the level set
+    for mu, C, ys in ((mu46, C213, (1.67, 2.0, 2.4, 3.0)), (MU2, C2, (2.0, 2.8))):
+        exact = _exact_psi_m2(ys, mu.weights, C.values)
+        for y, want in zip(ys, exact):
+            assert psi(y, mu, C) == pytest.approx(want, abs=1e-10)
+
+
+def test_zeta_inner_matches_two_layer_brute_force():
+    # min over a fine y-grid of exact psi(y) - x ln(y/2) + y/2 on [5/3, 3]
+    ys = np.linspace(5.0 / 3.0, 3.0, 200001)
+    psis = _exact_psi_m2(ys, MU2.weights, C2.values)
+    for x in (0.0, 0.5, 1.5, 3.0):
+        brute = float(np.min(psis - x * np.log(ys / 2.0) + ys / 2.0))
+        rep = zeta_inner(x, MU2, C2)
+        assert rep.converged
+        assert rep.value == pytest.approx(brute, abs=1e-7)
+
+
+def test_zeta_inner_stays_on_supp_mu():
+    A3 = Alphabet(3)
+    mu = ColorMeasure(A3, [0.5, 0.5, 0.0], probability=True)
+    C = Kernel(A3, [[3.0, 1.0, 4.0], [1.0, 2.0, 5.0], [4.0, 5.0, 6.0]])
+    for x in (0.5, 1.5):
+        rep = zeta_inner(x, mu, C)
+        assert rep.argmin[2] == 0.0
+        assert rep.value == pytest.approx(zeta_inner(x, MU2, C2).value, abs=1e-12)
+
+
+def test_zeta_inner_global_minimum_three_colors():
+    A3 = Alphabet(3)
+    mu = ColorMeasure(A3, [0.5, 0.3, 0.2], probability=True)
+    C = Kernel(A3, [[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 1.5]])
+
+    def objective(W, x):
+        H = rel_entr(W, mu.weights).sum(axis=-1)
+        Q = np.einsum("...a,ab,...b->...", W, C.values, W)
+        return H - x * np.log(Q / 2.0) + Q / 2.0
+
+    # barycentric grid with step 1/150, boundary included
+    n = 150
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    keep = i + j <= n
+    W = np.stack([i[keep], j[keep], n - i[keep] - j[keep]], axis=1) / n
+    for x in (0.0, 1.5, 3.0):
+        rep = zeta_inner(x, mu, C)
+        assert rep.converged
+        assert rep.value <= float(objective(W, x).min()) + 1e-12
+        # the reported minimiser attains the reported value
+        assert float(objective(np.array(rep.argmin), x)) == pytest.approx(rep.value, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
