@@ -15,7 +15,7 @@ from .mcharness import (ExponentEstimate, TailExperiment,
 from .rates import (RateValue, h_c, poisson_limit_law, q_measure, rate_I,
                     rate_I_omega, rate_J, rate_J_tilde, rate_delta, rate_zeta,
                     rate_zeta_er)
-from .varsolve import (SolveReport, ising_annealed, legendre_i_omega, psi,
+from .varsolve import (SolveReport, ising_annealed, legendre_i_omega,
                        solve_degree_fixed_point, zeta_inner)
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "degree_distribution", "empirical_measures", "estimate_tail_exponent",
     "exact_er_edge_exponent", "h_c", "is_sub_consistent", "ising_annealed",
     "legendre_i_omega", "lln_check", "magnitude", "phi", "phi_counts",
-    "poisson_limit_law", "product_kernel_measure", "psi", "q_measure",
+    "poisson_limit_law", "product_kernel_measure", "q_measure",
     "quantize", "rate_I", "rate_I_omega", "rate_J", "rate_J_tilde",
     "rate_delta", "rate_zeta", "rate_zeta_er", "relative_entropy",
     "sample_colored_graph", "sample_conditional", "sample_conditional_batch",

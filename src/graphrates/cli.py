@@ -30,12 +30,19 @@ from .mcharness import TailExperiment, estimate_tail_exponent, exact_er_edge_exp
 _SEED_MAX = 2 ** 64
 
 
+def _json_constant(name):
+    # Python's JSON parser accepts NaN, which then slips past every range check
+    if name == "NaN":
+        raise ConfigError("config holds NaN, which is not a number")
+    return float(name)
+
+
 def _load_config(path):
     if path is None:
         raise ConfigError("this command requires --config")
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_json_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -228,10 +235,10 @@ def _cmd_rate(args):
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad measure in config: {exc}") from exc
     doc = {"manifest": _manifest("rate", cfg),
-           "J": rates.rate_J(pair, nu, mu, C).to_dict()}
+           "J": _from_config(rates.rate_J, pair, nu, mu, C).to_dict()}
     if "omega" in cfg:
         omega = _parse_mu(cfg["omega"])
-        doc["I"] = rates.rate_I(omega, pair, mu, C).to_dict()
+        doc["I"] = _from_config(rates.rate_I, omega, pair, mu, C).to_dict()
         doc["I_omega"] = rates.rate_I_omega(pair, omega, C)
         doc["J_tilde"] = rates.rate_J_tilde(nu, omega, pair)
     _emit(doc, args)
@@ -247,7 +254,8 @@ def _cmd_degree_rate(args):
         raise ConfigError(f"degrees must map integers to probabilities: {exc}") from exc
     c = float(_require(cfg, "c", (int, float)))
     mean = cfg.get("mean")
-    value = rates.rate_delta(degrees, c, mean=None if mean is None else _real(mean, "mean"))
+    value = _from_config(rates.rate_delta, degrees, c,
+                         mean=None if mean is None else _real(mean, "mean"))
     doc = {"manifest": _manifest("degree-rate", cfg), "value": _rate_json(value)}
     _emit(doc, args)
     return 0
@@ -260,7 +268,7 @@ def _cmd_edge_rate(args):
     x = None if mode == "mc" and "event" in cfg else float(_require(cfg, "x", (int, float)))
     doc = {"manifest": _manifest("edge-rate", cfg)}
     if mode == "zeta":
-        doc["value"] = _rate_json(rates.rate_zeta(x, mu, C))
+        doc["value"] = _rate_json(_from_config(rates.rate_zeta, x, mu, C))
         if mu.alphabet.m == 1:
             doc["er_closed_form"] = rates.rate_zeta_er(x, float(C.values[0, 0]))
     elif mode == "exact":
@@ -268,7 +276,8 @@ def _cmd_edge_rate(args):
             raise ConfigError("mode \"exact\" needs the single-color model")
         sizes = _require(cfg, "sizes", list)
         c = float(C.values[0, 0])
-        doc["rows"] = [{"n": int(n), "exponent": exact_er_edge_exponent(int(n), c, x)}
+        doc["rows"] = [{"n": int(n),
+                        "exponent": _from_config(exact_er_edge_exponent, int(n), c, x)}
                        for n in sizes]
     elif mode == "mc":
         seed = _resolve_seed(cfg, args)
@@ -281,10 +290,10 @@ def _cmd_edge_rate(args):
             sizes=tuple(int(n) for n in _require(cfg, "sizes", list)),
             replicas=int(_require(cfg, "replicas", int)), seed=seed,
             replica_offset=int(cfg.get("replica_offset", 0)))
-        est = estimate_tail_exponent(exp)
         # only the edge event has a rate here, taken at the event's own x
-        prediction = (_rate_json(rates.rate_zeta(float(event["x"]), mu, C))
+        prediction = (_rate_json(_from_config(rates.rate_zeta, float(event["x"]), mu, C))
                       if event["kind"] == "edges" else None)
+        est = estimate_tail_exponent(exp)
         if args.out and args.out.endswith(".csv"):
             with open(args.out, "w") as fh:
                 fh.write(est.to_csv(rate_prediction=prediction))
@@ -309,9 +318,7 @@ def _cmd_ising(args):
     records = []
     for beta in betas:
         for c in cs:
-            if not c > 0:
-                raise ConfigError(f"c must be positive, got {c!r}")
-            report = varsolve.ising_annealed(beta, c)
+            report = _from_config(varsolve.ising_annealed, beta, c)
             records.append({"beta": beta, "c": c,
                             "value": report.value,
                             "oracle": oracles.ising_oracle(beta, c),

@@ -1,13 +1,11 @@
 """Solvers for the model's low-dimensional variational problems.
 
-Covers the degree-distribution fixed point, the minimizations over color
+Covers the degree-distribution fixed point, the minimization over color
 laws omega on supp mu, the four-variable annealed Ising optimization, and
 the numeric Legendre dual of the conditional pair rate. One face solver,
-multi-start SLSQP in softmax coordinates, does every minimization over color
-laws: psi(y) = inf { H(omega||mu) : omega' C omega = y }, the edge rate's
-inner infimum and the attainable range of omega' C omega. All solvers are
-deterministic: multi-starts come from a fixed low-discrepancy set, never
-from an RNG.
+multi-start SLSQP in softmax coordinates, does the minimization over color
+laws behind the edge rate's inner infimum. All solvers are deterministic:
+multi-starts come from a fixed low-discrepancy set, never from an RNG.
 """
 
 import math
@@ -17,11 +15,9 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from .errors import NonConvergenceError
 from .measures import _check_same_alphabet
 
 FIXED_POINT_TOL = 1e-12
-CONSTRAINT_TOL = 1e-8
 OBJECTIVE_TOL = 1e-10
 
 _N_STARTS = 32
@@ -136,104 +132,41 @@ def _face(mu, C):
     return idx, mu.weights[idx] / mu.weights[idx].sum(), C.values[np.ix_(idx, idx)]
 
 
-def _face_minimize(objective, mu_a, constraint=None):
+def _face_minimize(objective, mu_a):
     """Multi-start SLSQP minimum of objective over probability vectors w > 0.
 
     w = softmax(0, z) for z in R^(k-1), k >= 2; pinning the first coordinate
-    leaves the constrained problem no flat direction. objective(w, log w) and
-    the optional equality constraint(w) return a value and its gradient in w.
-    A start counts when SLSQP succeeds and meets the constraint within
-    CONSTRAINT_TOL. Returns the best start's value (+inf when none counts),
-    its w, the largest entry of its objective gradient in z, and the
-    iterations summed over all starts.
+    leaves the problem no flat direction. objective(w, log w) returns a value
+    and its gradient in w. A start counts when SLSQP succeeds. Returns the
+    best start's value (+inf when none counts), its w, the largest entry of
+    its objective gradient in z, and the iterations summed over all starts.
     """
     def point(z):
         lw = np.concatenate(([0.0], z))
         lw -= logsumexp(lw)
         return np.exp(lw), lw
 
-    def in_z(w, grad):
-        return (w * (grad - w @ grad))[1:]
-
     def fun(z):
         w, lw = point(z)
         value, grad = objective(w, lw)
-        return value, in_z(w, grad)
+        return value, (w * (grad - w @ grad))[1:]
 
-    constraints = () if constraint is None else {
-        "type": "eq", "fun": lambda z: constraint(point(z)[0])[0],
-        "jac": lambda z: in_z(point(z)[0], constraint(point(z)[0])[1])}
     best, iterations = (math.inf, mu_a, math.inf), 0
     for w0 in _simplex_starts(mu_a.size, mu_a):
         res = minimize(fun, np.log(w0[1:] / w0[0]), jac=True, method="SLSQP",
-                       constraints=constraints, options={"ftol": 1e-12})
+                       options={"ftol": 1e-12})
         iterations += int(res.nit)
-        w, _ = point(res.x)
-        if not res.success or (constraint is not None
-                               and abs(constraint(w)[0]) > CONSTRAINT_TOL):
+        if not res.success:
             continue
         value, grad = fun(res.x)
         if value < best[0]:
-            best = (value, w, float(np.abs(grad).max()))
+            best = (value, point(res.x)[0], float(np.abs(grad).max()))
     return (*best, iterations)
 
 
-def _attainable_range(mu_a, C_a):
-    """Numeric range [ymin, ymax] of w' C w over the face, and its value at mu.
-
-    Vertex and two-color segment optima are exact candidates; for k >= 3 the
-    face solver covers interior optima.
-    """
-    k = mu_a.size
-    qmu = float(mu_a @ C_a @ mu_a)
-    candidates = [qmu, float(C_a.sum()) / (k * k)]
-    for i in range(k):
-        candidates.append(C_a[i, i])
-        for j in range(i + 1, k):
-            caa, cab, cbb = C_a[i, i], C_a[i, j], C_a[j, j]
-            den = caa - 2 * cab + cbb
-            if den != 0.0:
-                t = (cbb - cab) / den
-                if 0.0 < t < 1.0:
-                    candidates.append(t * t * caa + 2 * t * (1 - t) * cab
-                                      + (1 - t) * (1 - t) * cbb)
-    ymin, ymax = min(candidates), max(candidates)
-    if k > 2:
-        for sign in (1.0, -1.0):
-            def signed_q(w, lw):
-                return sign * float(w @ C_a @ w), 2.0 * sign * (C_a @ w)
-            w = _face_minimize(signed_q, mu_a)[1]
-            y = float(w @ C_a @ w)
-            ymin, ymax = min(ymin, y), max(ymax, y)
-    return ymin, ymax, qmu
-
-
-def psi(y, mu, C):
-    """inf H(omega||mu) over probability omega with omega' C omega = y.
-
-    +inf when y lies outside the attainable range of the quadratic form;
-    inside it, the face solver minimises the entropy under the constraint.
-    """
-    if y < 0:
-        raise ValueError(f"y must be nonnegative, got {y!r}")
-    _, mu_a, C_a = _face(mu, C)
-    ymin, ymax, qmu = _attainable_range(mu_a, C_a)
-    scale = max(1.0, abs(ymax))
-    if y < ymin - 1e-9 * scale or y > ymax + 1e-9 * scale:
-        return math.inf
-    y = min(max(y, ymin), ymax)
-    if abs(y - qmu) <= 1e-12 * scale:
-        return 0.0
-    log_mu = np.log(mu_a)
-    value = _face_minimize(lambda w, lw: (float(w @ (lw - log_mu)), lw - log_mu + 1.0),
-                           mu_a, lambda w: (float(w @ C_a @ w) - y, 2.0 * (C_a @ w)))[0]
-    if math.isinf(value):
-        raise NonConvergenceError(f"no multi-start satisfied the constraint at y={y!r}")
-    return max(value, 0.0)
-
-
 def zeta_inner(x, mu, C):
-    """Inner infimum of the edge rate, inf_y {psi(y) - x ln(y/2) + y/2}.
+    """Inner infimum of the edge rate, inf_y {psi(y) - x ln(y/2) + y/2}, where
+    psi(y) = inf { H(omega||mu) : omega' C omega = y }.
 
     y enters only through q = omega' C omega, so this is one minimization of
     H(omega||mu) - x ln(q/2) + q/2 over color laws omega on supp mu. argmin
@@ -292,36 +225,6 @@ def _ising_objective(x, wpp, wmm, wpm, beta, c):
             - 0.5 * (ent + c - mass))
 
 
-def _ising_grid_best(beta, c):
-    wmax = c * math.exp(beta)
-    xs = np.linspace(0.0, 1.0, 40)
-    ws = np.linspace(0.0, wmax, 40)
-    wpp, wmm, wpm = np.meshgrid(ws, ws, ws, indexing="ij")
-    mass = wpp + wmm + 2.0 * wpm
-    bracket = 0.5 * beta * (wpp + wmm - 2.0 * wpm)
-    best_val, best_pt = -math.inf, None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for x in xs:
-            refs = (c * x * x, c * (1.0 - x) * (1.0 - x), c * x * (1.0 - x))
-            ent = np.zeros_like(wpp)
-            ok = np.ones(wpp.shape, dtype=bool)
-            for w, r, mult in ((wpp, refs[0], 1.0), (wmm, refs[1], 1.0),
-                               (wpm, refs[2], 2.0)):
-                pos = w > 0.0
-                if r == 0.0:
-                    ok &= ~pos
-                else:
-                    ent += np.where(pos, mult * w * np.log(np.maximum(w, 1e-300) / r), 0.0)
-            val = np.where(ok, bracket + _mix_entropy(x) - 0.5 * (ent + c - mass),
-                           -math.inf)
-            flat = int(np.argmax(val))
-            if val.flat[flat] > best_val:
-                best_val = float(val.flat[flat])
-                i, j, l = np.unravel_index(flat, val.shape)
-                best_pt = (float(x), float(ws[i]), float(ws[j]), float(ws[l]))
-    return best_val, best_pt
-
-
 def _ising_profiled_best(beta, c):
     # stationarity in the pair variables at fixed x gives w = ref * e^{+-beta};
     # scanning that profile curve seeds the refinement near the true optimum
@@ -339,15 +242,16 @@ def _ising_profiled_best(beta, c):
 def ising_annealed(beta, c):
     """Limiting annealed free energy via the four-variable maximization.
 
-    Coarse 40^4 grid plus a stationarity profile seed, refined by repeated
-    Nelder-Mead until two polish rounds agree within 1e-10.
+    At fixed x the objective is strictly concave in (w++, w--, w+-), so its
+    maximum lies on the stationarity profile w = ref * e^{+-beta}, and the
+    best of 401 profile points seeds repeated Nelder-Mead polishing until two
+    rounds agree within 1e-10.
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c!r}")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
-    seeds = [_ising_grid_best(beta, c), _ising_profiled_best(beta, c)]
-    best_val, best_pt = max(seeds, key=lambda s: s[0])
+    best_val, best_pt = _ising_profiled_best(beta, c)
 
     def neg(v):
         val = _ising_objective(v[0], v[1], v[2], v[3], beta, c)
@@ -379,9 +283,9 @@ def ising_annealed(beta, c):
 def legendre_i_omega(pair, omega, C):
     """(1/2) sup_g { <pair, g> + <C omega x omega, 1 - e^g> } over symmetric g.
 
-    The objective is separable per entry, so coordinate ascent lands on the
-    analytic optimum g(a,b) = ln(pair/(C omega x omega)), clipped to [-40, 40],
-    in one sweep. +inf when pair charges a zero of the reference product.
+    The objective is separable per entry, so this evaluates it at the
+    closed-form optimum g(a,b) = ln(pair/(C omega x omega)), clipped to
+    [-40, 40]. +inf when pair charges a zero of the reference product.
     """
     _check_same_alphabet(pair, omega, C)
     m = pair.alphabet.m

@@ -305,6 +305,45 @@ def test_non_number_exit_2(tmp_path, capsys, command, payload, key):
     assert key in capsys.readouterr().err
 
 
+def _zero_point_measures(mu_w, C_raw):
+    mu = ColorMeasure(Alphabet(len(mu_w)), mu_w, probability=True)
+    C = Kernel(Alphabet(len(mu_w)), C_raw)
+    return {"nu": poisson_limit_law(mu, C).to_dict(),
+            "pair": product_kernel_measure(C, mu).to_dict()}
+
+
+def _rate_config(one_color_key):
+    """rate config on the bench model whose nu or pair lives on one color."""
+    measures = _zero_point_measures(BENCH["mu"], BENCH["C"])
+    measures[one_color_key] = _zero_point_measures([1.0], [[2.0]])[one_color_key]
+    return dict(BENCH, omega=BENCH["mu"], **measures)
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("edge-rate", dict(BENCH, x=-1), "x must be nonnegative, got -1.0"),
+    ("edge-rate", {"mu": [1.0], "C": 2.0, "x": -1, "mode": "mc", "sizes": [20],
+                   "replicas": 10, "seed": 1}, "x must be nonnegative, got -1.0"),
+    ("edge-rate", {"mu": [1.0], "C": 2.0, "x": 1.5, "mode": "exact", "sizes": [1]},
+     "n must be >= 2, got 1"),
+    ("ising", {"beta": -1, "c": 2.0}, "beta must be nonnegative, got -1.0"),
+    ("ising", {"beta": 1, "c": -2.0}, "c must be positive, got -2.0"),
+    ("ising", {"beta": math.nan, "c": 2.0}, "NaN"),
+    ("edge-rate", dict(BENCH, x=math.nan), "NaN"),
+    ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": -1}, "c must be positive, got -1.0"),
+    ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "mean": -1},
+     "mean must be nonnegative, got -1.0"),
+    ("degree-rate", {"degrees": {"0": 0.5}, "c": 1.0}, "total mass 0.5"),
+    ("degree-rate", {"degrees": {"-1": 1.0}, "c": 1.0}, "degree -1 is not a nonnegative"),
+    ("rate", _rate_config("nu"), "alphabet mismatch: m in [1, 2]"),
+    ("rate", _rate_config("pair"), "alphabet mismatch: m in [1, 2]"),
+])
+def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
+    cfg = _write(tmp_path, "bad.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 def test_pair_event_color_outside_alphabet_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "mc.json",
                  {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc", "sizes": [50],

@@ -231,6 +231,26 @@ def test_rate_zeta_kernel_vanishing_on_support():
         assert rate_zeta(0.5, mu, C) == math.inf
 
 
+@pytest.mark.parametrize("x", [0.5, 1.2, 3.0])
+@pytest.mark.parametrize("mu_w,C_raw", [([0.5, 0.5], [[3.0, 1.0], [1.0, 2.0]]),
+                                        ([0.4, 0.6], [[2.0, 1.0], [1.0, 3.0]])])
+def test_rate_zeta_contraction_of_rate_I(mu_w, C_raw, x):
+    # zeta(x) = inf { I(omega, pair) : ||pair|| = 2x }; at fixed omega the
+    # pair minimiser is C omega x omega rescaled to mass 2x, so one scan over
+    # omega = (t, 1 - t) checks zeta against rate_I without varsolve
+    from scipy.optimize import minimize_scalar
+    mu, C = ColorMeasure(A2, mu_w, probability=True), Kernel(A2, C_raw)
+
+    def contracted(t):
+        omega = ColorMeasure(A2, [t, 1.0 - t], probability=True)
+        ref = product_kernel_measure(C, omega).weights
+        return rate_I(omega, PairMeasure(A2, 2.0 * x * ref / ref.sum()), mu, C).value
+
+    res = minimize_scalar(contracted, bounds=(0.0, 1.0), method="bounded",
+                          options={"xatol": 1e-13})
+    assert res.fun == pytest.approx(rate_zeta(x, mu, C), abs=1e-10)
+
+
 def test_rate_value_serialization():
     rv = RateValue(1.5, {"color": 0.5, "pair": 1.0})
     assert RateValue.from_dict(rv.to_dict()).value == 1.5
