@@ -1,10 +1,10 @@
 """Acceptance battery: the eleven numbered criteria behind `validate`.
 
 Each criterion_N function runs one self-contained check with its published
-tolerances and pinned seeds and returns a record dict
+tolerances and pinned seeds, fixed in its own code, and returns a record dict
 {id, name, passed, details, elapsed}. The pytest acceptance module and the
-CLI validate command both drive these, so a tolerance tampered through a
-config fails in both places identically.
+CLI validate command both run these functions as they are, so both give the
+same verdicts; neither can change a tolerance, a seed or a sample size.
 """
 
 import math
@@ -67,19 +67,11 @@ def format_record(rec):
     return f"{status} criterion {rec['id']} ({rec['name']}): {keys} [{rec['elapsed']:.1f}s]"
 
 
-def _merged(defaults, tol):
-    out = dict(defaults)
-    if tol:
-        out.update(tol)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: exact edge-rate extrapolation
 
 
-def criterion_1(tol=None):
-    t = _merged({"rel_tol": 0.02, "zeta_tol": 1e-8, "runtime_s": 10.0}, tol)
+def criterion_1():
     started = time.perf_counter()
     c, x = 2.0, 1.5
     sizes = (250, 500, 1000, 2000)
@@ -95,9 +87,7 @@ def criterion_1(tol=None):
     zeta_gaps = {xx: abs(rates.rate_zeta(xx, mu1, C1) - rates.rate_zeta_er(xx, c))
                  for xx in (0.5, 1.0, 1.5, 3.0)}
     elapsed = time.perf_counter() - started
-    passed = (rel_err <= t["rel_tol"]
-              and max(zeta_gaps.values()) <= t["zeta_tol"]
-              and elapsed < t["runtime_s"])
+    passed = rel_err <= 0.02 and max(zeta_gaps.values()) <= 1e-8 and elapsed < 10.0
     details = {"extrapolated": round(extrapolated, 9), "target": round(target, 9),
                "rel_err": round(rel_err, 6), "max_zeta_gap": max(zeta_gaps.values()),
                "exponents": [round(e, 9) for e in exponents]}
@@ -108,15 +98,13 @@ def criterion_1(tol=None):
 # criterion 2: Monte Carlo tail agreement
 
 
-def criterion_2(tol=None):
-    t = _merged({"se_mult": 3.0, "rel_tol": 0.15, "min_hits": 50,
-                 "replicas": 10 ** 7, "runtime_s": 300.0}, tol)
+def criterion_2():
     started = time.perf_counter()
     c, x = 2.0, 1.5
     mu1 = ColorMeasure(Alphabet(1), [1.0], probability=True)
     exp = TailExperiment(mu=mu1, C=Kernel.constant(c),
                          event={"kind": "edges", "x": x},
-                         sizes=(100, 200, 400), replicas=int(t["replicas"]),
+                         sizes=(100, 200, 400), replicas=10 ** 7,
                          seed=MC_TAIL_SEED)
     est = estimate_tail_exponent(exp)
     per_n_ok = True
@@ -124,11 +112,11 @@ def criterion_2(tol=None):
     for row in est.rows:
         exact = exact_er_edge_exponent(row["n"], c, x)
         entry = {"n": row["n"], "hits": row["hits"], "exact": round(exact, 9)}
-        if row["hits"] >= t["min_hits"]:
+        if row["hits"] >= 50:
             gap = abs(row["exponent"] - exact)
             entry["gap"] = gap
-            entry["band"] = t["se_mult"] * row["se"]
-            per_n_ok = per_n_ok and gap <= t["se_mult"] * row["se"]
+            entry["band"] = 3.0 * row["se"]
+            per_n_ok = per_n_ok and gap <= entry["band"]
         comparisons.append(entry)
     target = rates.rate_zeta_er(x, c)
     if est.exponent is None:
@@ -136,9 +124,9 @@ def criterion_2(tol=None):
         rel_err = None
     else:
         rel_err = abs(est.exponent - target) / target
-        extrap_ok = rel_err <= t["rel_tol"]
+        extrap_ok = rel_err <= 0.15
     elapsed = time.perf_counter() - started
-    passed = per_n_ok and extrap_ok and elapsed < t["runtime_s"]
+    passed = per_n_ok and extrap_ok and elapsed < 300.0
     details = {"extrapolated": est.exponent, "target": round(target, 9),
                "rel_err": rel_err, "inconclusive": est.inconclusive,
                "rows": comparisons}
@@ -160,9 +148,7 @@ def _poisson_dict(lam, tail=1e-14):
     return d
 
 
-def criterion_3(tol=None):
-    t = _merged({"zero_tol": 1e-10, "closed_tol": 1e-10, "residual_tol": 1e-12,
-                 "continuity_tol": 1e-10}, tol)
+def criterion_3():
     started = time.perf_counter()
     worst = {"zero": 0.0, "closed": 0.0, "residual": 0.0, "continuity": 0.0}
     for c in (1.0, 2.0, 4.0):
@@ -177,9 +163,8 @@ def criterion_3(tol=None):
         v_fixed = rates._delta_given_x(two_point, c, x_fp)
         v_mean = rates._delta_given_x(two_point, c, float(c))
         worst["continuity"] = max(worst["continuity"], abs(v_fixed - v_mean))
-    passed = (worst["zero"] <= t["zero_tol"] and worst["closed"] <= t["closed_tol"]
-              and worst["residual"] <= t["residual_tol"]
-              and worst["continuity"] <= t["continuity_tol"])
+    passed = (worst["zero"] <= 1e-10 and worst["closed"] <= 1e-10
+              and worst["residual"] <= 1e-12 and worst["continuity"] <= 1e-10)
     return _record(3, "degree-rate-points", passed, worst, started)
 
 
@@ -187,8 +172,7 @@ def criterion_3(tol=None):
 # criterion 4: annealed Ising agreement
 
 
-def criterion_4(tol=None):
-    t = _merged({"agree_tol": 1e-6, "ln2_tol": 1e-10, "runtime_s": 30.0}, tol)
+def criterion_4():
     started = time.perf_counter()
     max_gap = 0.0
     max_ln2_gap = 0.0
@@ -203,8 +187,7 @@ def criterion_4(tol=None):
                 max_ln2_gap = max(max_ln2_gap, abs(solved - math.log(2.0)))
             grid.append({"beta": beta, "c": c, "solved": solved, "oracle": oracle})
     elapsed = time.perf_counter() - started
-    passed = (max_gap <= t["agree_tol"] and max_ln2_gap <= t["ln2_tol"]
-              and elapsed < t["runtime_s"])
+    passed = max_gap <= 1e-6 and max_ln2_gap <= 1e-10 and elapsed < 30.0
     details = {"max_gap": max_gap, "max_ln2_gap": max_ln2_gap, "points": len(grid)}
     return _record(4, "ising-free-energy", passed, details, started)
 
@@ -213,13 +196,12 @@ def criterion_4(tol=None):
 # criterion 5: Legendre duality
 
 
-def criterion_5(tol=None):
-    t = _merged({"tol": 1e-4, "instances": 200}, tol)
+def criterion_5():
     started = time.perf_counter()
     rng = np.random.default_rng(DUALITY_SEED)
     alphabet = Alphabet(2)
     max_gap = 0.0
-    for _ in range(int(t["instances"])):
+    for _ in range(200):
         w = rng.uniform(0.05, 1.0, 2)
         omega = ColorMeasure(alphabet, w / w.sum(), probability=True)
         cvals = rng.uniform(0.2, 3.0, 3)
@@ -230,7 +212,7 @@ def criterion_5(tol=None):
         dual = varsolve.legendre_i_omega(pair, omega, C)
         primal = rates.rate_I_omega(pair, omega, C)
         max_gap = max(max_gap, abs(dual - primal))
-    passed = max_gap <= t["tol"]
+    passed = max_gap <= 1e-4
     return _record(5, "pair-rate-duality", passed, {"max_gap": max_gap}, started)
 
 
@@ -258,8 +240,8 @@ def _random_sub_consistent(rng, alphabet):
     return pair, nu
 
 
-def criterion_6(tol=None):
-    t = _merged({"zero_tol": 1e-9, "instances": 500}, tol)
+def criterion_6():
+    instances = 500
     started = time.perf_counter()
     mu, C = _bench_model()
     pair_star = product_kernel_measure(C, mu)
@@ -270,7 +252,7 @@ def criterion_6(tol=None):
     min_random = math.inf
     finite_count = 0
     breakdown_ok = True
-    for _ in range(int(t["instances"])):
+    for _ in range(instances):
         pair, nu = _random_sub_consistent(rng, mu.alphabet)
         rv = rates.rate_J(pair, nu, mu, C)
         min_random = min(min_random, rv.value)
@@ -282,8 +264,8 @@ def criterion_6(tol=None):
     bad_nu = NeighborhoodMeasure(mu.alphabet, {(0, (5, 0)): 1.0}, probability=True)
     bad_pair = PairMeasure(mu.alphabet, np.full((2, 2), 1e-6))
     inf_value = rates.rate_J(bad_pair, bad_nu, mu, C)
-    passed = (zero_value <= t["zero_tol"] and min_random >= 0.0 and breakdown_ok
-              and finite_count == int(t["instances"])
+    passed = (zero_value <= 1e-9 and min_random >= 0.0 and breakdown_ok
+              and finite_count == instances
               and math.isinf(inf_value.value)
               and inf_value.reason == "not-sub-consistent")
     details = {"zero_value": zero_value, "min_random": min_random,
@@ -331,7 +313,7 @@ def _conditional_battery():
     return omega_n, pair_n, tuple((g, *empirical_measures(g)) for g in graphs)
 
 
-def criterion_7(tol=None):
+def criterion_7():
     started = time.perf_counter()
     checked = 0
     for graph, cc, pc, nc in _mixed_battery():
@@ -345,8 +327,7 @@ def criterion_7(tol=None):
     return _record(7, "empirical-exactness", True, {"checked": checked}, started)
 
 
-def criterion_8(tol=None):
-    t = _merged({"uniform_seeds": 60000, "se_mult": 3.0}, tol)
+def criterion_8():
     started = time.perf_counter()
     omega_n, pair_n, battery = _conditional_battery()
     exact_ok = all(
@@ -354,12 +335,12 @@ def criterion_8(tol=None):
         and np.array_equal(pc.edge_counts, pair_n.edge_counts)
         for _, cc, pc, _ in battery)
 
-    reps = int(t["uniform_seeds"])
+    reps = 60000
     seeds = [derive_child_seed(UNIFORMITY_SEED, i) for i in range(reps)]
     _, edges = sample_conditional_batch(ColorCounts(4, [4]), PairCounts(4, [[2]]), seeds)
     _, counts = np.unique(edges.reshape(reps, -1), axis=0, return_counts=True)
     p = 1.0 / 15.0
-    band = t["se_mult"] * math.sqrt(p * (1.0 - p) / reps)
+    band = 3.0 * math.sqrt(p * (1.0 - p) / reps)
     freqs = (counts / reps).tolist()
     uniform_ok = len(counts) == 15 and all(abs(f - p) <= band for f in freqs)
     passed = exact_ok and uniform_ok
@@ -372,9 +353,7 @@ def criterion_8(tol=None):
 # criterion 9: approximation pipeline
 
 
-def criterion_9(tol=None):
-    t = _merged({"consistency_tol": 1e-12, "eps_grid": (0.1, 0.01, 0.001),
-                 "quantize": ((1000, 0.2), (10000, 0.1))}, tol)
+def criterion_9():
     started = time.perf_counter()
     mu, C = _bench_model()
     details = {}
@@ -388,7 +367,7 @@ def criterion_9(tol=None):
         (product_kernel_measure(C, mu), rates.poisson_limit_law(mu, C)),
     ]
     consistify_ok = True
-    for eps in t["eps_grid"]:
+    for eps in (0.1, 0.01, 0.001):
         for pair, nu in cases:
             pair_hat, nu_hat = consistify(pair, nu, eps)
             _, phi2 = phi(nu_hat)
@@ -398,7 +377,7 @@ def criterion_9(tol=None):
             tv = total_variation(nu, nu_hat)
             consistify_ok = consistify_ok and move <= eps and tv <= eps
     worst_pair_move["consistency"] = worst_consistency
-    consistify_ok = consistify_ok and worst_consistency <= t["consistency_tol"]
+    consistify_ok = consistify_ok and worst_consistency <= 1e-12
 
     # exactly consistent input comes back untouched; graph-derived input is
     # consistent up to one ulp of float recomputation, so the repair there
@@ -417,8 +396,8 @@ def criterion_9(tol=None):
     quant_ok = True
     qstar = rates.poisson_limit_law(mu, C)
     tvs = {}
-    for idx, (n, eps) in enumerate(t["quantize"]):
-        graph = sample_colored_graph(ModelParams(mu, C, int(n)),
+    for idx, (n, eps) in enumerate(((1000, 0.2), (10000, 0.1))):
+        graph = sample_colored_graph(ModelParams(mu, C, n),
                                      derive_child_seed(QUANTIZE_SEED, 1000 + idx))
         cc_n, pc_n, _ = empirical_measures(graph)
         nu_n = quantize(cc_n, pc_n, qstar, derive_child_seed(QUANTIZE_SEED, idx))
@@ -426,7 +405,7 @@ def criterion_9(tol=None):
         quant_ok = (quant_ok and np.array_equal(color, cc_n.counts)
                     and np.array_equal(adj, pc_n.adjacency))
         tv = total_variation(nu_n.measure, qstar)
-        tvs[int(n)] = tv
+        tvs[n] = tv
         quant_ok = quant_ok and tv <= eps
 
     # cap_degrees: heavy vertex redistributed, phi untouched
@@ -452,16 +431,13 @@ def criterion_9(tol=None):
 # criterion 10: combinatorial bounds
 
 
-def criterion_10(tol=None):
-    t = _merged({"j_max": 50, "parts_max": 6, "scalar_limit": 60,
-                 "theta_magnitudes": tuple(range(1, 11))}, tol)
+def criterion_10():
     started = time.perf_counter()
     # composition_count re-verifies the sandwich internally on every call
-    for j in range(t["j_max"] + 1):
-        for parts in range(1, t["parts_max"] + 1):
+    for j in range(51):
+        for parts in range(1, 7):
             oracles.composition_count(j, parts)
-    report = oracles.partition_bound_check(2, t["theta_magnitudes"],
-                                           scalar_limit=t["scalar_limit"])
+    report = oracles.partition_bound_check(2, tuple(range(1, 11)), scalar_limit=60)
     support_ok = all(oracles.support_bound_check(nc)
                      for _, _, _, nc in _mixed_battery())
     support_ok = support_ok and all(oracles.support_bound_check(nc)
@@ -477,23 +453,19 @@ def criterion_10(tol=None):
 # criterion 11: law of large numbers at n = 20000
 
 
-def criterion_11(tol=None):
-    t = _merged({"degree_tv": 0.02, "nbhd_tv": 0.05, "min_pass": 19,
-                 "n": 20000, "runtime_s": 120.0}, tol)
+def criterion_11():
+    n, min_pass = 20000, 19
     started = time.perf_counter()
     mu1 = ColorMeasure(Alphabet(1), [1.0], probability=True)
-    er = lln_check(ModelParams(mu1, Kernel.constant(3.0), int(t["n"])),
-                   int(t["n"]), LLN_SEEDS_ER)
-    degree_pass = sum(row["tv_degree"] <= t["degree_tv"] for row in er["per_seed"])
+    er = lln_check(ModelParams(mu1, Kernel.constant(3.0), n), n, LLN_SEEDS_ER)
+    degree_pass = sum(row["tv_degree"] <= 0.02 for row in er["per_seed"])
 
     mu2, C2 = _bench_model()
-    bench = lln_check(ModelParams(mu2, C2, int(t["n"])), int(t["n"]),
-                      LLN_SEEDS_BENCH)
-    nbhd_pass = sum(row["tv_neighborhood"] <= t["nbhd_tv"]
+    bench = lln_check(ModelParams(mu2, C2, n), n, LLN_SEEDS_BENCH)
+    nbhd_pass = sum(row["tv_neighborhood"] <= 0.05
                     for row in bench["per_seed"])
     elapsed = time.perf_counter() - started
-    passed = (degree_pass >= t["min_pass"] and nbhd_pass >= t["min_pass"]
-              and elapsed < t["runtime_s"])
+    passed = degree_pass >= min_pass and nbhd_pass >= min_pass and elapsed < 120.0
     details = {"degree_pass": f"{degree_pass}/20", "nbhd_pass": f"{nbhd_pass}/20",
                "median_tv_degree": float(er["summary"]["tv_degree"]["median"]),
                "median_tv_nbhd": float(bench["summary"]["tv_neighborhood"]["median"])}
@@ -507,16 +479,8 @@ CRITERIA = {
 }
 
 
-def run_criterion(cid, tol=None):
-    return CRITERIA[cid](tol)
-
-
-def run_suite(name, overrides=None):
-    """Run one named suite; overrides maps criterion id to tolerance dicts."""
+def run_suite(name):
+    """Run one named suite: one record per criterion, in the suite's order."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of {sorted(SUITES)}")
-    overrides = overrides or {}
-    records = []
-    for cid in SUITES[name]:
-        records.append(run_criterion(cid, overrides.get(cid)))
-    return records
+    return [CRITERIA[cid]() for cid in SUITES[name]]

@@ -62,10 +62,13 @@ def _require(cfg, key, kind=None):
     return value
 
 
-def _real(value, key):
-    """A config number as a float; a bool, string or other value is a config error."""
+def _real(value, key, finite=True):
+    """A config number as a float; a bool, string or other value is a config error,
+    and so is an infinite one unless finite is False."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    if finite and math.isinf(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     return float(value)
 
 
@@ -252,10 +255,10 @@ def _cmd_degree_rate(args):
         degrees = {int(k): float(v) for k, v in raw.items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"degrees must map integers to probabilities: {exc}") from exc
-    c = float(_require(cfg, "c", (int, float)))
+    c = _real(_require(cfg, "c"), "c")
     mean = cfg.get("mean")
     value = _from_config(rates.rate_delta, degrees, c,
-                         mean=None if mean is None else _real(mean, "mean"))
+                         mean=None if mean is None else _real(mean, "mean", finite=False))
     doc = {"manifest": _manifest("degree-rate", cfg), "value": _rate_json(value)}
     _emit(doc, args)
     return 0
@@ -265,7 +268,7 @@ def _cmd_edge_rate(args):
     cfg = _load_config(args.config)
     mu, C = _parse_model(cfg)
     mode = cfg.get("mode", "zeta")
-    x = None if mode == "mc" and "event" in cfg else float(_require(cfg, "x", (int, float)))
+    x = None if mode == "mc" and "event" in cfg else _real(_require(cfg, "x"), "x")
     doc = {"manifest": _manifest("edge-rate", cfg)}
     if mode == "zeta":
         doc["value"] = _rate_json(_from_config(rates.rate_zeta, x, mu, C))
@@ -348,7 +351,7 @@ def _cmd_sample_conditional(args):
 def _cmd_approximate(args):
     cfg = _load_config(args.config)
     mu, C = _parse_model(cfg)
-    eps = float(_require(cfg, "eps", (int, float)))
+    eps = _real(_require(cfg, "eps"), "eps")
     if not eps > 0:
         raise ConfigError(f"eps must be positive, got {eps!r}")
     nu = rates.poisson_limit_law(mu, C)
@@ -382,30 +385,15 @@ def _cmd_approximate(args):
 
 
 def _cmd_validate(args):
-    overrides = {}
-    if args.config:
-        cfg = _load_config(args.config)
-        raw = cfg.get("overrides", {})
-        if not isinstance(raw, dict):
-            raise ConfigError("overrides must map criterion ids to dicts")
-        for key, val in raw.items():
-            try:
-                cid = int(key)
-            except ValueError as exc:
-                raise ConfigError(f"bad criterion id {key!r}") from exc
-            if cid not in acceptance.CRITERIA or not isinstance(val, dict):
-                raise ConfigError(f"bad override entry {key!r}")
-            overrides[cid] = val
-    suite = args.suite or "all"
-    if suite not in acceptance.SUITES:
-        raise ConfigError(f"unknown suite {suite!r}, expected one of "
-                          f"{sorted(acceptance.SUITES)}")
-    records = acceptance.run_suite(suite, overrides)
+    if args.config is not None or args.seed is not None:
+        raise ConfigError("validate takes no --config or --seed: every criterion "
+                          "runs with its published tolerances and seeds")
+    records = acceptance.run_suite(args.suite)
     for rec in records:
         print(acceptance.format_record(rec))
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"suite": suite, "records": records}, fh, indent=2,
+            json.dump({"suite": args.suite, "records": records}, fh, indent=2,
                       default=_jsonable)
             fh.write("\n")
     return 0 if all(rec["passed"] for rec in records) else 1

@@ -250,25 +250,17 @@ def sample_conditional(omega_n, pair_n, seed):
     pair {a, b}, exactly pair_n.edge_counts[a, b] distinct slots are drawn
     uniformly over the k-subsets of the slot index space. Raises
     InfeasibleError when a color pair asks for more edges than it has slots.
+    This is the one-seed case of sample_conditional_batch.
     """
-    plan = _conditional_plan(omega_n, pair_n)
-    n, m = omega_n.n, omega_n.alphabet.m
-    rng = np.random.default_rng(seed)
-    colors = np.repeat(np.arange(m, dtype=np.int64), omega_n.counts)
-    rng.shuffle(colors)
-    classes = [(colors == a).nonzero()[0] for a in range(m)]
-    # the slots' order is irrelevant: ColoredGraph sorts the edges
-    parts = [_slots_to_edges(classes[a], classes[b],
-                             rng.choice(S, k, replace=False, shuffle=False), a == b)
-             for a, b, S, k in plan]
-    return ColoredGraph(n, m, colors, np.concatenate(parts))
+    colors, edges = sample_conditional_batch(omega_n, pair_n, [seed])
+    return ColoredGraph(omega_n.n, omega_n.alphabet.m, colors[0], edges[0])
 
 
 def sample_conditional_batch(omega_n, pair_n, seeds):
     """colors (R, n) and edges (R, |E|, 2) of sample_conditional for R seeds.
 
-    Row r equals sample_conditional(omega_n, pair_n, seeds[r]) bit for bit:
-    each seed keeps its own random stream, while the checks, the decoding
+    Each seed keeps its own random stream: a shuffle of the colors, then one
+    slot subset per color pair in the plan's order. The checks, the decoding
     and the sorting run once for the whole batch.
     """
     plan = _conditional_plan(omega_n, pair_n)

@@ -3,10 +3,15 @@
 Estimates rare-event exponents -ln P / n over increasing graph sizes and
 extrapolates them against the closed-form rates, with an exact binomial
 oracle for the Erdos-Renyi edge-count event, plus a law-of-large-numbers
-check of the limiting neighborhood law at fixed n. The Erdos-Renyi
-edge-count tail is sampled from the binomial law tilted to its threshold and
-reweighted by the likelihood ratio (Siegmund 1976; Bucklew 2004), so sizes
-whose event plain Monte Carlo never sees still get an estimate.
+check of the limiting neighborhood law at fixed n. The edges and pair
+events depend on a graph only through its color counts and its edge counts
+per class pair, so they are drawn from those counts (a multinomial, then
+one binomial per class pair) without building a graph; the Erdos-Renyi
+model is the one-color case. Only degree_zero builds a graph per replica.
+The one-color edge-count tail is sampled from the binomial law tilted to
+its threshold and reweighted by the likelihood ratio (Siegmund 1976;
+Bucklew 2004), so sizes whose event plain Monte Carlo never sees still get
+an estimate.
 
 Replicas are indexed globally: replica i of size n always uses the child
 seed derived from (base seed, n, its block or index), so splitting an
@@ -25,13 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .graphs import ModelParams, empirical_measures, sample_colored_graph
+from .graphs import ModelParams, _slot_count, empirical_measures, sample_colored_graph
 from .measures import degree_distribution, product_kernel_measure, total_variation
 from .oracles import binomial_log_tail
 from .rates import poisson_limit_law
 from .seeds import derive_child_seed
 
-# replicas are drawn in blocks of this size on the vectorized path; block
+# edges and pair replicas are drawn in blocks of this size; block
 # boundaries are part of the merge contract, so this constant is load-bearing
 REPLICA_BLOCK = 65536
 
@@ -62,6 +67,7 @@ class TailExperiment:
     replica_offset: int = 0
 
     def __post_init__(self):
+        ModelParams(self.mu, self.C, 1)  # mu a probability law on C's alphabet
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         if not self.sizes or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError(f"sizes must be strictly increasing, got {self.sizes}")
@@ -94,8 +100,8 @@ class ExponentEstimate:
     rows hold dicts with keys
       n, replicas;
       hits           -- replicas that fell in the event under the law they
-                        were drawn from (the tilted law on the Erdos-Renyi
-                        edge path when it tilts, else the model itself);
+                        were drawn from (the tilted law for a one-color
+                        edges event when it tilts, else the model itself);
       weight_sum     -- sum of the hits' likelihood-ratio weights, equal to
                         hits when nothing is tilted;
       weight_sq_sum  -- sum of the squared weights;
@@ -142,91 +148,83 @@ def _edge_threshold(x, n):
     return math.ceil(x * n)
 
 
-def _is_er_edge_event(exp):
-    return exp.event["kind"] == "edges" and exp.mu.alphabet.m == 1
+def _count_hits(exp, n):
+    """Hits and weight sums of an edges or pair event, drawn from its statistic.
 
+    Both events read a graph only through its color counts and its edge
+    counts per class pair, and given the color counts the edge count between
+    classes a <= b is Binomial(S_ab, p_ab), S_ab their pair slots and
+    p_ab = min(C(a, b)/n, 1). So each block draws the color counts (one
+    multinomial, none for one color) and then one binomial per class pair
+    the event reads: (a, b) for a pair event, every a <= b summed for edges.
 
-def _count_er_edge_hits(exp, n):
-    """Vectorized path: |E| is drawn from Binomial(N, q) directly, N = n(n-1)/2.
-
-    Plain Monte Carlo draws with q = p = min(c/n, 1). When the threshold
-    k = ceil(x n) lies above the mean but can be reached (Np < k <= N),
-    the draws are tilted to q = k/N, so about half of them hit, and a hit K
-    carries the likelihood ratio
+    The one-color edge count is Binomial(N, p), N = n(n-1)/2. When its
+    threshold k = ceil(x n) lies above the mean but can be reached
+    (Np < k <= N), the draws are tilted to q = k/N, so about half of them
+    hit, and a hit K carries the likelihood ratio
         w(K) = (p/q)^K ((1-p)/(1-q))^(N-K) = w(k) exp(-beta (K - k)),
     beta being the log-odds gap between q and p. Returns the hit count, ln w(k)
     and the sums of exp(-beta (K - k)) and of its square over the hits;
     untilted, every weight is 1 and both sums equal the hit count.
     """
-    c = float(exp.C.values[0, 0])
-    N = n * (n - 1) // 2
-    p = min(c / n, 1.0)
-    k = _edge_threshold(exp.event["x"], n)
-    q, log_wk, beta = p, 0.0, 0.0
-    if N * p < k <= N:
-        q = k / N
-        log_wk = k * math.log(p / q)
-        beta = math.log(q / p)
-        if k < N:
-            log_wk += (N - k) * math.log((1.0 - p) / (1.0 - q))
-            beta += math.log((1.0 - p) / (1.0 - q))
+    event, m = exp.event, exp.mu.alphabet.m
+    probs = np.minimum(exp.C.values / n, 1.0)
+    k, log_wk, beta = 0, 0.0, 0.0
+    if event["kind"] == "edges":
+        pairs = [(a, b) for a in range(m) for b in range(a, m)]
+        k = _edge_threshold(event["x"], n)
+        N, p = n * (n - 1) // 2, float(probs[0, 0])
+        if m == 1 and N * p < k <= N:
+            q = probs[0, 0] = k / N
+            log_wk = k * math.log(p / q)
+            beta = math.log(q / p)
+            if k < N:
+                log_wk += (N - k) * math.log((1.0 - p) / (1.0 - q))
+                beta += math.log((1.0 - p) / (1.0 - q))
+    else:
+        pairs = [tuple(sorted((int(event["a"]), int(event["b"]))))]
+    weights = exp.mu.weights / exp.mu.weights.sum()
     lo = exp.replica_offset
     hi = lo + exp.replicas
-    counts = np.zeros(0, dtype=np.int64)  # counts[K]: draws with |E| = K
-    first = lo // REPLICA_BLOCK
-    last = (hi - 1) // REPLICA_BLOCK
-    for blk in range(first, last + 1):
+    counts = np.zeros(0, dtype=np.int64)  # counts[K]: draws whose statistic is K
+    for blk in range(lo // REPLICA_BLOCK, (hi - 1) // REPLICA_BLOCK + 1):
         start = blk * REPLICA_BLOCK
-        child = derive_child_seed(exp.seed, n, start)
-        draws = np.random.default_rng(child).binomial(N, q, REPLICA_BLOCK)
-        a = max(lo, start) - start
-        b = min(hi, start + REPLICA_BLOCK) - start
-        binned = np.bincount(draws[a:b], minlength=counts.size)
+        rng = np.random.default_rng(derive_child_seed(exp.seed, n, start))
+        # one color keeps its count the scalar n, so the binomial draws unbroadcast
+        sizes = [n] if m == 1 else rng.multinomial(n, weights, REPLICA_BLOCK).T
+        draws = sum(rng.binomial(_slot_count(sizes[a], sizes[b], a == b),
+                                 probs[a, b], REPLICA_BLOCK) for a, b in pairs)
+        mine = draws[max(lo, start) - start:min(hi, start + REPLICA_BLOCK) - start]
+        binned = np.bincount(mine, minlength=counts.size)
         binned[:counts.size] += counts
         counts = binned
     # the weights depend on K alone, so they are applied once per distinct K
-    hit = counts[max(k, 0):]
-    ratio = np.exp(-beta * np.arange(hit.size))
-    return (int(hit.sum()), log_wk, float(hit @ ratio),
-            float(hit @ (ratio * ratio)))
+    K = np.arange(counts.size)
+    if event["kind"] == "edges":
+        hit = K >= k
+    else:
+        hit = K * (2.0 if pairs[0][0] == pairs[0][1] else 1.0) / n >= event["s"]
+    ratio = np.exp(-beta * (K[hit] - k))
+    return (int(counts[hit].sum()), log_wk, float(counts[hit] @ ratio),
+            float(counts[hit] @ (ratio * ratio)))
 
 
-def _generic_hit(exp, graph):
-    event = exp.event
-    kind = event["kind"]
-    if kind == "edges":
-        return graph.edge_count >= _edge_threshold(event["x"], graph.n)
-    if kind == "degree_zero":
-        isolated = int(np.count_nonzero(graph.degrees() == 0))
-        return isolated / graph.n >= event["t"]
-    a, b = int(event["a"]), int(event["b"])
-    colors = graph.colors
-    cu = colors[graph.edges[:, 0]]
-    cv = colors[graph.edges[:, 1]]
-    count = int(np.count_nonzero((cu == a) & (cv == b))
-                + np.count_nonzero((cu == b) & (cv == a)))
-    if a == b:
-        count //= 2
-    l2_ab = count * (2.0 if a == b else 1.0) / graph.n
-    return l2_ab >= event["s"]
-
-
-def _count_generic_hits(exp, n):
+def _count_isolated_hits(exp, n):
+    """Hits of a degree_zero event, which reads degrees, so each replica builds its graph."""
+    params = ModelParams(exp.mu, exp.C, n)
     hits = 0
     for idx in range(exp.replica_offset, exp.replica_offset + exp.replicas):
-        child = derive_child_seed(exp.seed, n, idx)
-        graph = sample_colored_graph(ModelParams(exp.mu, exp.C, n), child)
-        if _generic_hit(exp, graph):
-            hits += 1
-    return hits
+        graph = sample_colored_graph(params, derive_child_seed(exp.seed, n, idx))
+        hits += int(np.count_nonzero(graph.degrees() == 0)) / n >= exp.event["t"]
+    return hits, 0.0, float(hits), float(hits)
 
 
 def estimate_tail_exponent(exp):
     """Estimate the event's probability per size and extrapolate -ln p_hat / n in 1/n.
 
     p_hat is the weighted hit frequency of ExponentEstimate's rows: plain hit
-    counting, except on the Erdos-Renyi edge path when the threshold lies
-    above the mean edge count, where the draws are tilted and reweighted.
+    counting, except for a one-color edges event whose threshold lies above
+    the mean edge count, where the draws are tilted and reweighted.
     The fit is weighted by 1 / se^2. Sizes with zero hits contribute a
     one-sided exponent bound (rule of three, scaled by the largest weight in
     the event) and are excluded from the fit. With one size left the exponent
@@ -238,11 +236,8 @@ def estimate_tail_exponent(exp):
     points = []
     R = exp.replicas
     for n in exp.sizes:
-        if _is_er_edge_event(exp):
-            hits, log_wk, s1, s2 = _count_er_edge_hits(exp, n)
-        else:
-            hits = _count_generic_hits(exp, n)
-            log_wk, s1, s2 = 0.0, float(hits), float(hits)
+        count = _count_isolated_hits if exp.event["kind"] == "degree_zero" else _count_hits
+        hits, log_wk, s1, s2 = count(exp, n)
         weight_sum = math.exp(log_wk) * s1
         row = {"n": n, "replicas": R, "hits": hits, "p_hat": weight_sum / R,
                "weight_sum": weight_sum, "weight_sq_sum": math.exp(2.0 * log_wk) * s2,

@@ -7,6 +7,7 @@ import pytest
 from graphrates import (Alphabet, ColorMeasure, ColoredGraph, Kernel,
                         poisson_limit_law, product_kernel_measure, rate_zeta,
                         rate_zeta_er)
+from graphrates import acceptance
 from graphrates.cli import main
 
 BENCH = {"mu": [0.5, 0.5], "C": [[3.0, 1.0], [1.0, 2.0]]}
@@ -336,12 +337,29 @@ def _rate_config(one_color_key):
     ("degree-rate", {"degrees": {"-1": 1.0}, "c": 1.0}, "degree -1 is not a nonnegative"),
     ("rate", _rate_config("nu"), "alphabet mismatch: m in [1, 2]"),
     ("rate", _rate_config("pair"), "alphabet mismatch: m in [1, 2]"),
+    ("ising", {"beta": math.inf, "c": 2.0}, "'beta' must be finite, got inf"),
+    ("ising", {"beta": 1, "c": [2.0, math.inf]}, "'c' must be finite, got inf"),
+    ("edge-rate", {"mu": [1.0], "C": 2.0, "x": math.inf}, "'x' must be finite, got inf"),
+    ("edge-rate", dict(BENCH, x=math.inf), "'x' must be finite, got inf"),
+    ("edge-rate", {"mu": [1.0], "C": 2.0, "x": math.inf, "mode": "exact", "sizes": [50]},
+     "'x' must be finite, got inf"),
+    ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": math.inf},
+     "'c' must be finite, got inf"),
+    ("approximate", dict(BENCH, eps=math.inf), "'eps' must be finite, got inf"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+def test_degree_rate_infinite_mean_is_a_value(tmp_path):
+    # an infinite mean is a law, not an overflow: its rate is infinite
+    cfg = _write(tmp_path, "deg.json",
+                 {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "mean": math.inf})
+    code, doc = _run_json(tmp_path, ["degree-rate", "--config", cfg])
+    assert code == 0 and doc["value"] == "inf"
 
 
 def test_pair_event_color_outside_alphabet_exit_2(tmp_path, capsys):
@@ -383,14 +401,23 @@ def test_validate_duality_suite(tmp_path, capsys):
     assert all("PASS" in line for line in lines)
 
 
-def test_validate_tampered_tolerance_fails(tmp_path, capsys):
-    cfg = _write(tmp_path, "ovr.json",
-                 {"overrides": {"3": {"zero_tol": 1e-30}}})
+def test_validate_failing_criterion_exits_1(tmp_path, capsys, monkeypatch):
+    def broken():
+        return {"id": 3, "name": "degree-rate-points", "passed": False,
+                "details": {"zero": 1.0}, "elapsed": 0.0}
+
+    monkeypatch.setitem(acceptance.CRITERIA, 3, broken)
     out = tmp_path / "records.json"
-    code = main(["validate", "--suite", "rates", "--config", cfg,
-                 "--out", str(out)])
-    assert code == 1
-    text = capsys.readouterr().out
-    assert "FAIL" in text
-    records = json.loads(out.read_text())["records"]
-    assert any(not rec["passed"] for rec in records)
+    assert main(["validate", "--suite", "rates", "--out", str(out)]) == 1
+    assert "FAIL criterion 3" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert [rec["passed"] for rec in doc["records"]] == [False, True]
+
+
+def test_validate_takes_no_config_or_seed(tmp_path, capsys):
+    # the criteria run only with their published tolerances and seeds
+    cfg = _write(tmp_path, "settings.json", {"overrides": {"5": {"instances": 0}}})
+    for extra in (["--seed", "5"], ["--config", cfg]):
+        assert main(["validate", "--suite", "duality", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "validate takes no --config or --seed" in err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from graphrates import (Alphabet, ColorMeasure, ExponentEstimate, Kernel,
                         ModelParams, TailExperiment, estimate_tail_exponent,
@@ -14,6 +15,7 @@ A2 = Alphabet(2)
 MU1 = ColorMeasure(A1, [1.0], probability=True)
 MU2 = ColorMeasure(A2, [0.5, 0.5], probability=True)
 C2 = Kernel(A2, [[3.0, 1.0], [1.0, 2.0]])
+MU_SKEW = ColorMeasure(A2, [0.4, 0.6], probability=True)
 
 
 def _er_experiment(x, sizes, replicas, seed, offset=0):
@@ -75,6 +77,42 @@ def test_estimate_impossible_event_inconclusive():
         assert row["exponent_lower_bound"] > 0.0
 
 
+def _exact_two_color_tail(event, n):
+    """P(event) on (MU_SKEW, C2): given j vertices of color 0, the edge count of
+    each class pair is an independent binomial, so the law needs no sampler."""
+    p = np.minimum(C2.values / n, 1.0)
+    total = 0.0
+    for j in range(n + 1):
+        k = (j, n - j)
+        slots = {(a, b): k[a] * (k[a] - 1) // 2 if a == b else k[a] * k[b]
+                 for a in range(2) for b in range(a, 2)}
+        if event["kind"] == "edges":
+            pmf = np.ones(1)
+            for (a, b), S in slots.items():
+                pmf = np.convolve(pmf, binom.pmf(np.arange(S + 1), S, p[a, b]))
+            tail = pmf[math.ceil(event["x"] * n):].sum()
+        else:
+            a, b = event["a"], event["b"]
+            counts = np.arange(slots[a, b] + 1)
+            hit = counts * (2.0 if a == b else 1.0) / n >= event["s"]
+            tail = binom.pmf(counts, slots[a, b], p[a, b])[hit].sum()
+        total += binom.pmf(j, n, MU_SKEW.weights[0]) * tail
+    return float(total)
+
+
+@pytest.mark.parametrize("event", [{"kind": "edges", "x": 1.1},
+                                   {"kind": "pair", "a": 0, "b": 1, "s": 0.4},
+                                   {"kind": "pair", "a": 1, "b": 1, "s": 1.0}])
+def test_two_color_rows_match_exact_tail(event):
+    exp = TailExperiment(mu=MU_SKEW, C=C2, event=event, sizes=(30, 60),
+                         replicas=200000, seed=31)
+    for row in estimate_tail_exponent(exp).rows:
+        assert row["hits"] >= 500
+        assert row["weight_sum"] == row["weight_sq_sum"] == row["hits"]
+        exact = -math.log(_exact_two_color_tail(event, row["n"])) / row["n"]
+        assert abs(row["exponent"] - exact) <= 3.0 * row["se"]
+
+
 def test_untilted_er_draws_have_unit_weights():
     # below the mean edge count c(n-1)/2, and past N = n(n-1)/2, the draws are
     # plain Binomial(N, c/n) ones. x = c/2 itself is tilted at finite n: its
@@ -132,10 +170,22 @@ def test_merge_contract_er_fast_path():
             assert left[key] + right[key] == pytest.approx(full[key], rel=1e-12)
 
 
+def test_merge_contract_two_color_path():
+    # the cut lies off any block boundary, and the full run spans three blocks
+    for event in ({"kind": "edges", "x": 1.2}, {"kind": "pair", "a": 0, "b": 1, "s": 0.4}):
+        def make(replicas, offset):
+            return TailExperiment(mu=MU2, C=C2, event=event, sizes=(40, 80),
+                                  replicas=replicas, seed=99, replica_offset=offset)
+
+        for full, left, right in _split_rows(make, 150000, 70001):
+            assert 0 < full["hits"] < full["replicas"]
+            assert full["hits"] == left["hits"] + right["hits"]
+
+
 def test_merge_contract_generic_path():
+    # degree_zero is the one event that still builds a graph per replica
     def make(replicas, offset):
-        return TailExperiment(mu=MU2, C=C2,
-                              event={"kind": "pair", "a": 0, "b": 0, "s": 1.9},
+        return TailExperiment(mu=MU2, C=C2, event={"kind": "degree_zero", "t": 0.2},
                               sizes=(40, 80), replicas=replicas, seed=99,
                               replica_offset=offset)
 
@@ -176,6 +226,10 @@ def test_experiment_validation():
             TailExperiment(mu=MU2, C=C2,
                            event={"kind": "pair", "a": a, "b": b, "s": 0.1},
                            sizes=(50,), replicas=10, seed=0)
+    # a one-color law against a two-color kernel is no model at all
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        TailExperiment(mu=MU1, C=C2, event={"kind": "edges", "x": 1.2},
+                       sizes=(50,), replicas=100, seed=0)
 
 
 # ---------------------------------------------------------------------------
