@@ -21,7 +21,7 @@ from . import acceptance, oracles, rates, varsolve
 from .errors import ConfigError, InfeasibleError, NonConvergenceError
 from .graphs import (ColoredGraph, ModelParams, empirical_measures,
                      sample_colored_graph, sample_conditional)
-from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
+from .measures import (PROB_TOL, Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodMeasure, PairCounts, PairMeasure,
                        cap_degrees, consistify, phi, phi_counts,
                        product_kernel_measure, quantize, total_variation)
@@ -79,42 +79,25 @@ def _rate_json(value):
 def _parse_mu(raw):
     try:
         w = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"mu must be a list of numbers: {exc}") from exc
     if w.ndim != 1 or w.size == 0:
         raise ConfigError("mu must be a non-empty flat list")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        bad = [i for i, v in enumerate(w) if not (math.isfinite(v) and v >= 0)]
-        raise ConfigError(f"mu entries at indices {bad} are negative or non-finite")
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-9:
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the check
+        total = float(w.sum())
+    if not abs(total - 1.0) <= PROB_TOL:
         raise ConfigError(f"mu must sum to 1 (got {total!r})")
-    return ColorMeasure(Alphabet(w.size), w / total, probability=True)
+    return _from_config(lambda: ColorMeasure(Alphabet(w.size), w / total, probability=True))
 
 
 def _parse_kernel(raw, m):
+    if isinstance(raw, bool):
+        raise ConfigError(f"C must be a number or a square matrix, got {raw!r}")
     if isinstance(raw, (int, float)):
         if m != 1:
             raise ConfigError("scalar C only matches a single-color mu")
-        return Kernel.constant(float(raw))
-    try:
-        v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"C must be a number or a square matrix: {exc}") from exc
-    if v.shape != (m, m):
-        raise ConfigError(f"C has shape {list(v.shape)}, expected [{m}, {m}]")
-    for a in range(m):
-        for b in range(a + 1, m):
-            if v[a, b] != v[b, a]:
-                raise ConfigError(
-                    f"C is not symmetric: C[{a}][{b}]={float(v[a, b])!r} but "
-                    f"C[{b}][{a}]={float(v[b, a])!r}")
-    bad = [(int(a), int(b)) for a, b in np.argwhere(~np.isfinite(v) | (v < 0))]
-    if bad:
-        raise ConfigError(f"C entries at {bad} are negative or non-finite")
-    if not v.any():
-        raise ConfigError("C must not be identically zero")
-    return Kernel(Alphabet(m), v)
+        raw = [[raw]]
+    return _from_config(Kernel, Alphabet(m), raw)
 
 
 def _parse_model(cfg):
@@ -135,7 +118,7 @@ def _resolve_seed(cfg, args):
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("a seed is required (config key \"seed\" or --seed)")
-    if not isinstance(seed, int) or not 0 <= seed < _SEED_MAX:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _SEED_MAX:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return seed
 
@@ -147,11 +130,12 @@ def _manifest(command, cfg, seed=None):
     return {"command": command, "config": resolved}
 
 
-def _emit(doc, args, text=None):
-    """Write the JSON document, or for .txt targets the payload text() builds."""
-    if args.out and args.out.endswith(".txt") and text is not None:
+def _emit(doc, args, flat=None):
+    """Write the JSON document; when flat = (suffix, text) and --out ends in
+    suffix, write text() instead, with the manifest in a sidecar file."""
+    if flat is not None and args.out and args.out.endswith(flat[0]):
         with open(args.out, "w") as fh:
-            fh.write(text())
+            fh.write(flat[1]())
         with open(args.out + ".manifest.json", "w") as fh:
             json.dump(doc["manifest"], fh, indent=2)
             fh.write("\n")
@@ -191,15 +175,15 @@ def _cmd_generate(args):
            "graph": graph.to_dict(),
            "color_counts": cc.to_dict(), "pair_counts": pc.to_dict(),
            "neighborhood_counts": nc.to_dict()}
-    _emit(doc, args, text=graph.to_text)
+    _emit(doc, args, (".txt", graph.to_text))
     return 0
 
 
 def _load_graph(cfg, args):
     if "graph" in cfg:
         try:
-            return ColoredGraph.from_dict(cfg["graph"])
-        except (KeyError, ValueError) as exc:
+            return ColoredGraph.from_dict(_require(cfg, "graph", dict))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline graph: {exc}") from exc
     if "graph_path" in cfg:
         try:
@@ -235,7 +219,7 @@ def _cmd_rate(args):
     try:
         nu = NeighborhoodMeasure.from_dict(_require(cfg, "nu", dict))
         pair = PairMeasure.from_dict(_require(cfg, "pair", dict))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad measure in config: {exc}") from exc
     doc = {"manifest": _manifest("rate", cfg),
            "J": _from_config(rates.rate_J, pair, nu, mu, C).to_dict()}
@@ -269,7 +253,7 @@ def _cmd_edge_rate(args):
     mu, C = _parse_model(cfg)
     mode = cfg.get("mode", "zeta")
     x = None if mode == "mc" and "event" in cfg else _real(_require(cfg, "x"), "x")
-    doc = {"manifest": _manifest("edge-rate", cfg)}
+    doc, flat = {"manifest": _manifest("edge-rate", cfg)}, None
     if mode == "zeta":
         doc["value"] = _rate_json(_from_config(rates.rate_zeta, x, mu, C))
         if mu.alphabet.m == 1:
@@ -279,8 +263,7 @@ def _cmd_edge_rate(args):
             raise ConfigError("mode \"exact\" needs the single-color model")
         sizes = _require(cfg, "sizes", list)
         c = float(C.values[0, 0])
-        doc["rows"] = [{"n": int(n),
-                        "exponent": _from_config(exact_er_edge_exponent, int(n), c, x)}
+        doc["rows"] = [{"n": n, "exponent": _from_config(exact_er_edge_exponent, n, c, x)}
                        for n in sizes]
     elif mode == "mc":
         seed = _resolve_seed(cfg, args)
@@ -289,26 +272,19 @@ def _cmd_edge_rate(args):
         if not isinstance(event, dict):
             raise ConfigError("event must be a JSON object")
         exp = _from_config(
-            TailExperiment, mu=mu, C=C, event=event,
-            sizes=tuple(int(n) for n in _require(cfg, "sizes", list)),
-            replicas=int(_require(cfg, "replicas", int)), seed=seed,
-            replica_offset=int(cfg.get("replica_offset", 0)))
+            TailExperiment, mu=mu, C=C, event=event, sizes=_require(cfg, "sizes", list),
+            replicas=_require(cfg, "replicas"), seed=seed,
+            replica_offset=cfg.get("replica_offset", 0))
         # only the edge event has a rate here, taken at the event's own x
         prediction = (_rate_json(_from_config(rates.rate_zeta, float(event["x"]), mu, C))
                       if event["kind"] == "edges" else None)
         est = estimate_tail_exponent(exp)
-        if args.out and args.out.endswith(".csv"):
-            with open(args.out, "w") as fh:
-                fh.write(est.to_csv(rate_prediction=prediction))
-            with open(args.out + ".manifest.json", "w") as fh:
-                json.dump(doc["manifest"], fh, indent=2)
-                fh.write("\n")
-            return 0
         doc["estimate"] = est.to_dict()
         doc["rate_prediction"] = prediction
+        flat = (".csv", lambda: est.to_csv(rate_prediction=prediction))
     else:
         raise ConfigError(f"unknown edge-rate mode {mode!r}")
-    _emit(doc, args)
+    _emit(doc, args, flat)
     return 0
 
 
@@ -344,7 +320,7 @@ def _cmd_sample_conditional(args):
     graph = sample_conditional(omega_n, pair_n, seed)
     doc = {"manifest": _manifest("sample-conditional", cfg, seed),
            "graph": graph.to_dict()}
-    _emit(doc, args, text=graph.to_text)
+    _emit(doc, args, (".txt", graph.to_text))
     return 0
 
 
@@ -354,6 +330,9 @@ def _cmd_approximate(args):
     eps = _real(_require(cfg, "eps"), "eps")
     if not eps > 0:
         raise ConfigError(f"eps must be positive, got {eps!r}")
+    cap = cfg.get("cap", False)
+    if not isinstance(cap, bool):
+        raise ConfigError(f"config key 'cap' must be true or false, got {cap!r}")
     nu = rates.poisson_limit_law(mu, C)
     pair = product_kernel_measure(C, mu)
     pair_hat, nu_hat = consistify(pair, nu, eps)
@@ -375,7 +354,7 @@ def _cmd_approximate(args):
         stage = {"n": n, "tv_to_target": total_variation(nu_n.measure, nu),
                  "phi_color_exact": bool(np.array_equal(color, cc.counts)),
                  "phi_pair_exact": bool(np.array_equal(adj, pc.adjacency))}
-        if cfg.get("cap", False):
+        if cap:
             capped = cap_degrees(nu_n)
             stage["max_magnitude_before"] = nu_n.max_magnitude()
             stage["max_magnitude_after"] = capped.max_magnitude()

@@ -44,6 +44,11 @@ REPLICA_BLOCK = 65536
 _EVENT_KEYS = {"edges": ("x",), "degree_zero": ("t",), "pair": ("a", "b", "s")}
 
 
+def _is_int(value):
+    # JSON true/false parse to bool, which Python counts as an int
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TailExperiment:
     """A rare-event estimation request over a ladder of graph sizes.
@@ -68,15 +73,18 @@ class TailExperiment:
 
     def __post_init__(self):
         ModelParams(self.mu, self.C, 1)  # mu a probability law on C's alphabet
+        if not all(_is_int(n) and n >= 1 for n in self.sizes):
+            raise ValueError(f"sizes must be integers >= 1, got {list(self.sizes)}")
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         if not self.sizes or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError(f"sizes must be strictly increasing, got {self.sizes}")
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if self.replica_offset < 0:
-            raise ValueError("replica_offset must be >= 0")
+        if not _is_int(self.replicas) or self.replicas < 1:
+            raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
+        if not _is_int(self.replica_offset) or self.replica_offset < 0:
+            raise ValueError(f"replica_offset must be an integer >= 0, "
+                             f"got {self.replica_offset!r}")
         kind = self.event.get("kind")
-        if kind not in _EVENT_KEYS:
+        if not isinstance(kind, str) or kind not in _EVENT_KEYS:
             raise ValueError(f"unknown event kind {kind!r}, "
                              f"expected one of {tuple(_EVENT_KEYS)}")
         missing = [key for key in _EVENT_KEYS[kind] if key not in self.event]
@@ -88,7 +96,7 @@ class TailExperiment:
         if kind == "pair":
             m = self.mu.alphabet.m
             a, b = self.event["a"], self.event["b"]
-            if not all(isinstance(c, (int, np.integer)) and 0 <= c < m for c in (a, b)):
+            if not all(_is_int(c) and 0 <= c < m for c in (a, b)):
                 raise ValueError(f"pair event colors a={a!r}, b={b!r} must be "
                                  f"integers in [0, {m})")
 
@@ -284,7 +292,8 @@ def estimate_tail_exponent(exp):
 
 def exact_er_edge_exponent(n, c, x):
     """Exact finite-n exponent -(1/n) ln P(|E| >= ceil(x n)) for the ER model."""
-    n = int(n)
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     N = n * (n - 1) // 2

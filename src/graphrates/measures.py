@@ -31,6 +31,9 @@ from .errors import InfeasibleError
 # probability flags and sub-consistency checks share one absolute tolerance
 MASS_TOL = 1e-12
 SUB_CONSISTENCY_TOL = 1e-12
+# "is a probability measure" preconditions; looser than the construction-time
+# flag so long empirical sums stay admissible
+PROB_TOL = 1e-9
 
 # DegreeVector: a tuple of m nonnegative ints, ell[b] = neighbors of color b.
 
@@ -74,19 +77,39 @@ def _check_same_alphabet(*objs):
         raise ValueError(f"alphabet mismatch: m in {sorted(ms)}")
 
 
+def require_probability(x, name):
+    """Raise ValueError unless the measure x has total mass 1 within PROB_TOL."""
+    if abs(x.total_mass - 1.0) > PROB_TOL:
+        raise ValueError(f"{name} must be a probability measure, total mass {x.total_mass!r}")
+
+
+def _measure_array(alphabet, values, square, what):
+    """values as a read-only float copy of shape (m,), or (m, m) when square,
+    with finite entries >= 0; a square array must be exactly symmetric."""
+    m = alphabet.m
+    shape = (m, m) if square else (m,)
+    try:
+        v = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be an array of numbers: {exc}") from exc
+    if v.shape != shape:
+        raise ValueError(f"{what} shape {v.shape} != {shape}")
+    if not np.all(np.isfinite(v)) or np.any(v < 0):
+        raise ValueError(f"{what} entries must be finite and >= 0")
+    if square and not np.array_equal(v, v.T):
+        bad = np.argwhere(v != v.T)
+        raise ValueError(f"{what} not symmetric at entries {bad.tolist()[:4]}")
+    v.setflags(write=False)
+    return v
+
+
 class ColorMeasure:
     """Nonnegative weights per color; probability=True pins total mass to 1."""
 
     def __init__(self, alphabet, weights, probability=False):
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (alphabet.m,):
-            raise ValueError(f"weights shape {w.shape} != ({alphabet.m},)")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and >= 0")
+        w = _measure_array(alphabet, weights, False, "color measure")
         if probability and abs(w.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"probability measure has total mass {w.sum()!r}")
-        w = w.copy()
-        w.setflags(write=False)
         self.alphabet = alphabet
         self.weights = w
         self.probability = bool(probability)
@@ -94,14 +117,6 @@ class ColorMeasure:
     @property
     def total_mass(self):
         return float(self.weights.sum())
-
-    def to_dict(self):
-        return {"m": self.alphabet.m, "weights": self.weights.tolist(),
-                "probability": self.probability}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(Alphabet(d["m"]), d["weights"], d.get("probability", False))
 
     def __repr__(self):
         return f"ColorMeasure({self.weights.tolist()}, probability={self.probability})"
@@ -111,18 +126,8 @@ class PairMeasure:
     """Symmetric nonnegative m x m measure on ordered color pairs."""
 
     def __init__(self, alphabet, weights):
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (alphabet.m, alphabet.m):
-            raise ValueError(f"weights shape {w.shape} != ({alphabet.m}, {alphabet.m})")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and >= 0")
-        if not np.array_equal(w, w.T):
-            bad = np.argwhere(w != w.T)
-            raise ValueError(f"pair measure not symmetric at entries {bad.tolist()[:4]}")
-        w = w.copy()
-        w.setflags(write=False)
         self.alphabet = alphabet
-        self.weights = w
+        self.weights = _measure_array(alphabet, weights, True, "pair measure")
 
     @property
     def total_mass(self):
@@ -194,18 +199,9 @@ class Kernel:
     """Symmetric nonnegative connection kernel; must not vanish identically."""
 
     def __init__(self, alphabet, values):
-        v = np.asarray(values, dtype=float)
-        if v.shape != (alphabet.m, alphabet.m):
-            raise ValueError(f"kernel shape {v.shape} != ({alphabet.m}, {alphabet.m})")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("kernel entries must be finite and >= 0")
-        if not np.array_equal(v, v.T):
-            bad = np.argwhere(v != v.T)
-            raise ValueError(f"kernel not symmetric at entries {bad.tolist()[:4]}")
+        v = _measure_array(alphabet, values, True, "kernel")
         if not np.any(v > 0):
             raise ValueError("kernel is identically zero")
-        v = v.copy()
-        v.setflags(write=False)
         self.alphabet = alphabet
         self.values = v
 
@@ -213,13 +209,6 @@ class Kernel:
     def constant(cls, c, m=1):
         """Erdos-Renyi style kernel: every entry equal to c."""
         return cls(Alphabet(m), np.full((m, m), float(c)))
-
-    def to_dict(self):
-        return {"m": self.alphabet.m, "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(Alphabet(d["m"]), d["values"])
 
     def __repr__(self):
         return f"Kernel({self.values.tolist()})"
@@ -229,6 +218,16 @@ class Kernel:
 # exact integer-backed empirical measures
 
 
+def _int_counts(values, what):
+    """values as an int64 array; a fractional or bool entry is an error, never truncated."""
+    c = np.asarray(values)
+    whole = c.dtype.kind in "iu" or (  # floats above 2**53 are not exact integers
+        c.dtype.kind == "f" and np.all(np.abs(c) <= 2 ** 53) and np.array_equal(c, np.round(c)))
+    if not whole:
+        raise ValueError(f"{what} must be integers, got {c.tolist()!r}")
+    return c.astype(np.int64)
+
+
 class ColorCounts:
     """n and per-color vertex counts; counts/n is the empirical color measure."""
 
@@ -236,7 +235,7 @@ class ColorCounts:
         n = int(n)
         if n < 1:
             raise ValueError("n must be >= 1")
-        c = np.asarray(counts, dtype=np.int64)
+        c = _int_counts(counts, "counts")
         if c.ndim != 1 or np.any(c < 0):
             raise ValueError("counts must be a 1-d nonnegative integer array")
         if int(c.sum()) != n:
@@ -279,7 +278,7 @@ class PairCounts:
         n = int(n)
         if n < 1:
             raise ValueError("n must be >= 1")
-        e = np.asarray(edge_counts, dtype=np.int64)
+        e = _int_counts(edge_counts, "edge_counts")
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("edge_counts must be a square matrix")
         if np.any(e < 0) or not np.array_equal(e, e.T):
@@ -293,10 +292,6 @@ class PairCounts:
     def adjacency(self):
         """Integer matrix n*pi(a,b): each edge counted once per orientation."""
         return self.edge_counts + np.diag(np.diag(self.edge_counts))
-
-    @property
-    def total_edges(self):
-        return int(np.triu(self.edge_counts).sum())
 
     @property
     def measure(self):
@@ -372,19 +367,23 @@ class NeighborhoodCounts:
                             for rec in d["atoms"]})
 
 
+def _phi_sums(atoms, m, dtype):
+    """Per-color mass and mass-weighted degree vector sums of (a, ell) -> mass atoms."""
+    color = np.zeros(m, dtype=dtype)
+    adj = np.zeros((m, m), dtype=dtype)
+    for (a, ell), w in atoms.items():
+        color[a] += w
+        adj[a] += w * np.asarray(ell, dtype=dtype)
+    return color, adj
+
+
 def phi_counts(nc):
     """Exact integer phi of an empirical neighborhood measure.
 
     Returns (color counts array, adjacency array T) with
     T[a, b] = sum over color-a atoms of count * ell[b], both plain int64.
     """
-    m = nc.alphabet.m
-    color = np.zeros(m, dtype=np.int64)
-    adj = np.zeros((m, m), dtype=np.int64)
-    for (a, ell), c in nc.counts.items():
-        color[a] += c
-        adj[a] += c * np.asarray(ell, dtype=np.int64)
-    return color, adj
+    return _phi_sums(nc.counts, nc.alphabet.m, np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +422,8 @@ def total_variation(nu, nu_tilde):
     if type(nu) is not type(nu_tilde):
         raise ValueError("measure types differ")
     _check_same_alphabet(nu, nu_tilde)
-    for x in (nu, nu_tilde):
-        if abs(x.total_mass - 1.0) > 1e-9:
-            raise ValueError(f"total variation needs probability measures, mass={x.total_mass!r}")
+    require_probability(nu, "nu")
+    require_probability(nu_tilde, "nu_tilde")
     if isinstance(nu, NeighborhoodMeasure):
         keys = set(nu.support) | set(nu_tilde.support)
         return 0.5 * sum(abs(nu.support.get(k, 0.0) - nu_tilde.support.get(k, 0.0))
@@ -448,12 +446,7 @@ def phi(nu):
     symmetric for graph-derived measures but need not be in general, so
     symmetrization is left to the caller.
     """
-    m = nu.alphabet.m
-    nu1 = np.zeros(m)
-    phi2 = np.zeros((m, m))
-    for (a, ell), w in nu.support.items():
-        nu1[a] += w
-        phi2[a] += w * np.asarray(ell, dtype=float)
+    nu1, phi2 = _phi_sums(nu.support, nu.alphabet.m, float)
     return ColorMeasure(nu.alphabet, nu1, probability=nu.probability), phi2
 
 
@@ -466,8 +459,7 @@ def is_sub_consistent(pair, nu, tol=SUB_CONSISTENCY_TOL):
 
 def degree_distribution(nu):
     """Distribution of the degree |ell| under a neighborhood probability law."""
-    if abs(nu.total_mass - 1.0) > 1e-9:
-        raise ValueError("degree_distribution needs a probability measure")
+    require_probability(nu, "nu")
     d = {}
     for (_, ell), w in nu.support.items():
         k = magnitude(ell)
@@ -495,8 +487,7 @@ def consistify(pair, nu, eps):
     if eps <= 0:
         raise ValueError("eps must be > 0")
     _check_same_alphabet(pair, nu)
-    if abs(nu.total_mass - 1.0) > 1e-9:
-        raise ValueError("consistify needs a probability neighborhood measure")
+    require_probability(nu, "nu")
     _, phi2 = phi(nu)
     asym = float(np.abs(phi2 - phi2.T).max())
     if asym > SUB_CONSISTENCY_TOL:

@@ -17,18 +17,9 @@ from scipy.stats import poisson
 
 from . import varsolve
 from .errors import NonConvergenceError
-from .measures import (ColorMeasure, NeighborhoodMeasure, SUB_CONSISTENCY_TOL,
+from .measures import (PROB_TOL, SUB_CONSISTENCY_TOL, NeighborhoodMeasure,
                        _check_same_alphabet, is_sub_consistent, phi,
-                       product_kernel_measure, relative_entropy)
-
-# validation tolerance for "is a probability measure" preconditions; looser
-# than the construction-time flag so long empirical sums stay admissible
-_PROB_TOL = 1e-9
-
-
-def _require_probability(x, name):
-    if abs(x.total_mass - 1.0) > _PROB_TOL:
-        raise ValueError(f"{name} must be a probability measure, total mass {x.total_mass!r}")
+                       product_kernel_measure, relative_entropy, require_probability)
 
 
 @dataclass(frozen=True)
@@ -51,12 +42,6 @@ class RateValue:
         return {"value": self.value if self.finite else "inf",
                 "breakdown": dict(self.breakdown), "reason": self.reason}
 
-    @classmethod
-    def from_dict(cls, d):
-        raw = d["value"]
-        value = math.inf if raw == "inf" else float(raw)
-        return cls(value, dict(d.get("breakdown", {})), d.get("reason"))
-
 
 def _assemble(parts):
     for name, v in parts.items():
@@ -73,7 +58,7 @@ def h_c(pair, omega, C):
     charges a zero of the reference product.
     """
     _check_same_alphabet(pair, omega, C)
-    _require_probability(omega, "omega")
+    require_probability(omega, "omega")
     ref = product_kernel_measure(C, omega)
     ent = relative_entropy(pair, ref)
     if math.isinf(ent):
@@ -121,7 +106,7 @@ def poisson_limit_law(mu, C, tail_mass=1e-14):
     the number of colors with positive intensity rows; intended for small m.
     """
     _check_same_alphabet(mu, C)
-    _require_probability(mu, "mu")
+    require_probability(mu, "mu")
     m = mu.alphabet.m
     axis_tail = tail_mass / m
     atoms = {}
@@ -163,8 +148,8 @@ def rate_J(pair, nu, mu, C):
     color, pair.
     """
     _check_same_alphabet(pair, nu, mu, C)
-    _require_probability(mu, "mu")
-    _require_probability(nu, "nu")
+    require_probability(mu, "mu")
+    require_probability(nu, "nu")
     if not is_sub_consistent(pair, nu):
         return RateValue(math.inf, {}, reason="not-sub-consistent")
     nu1, _ = phi(nu)
@@ -179,8 +164,8 @@ def rate_J(pair, nu, mu, C):
 def rate_I(omega, pair, mu, C):
     """Rate for the color/pair empirical measures: H(omega||mu) + h_c/2."""
     _check_same_alphabet(omega, pair, mu, C)
-    _require_probability(omega, "omega")
-    _require_probability(mu, "mu")
+    require_probability(omega, "omega")
+    require_probability(mu, "mu")
     return _assemble({
         "color": max(relative_entropy(omega, mu), 0.0),
         "pair": 0.5 * h_c(pair, omega, C),
@@ -199,8 +184,8 @@ def rate_J_tilde(nu, omega, pair):
     omega entrywise within 1e-12; +inf otherwise.
     """
     _check_same_alphabet(nu, omega, pair)
-    _require_probability(nu, "nu")
-    _require_probability(omega, "omega")
+    require_probability(nu, "nu")
+    require_probability(omega, "omega")
     if not is_sub_consistent(pair, nu):
         return math.inf
     nu1, _ = phi(nu)
@@ -222,7 +207,7 @@ def _validate_degree_distribution(d):
         if p < 0:
             raise ValueError(f"degree {k} has negative mass {p!r}")
         total += p
-    if abs(total - 1.0) > _PROB_TOL:
+    if abs(total - 1.0) > PROB_TOL:
         raise ValueError(f"degree distribution has total mass {total!r}")
 
 
@@ -271,7 +256,7 @@ def rate_zeta(x, mu, C):
     """
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x!r}")
-    _require_probability(mu, "mu")
+    require_probability(mu, "mu")
     report = varsolve.zeta_inner(x, mu, C)
     if not report.converged:
         raise NonConvergenceError(

@@ -25,7 +25,7 @@ _N_STARTS = 32
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Result of one solver run; argmin doubles as argmax for maximizers."""
+    """Result of one solver run; a maximizer reports its argmax as argmin."""
 
     argmin: tuple
     value: float
@@ -41,19 +41,10 @@ class SolveReport:
         object.__setattr__(self, "iterations", int(self.iterations))
         object.__setattr__(self, "converged", bool(self.converged))
 
-    @property
-    def argmax(self):
-        return self.argmin
-
     def to_dict(self):
         return {"argmin": list(self.argmin), "value": self.value,
                 "residual": self.residual, "iterations": self.iterations,
                 "converged": self.converged}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(tuple(d["argmin"]), float(d["value"]), float(d["residual"]),
-                   int(d["iterations"]), bool(d["converged"]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ from graphrates import acceptance
 from graphrates.cli import main
 
 BENCH = {"mu": [0.5, 0.5], "C": [[3.0, 1.0], [1.0, 2.0]]}
+ER_MC = {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc", "sizes": [50], "replicas": 100,
+         "seed": 3}
+ER_EXACT = {"mu": [1.0], "C": 2.0, "x": 1.5, "mode": "exact"}
 
 
 def _write(tmp_path, name, payload):
@@ -346,6 +349,32 @@ def _rate_config(one_color_key):
     ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": math.inf},
      "'c' must be finite, got inf"),
     ("approximate", dict(BENCH, eps=math.inf), "'eps' must be finite, got inf"),
+    # a scalar C goes through the Kernel constructor like a matrix one
+    ("edge-rate", {"mu": [1.0], "C": -2.0, "x": 1.0}, "kernel entries must be finite and >= 0"),
+    ("edge-rate", {"mu": [1.0], "C": 0.0, "x": 1.0}, "kernel is identically zero"),
+    ("edge-rate", {"mu": [1.0], "C": math.inf, "x": 1.0}, "kernel entries must be finite"),
+    ("edge-rate", {"mu": [1.0], "C": True, "x": 1.0}, "C must be a number or a square matrix"),
+    ("edge-rate", {"mu": [1 / 65] * 65, "C": 1.0, "x": 1.0}, "m must be in [1, 64], got 65"),
+    ("edge-rate", dict(BENCH, mu=[1.5, -0.5], x=1.0), "color measure entries must be finite"),
+    ("edge-rate", dict(BENCH, mu=[math.inf, -math.inf], x=1.0), "mu must sum to 1 (got nan)"),
+    # integer values are checked, never truncated
+    ("edge-rate", dict(ER_MC, sizes=["a"]), "sizes must be integers >= 1, got ['a']"),
+    ("edge-rate", dict(ER_EXACT, sizes=["a"]), "n must be an integer, got 'a'"),
+    ("edge-rate", dict(ER_MC, sizes=[50.7]), "sizes must be integers >= 1, got [50.7]"),
+    ("edge-rate", dict(ER_MC, replica_offset="x"), "replica_offset must be an integer >= 0"),
+    ("edge-rate", dict(ER_MC, replica_offset=2.5), "replica_offset must be an integer >= 0"),
+    ("edge-rate", dict(ER_MC, seed=True), "seed must be an integer in [0, 2**64), got True"),
+    ("sample-conditional", {"n": 4, "color_counts": [4.5], "edge_counts": [[2]], "seed": 1},
+     "counts must be integers, got [4.5]"),
+    # wrong JSON shapes
+    ("measure", {"graph": 5}, "config key 'graph' has wrong type int"),
+    ("rate", dict(BENCH, pair={"m": 2, "weights": [[1.0, 0.5], [0.5, 1.0]]},
+                  nu={"m": 2, "atoms": [{"color": 0, "ell": 5, "mass": 1.0}]}),
+     "bad measure in config"),
+    ("edge-rate", dict(ER_MC, event={"kind": ["edges"], "x": 1.2}),
+     "unknown event kind ['edges']"),
+    ("approximate", dict(BENCH, eps=0.01, n=100, seed=1, cap="no"),
+     "'cap' must be true or false, got 'no'"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)

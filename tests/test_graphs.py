@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -178,11 +179,9 @@ def test_sample_conditional_cross_class_uniform():
     oc = ColorCounts(4, [2, 2])
     ec = PairCounts(4, [[0, 2], [2, 0]])
     reps = 9000
-    counts = {}
-    for i in range(reps):
-        g = sample_conditional(oc, ec, derive_child_seed(2026, i))
-        key = (g.colors.tobytes(), g.edges.tobytes())
-        counts[key] = counts.get(key, 0) + 1
+    colors, edges = sample_conditional_batch(oc, ec, [derive_child_seed(2026, i)
+                                                      for i in range(reps)])
+    counts = Counter((c.tobytes(), e.tobytes()) for c, e in zip(colors, edges))
     p = 1.0 / 36.0
     band = 4.0 * math.sqrt(p * (1.0 - p) / reps)
     assert len(counts) == 36

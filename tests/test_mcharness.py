@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from graphrates import (Alphabet, ColorMeasure, ExponentEstimate, Kernel,
-                        ModelParams, TailExperiment, estimate_tail_exponent,
+from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
+                        TailExperiment, estimate_tail_exponent,
                         exact_er_edge_exponent, lln_check)
 from graphrates.mcharness import REPLICA_BLOCK
 from graphrates.seeds import derive_child_seed
@@ -42,6 +42,8 @@ def test_exact_er_edge_exponent_edges():
     assert exact_er_edge_exponent(2000, 2.0, 1.0) < 5e-3
     with pytest.raises(ValueError):
         exact_er_edge_exponent(1, 2.0, 1.2)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        exact_er_edge_exponent(50.7, 2.0, 1.2)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,15 @@ def test_experiment_validation():
     for bad in ("big", float("nan"), float("inf"), True, None):
         with pytest.raises(ValueError):
             _er_experiment(bad, (50,), 10, seed=0)
-    for a, b in ((0, 2), (-1, 0), (0.0, 1)):
+    # sizes, replicas and the offset are integers, never truncated
+    for sizes, replicas, offset in (((50.7,), 10, 0), ((0, 50), 10, 0), (("a",), 10, 0),
+                                    ((50,), 10.0, 0), ((50,), 10, 2.5), ((50,), 10, True)):
+        with pytest.raises(ValueError):
+            _er_experiment(1.2, sizes, replicas, seed=0, offset=offset)
+    with pytest.raises(ValueError, match="unknown event kind"):
+        TailExperiment(mu=MU1, C=Kernel.constant(2.0), event={"kind": ["edges"], "x": 1.2},
+                       sizes=(50,), replicas=10, seed=0)
+    for a, b in ((0, 2), (-1, 0), (0.0, 1), (True, 0)):
         with pytest.raises(ValueError):
             TailExperiment(mu=MU2, C=C2,
                            event={"kind": "pair", "a": a, "b": b, "s": 0.1},

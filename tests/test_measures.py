@@ -51,6 +51,36 @@ def test_kernel_rejects_identically_zero():
         Kernel(A2, np.zeros((2, 2)))
 
 
+def test_counts_reject_fractional_and_bool_entries():
+    # whole floats are integers; 4.5 or true must not be truncated to 4 or 1
+    assert ColorCounts(4, [4.0]).counts.tolist() == [4]
+    for bad in ([4.5], [True], ["4"], [1e30], [math.inf], [2 ** 70]):
+        with pytest.raises(ValueError, match="must be integers"):
+            ColorCounts(4, bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        PairCounts(4, [[0.5, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("build, good", [
+    (ColorMeasure, [0.5, 0.5]),
+    (PairMeasure, [[1.0, 0.5], [0.5, 0.0]]),
+    (Kernel, [[1.0, 0.5], [0.5, 0.0]]),
+])
+def test_measure_arrays_share_one_validator(build, good):
+    raw = np.array(good)
+    obj = build(A2, raw)
+    raw[0] = 9.0  # the measure holds its own read-only copy
+    held = obj.values if build is Kernel else obj.weights
+    assert held.tolist() == good and not held.flags.writeable
+    negative, infinite = np.array(good), np.array(good)
+    negative[-1] = -1.0
+    infinite[-1] = math.inf
+    for bad, message in ((np.ones(3), "shape"), (negative, "finite and >= 0"),
+                         (infinite, "finite and >= 0"), ({"a": 1}, "array of numbers")):
+        with pytest.raises(ValueError, match=message):
+            build(A2, bad)
+
+
 def test_counts_round_trip_dicts():
     cc = ColorCounts(5, [3, 2])
     assert ColorCounts.from_dict(cc.to_dict()).counts.tolist() == [3, 2]
@@ -214,7 +244,6 @@ def test_color_counts_from_measure_largest_remainder():
 def test_pair_counts_adjacency_and_edges():
     pc = PairCounts(4, [[1, 2], [2, 0]])
     assert pc.adjacency.tolist() == [[2, 2], [2, 0]]
-    assert pc.total_edges == 3
     assert pc.measure.weights.tolist() == [[0.5, 0.5], [0.5, 0.0]]
 
 

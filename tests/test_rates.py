@@ -253,12 +253,11 @@ def test_rate_zeta_contraction_of_rate_I(mu_w, C_raw, x):
 
 def test_rate_value_serialization():
     rv = RateValue(1.5, {"color": 0.5, "pair": 1.0})
-    assert RateValue.from_dict(rv.to_dict()).value == 1.5
+    assert rv.to_dict() == {"value": 1.5, "breakdown": {"color": 0.5, "pair": 1.0},
+                            "reason": None}
     inf_rv = RateValue(math.inf, {}, reason="not-sub-consistent")
-    d = inf_rv.to_dict()
-    assert d["value"] == "inf"
-    back = RateValue.from_dict(d)
-    assert back.value == math.inf and back.reason == "not-sub-consistent"
+    assert inf_rv.to_dict() == {"value": "inf", "breakdown": {},
+                                "reason": "not-sub-consistent"}
 
 
 # ---------------------------------------------------------------------------
