@@ -18,14 +18,16 @@ from .graphs import (ColoredGraph, ModelParams, empirical_measures, sample_color
                      sample_conditional_batch)
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodCounts, NeighborhoodMeasure, PairCounts,
-                       PairMeasure, cap_degrees, consistify, phi, phi_counts,
-                       product_kernel_measure, quantize, total_variation)
+                       PairMeasure, cap_degrees, consistify, degree_distribution, phi,
+                       phi_counts, product_kernel_measure, quantize, total_variation)
 from .mcharness import TailExperiment, estimate_tail_exponent, exact_er_edge_exponent, lln_check
 from .seeds import derive_child_seed
 
-# the 2-color benchmark model used across criteria
-BENCH_MU = (0.5, 0.5)
-BENCH_C = ((3.0, 1.0), (1.0, 2.0))
+# the 2-color benchmark model used across criteria, and the color law of
+# every one-color (Erdos-Renyi) model
+BENCH_MU = ColorMeasure(Alphabet(2), [0.5, 0.5], probability=True)
+BENCH_C = Kernel(Alphabet(2), [[3.0, 1.0], [1.0, 2.0]])
+ER_MU = ColorMeasure(Alphabet(1), [1.0], probability=True)
 
 # published seed material; changing any of these invalidates the battery
 MC_TAIL_SEED = 74205
@@ -46,13 +48,6 @@ SUITES = {
     "lln": (11,),
     "all": tuple(range(1, 12)),
 }
-
-
-def _bench_model():
-    alphabet = Alphabet(2)
-    mu = ColorMeasure(alphabet, BENCH_MU, probability=True)
-    C = Kernel(alphabet, np.array(BENCH_C))
-    return mu, C
 
 
 def _record(cid, name, passed, details, started):
@@ -82,9 +77,8 @@ def criterion_1():
     target = rates.rate_zeta_er(x, c)
     rel_err = abs(extrapolated - target) / target
 
-    mu1 = ColorMeasure(Alphabet(1), [1.0], probability=True)
     C1 = Kernel.constant(c)
-    zeta_gaps = {xx: abs(rates.rate_zeta(xx, mu1, C1) - rates.rate_zeta_er(xx, c))
+    zeta_gaps = {xx: abs(rates.rate_zeta(xx, ER_MU, C1) - rates.rate_zeta_er(xx, c))
                  for xx in (0.5, 1.0, 1.5, 3.0)}
     elapsed = time.perf_counter() - started
     passed = rel_err <= 0.02 and max(zeta_gaps.values()) <= 1e-8 and elapsed < 10.0
@@ -101,8 +95,7 @@ def criterion_1():
 def criterion_2():
     started = time.perf_counter()
     c, x = 2.0, 1.5
-    mu1 = ColorMeasure(Alphabet(1), [1.0], probability=True)
-    exp = TailExperiment(mu=mu1, C=Kernel.constant(c),
+    exp = TailExperiment(mu=ER_MU, C=Kernel.constant(c),
                          event={"kind": "edges", "x": x},
                          sizes=(100, 200, 400), replicas=10 ** 7,
                          seed=MC_TAIL_SEED)
@@ -137,22 +130,12 @@ def criterion_2():
 # criterion 3: degree-rate closed points
 
 
-def _poisson_dict(lam, tail=1e-14):
-    d = {}
-    cum, k = 0.0, 0
-    while cum < 1.0 - tail and k < 600:
-        p = math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
-        d[k] = p
-        cum += p
-        k += 1
-    return d
-
-
 def criterion_3():
     started = time.perf_counter()
     worst = {"zero": 0.0, "closed": 0.0, "residual": 0.0, "continuity": 0.0}
     for c in (1.0, 2.0, 4.0):
-        worst["zero"] = max(worst["zero"], rates.rate_delta(_poisson_dict(c), c))
+        zero = degree_distribution(rates.poisson_limit_law(ER_MU, Kernel.constant(c)))
+        worst["zero"] = max(worst["zero"], rates.rate_delta(zero, c))
         gap = abs(rates.rate_delta({0: 1.0}, c) - 0.5 * c * (1.0 - math.exp(-2.0)))
         worst["closed"] = max(worst["closed"], gap)
         for mean in (0.0, 0.3 * c, 0.7 * c, c):
@@ -243,9 +226,9 @@ def _random_sub_consistent(rng, alphabet):
 def criterion_6():
     instances = 500
     started = time.perf_counter()
-    mu, C = _bench_model()
+    mu, C = BENCH_MU, BENCH_C
     pair_star = product_kernel_measure(C, mu)
-    qstar = rates.poisson_limit_law(mu, C, tail_mass=1e-14)
+    qstar = rates.poisson_limit_law(mu, C)
     zero_value = rates.rate_J(pair_star, qstar, mu, C).value
 
     rng = np.random.default_rng(ZERO_POINT_SEED)
@@ -281,10 +264,9 @@ def criterion_6():
 def _mixed_model(i):
     which = i % 3
     if which == 0:
-        return (ColorMeasure(Alphabet(1), [1.0], probability=True),
-                Kernel.constant(2.5))
+        return ER_MU, Kernel.constant(2.5)
     if which == 1:
-        return _bench_model()
+        return BENCH_MU, BENCH_C
     alphabet = Alphabet(3)
     mu = ColorMeasure(alphabet, [0.5, 0.3, 0.2], probability=True)
     C = Kernel(alphabet, [[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 1.5]])
@@ -355,7 +337,7 @@ def criterion_8():
 
 def criterion_9():
     started = time.perf_counter()
-    mu, C = _bench_model()
+    mu, C = BENCH_MU, BENCH_C
     details = {}
 
     # consistify: strict sub-consistency gets repaired exactly, at every eps
@@ -437,7 +419,7 @@ def criterion_10():
     for j in range(51):
         for parts in range(1, 7):
             oracles.composition_count(j, parts)
-    report = oracles.partition_bound_check(2, tuple(range(1, 11)), scalar_limit=60)
+    report = oracles.partition_bound_check(2, tuple(range(1, 11)))
     support_ok = all(oracles.support_bound_check(nc)
                      for _, _, _, nc in _mixed_battery())
     support_ok = support_ok and all(oracles.support_bound_check(nc)
@@ -456,12 +438,10 @@ def criterion_10():
 def criterion_11():
     n, min_pass = 20000, 19
     started = time.perf_counter()
-    mu1 = ColorMeasure(Alphabet(1), [1.0], probability=True)
-    er = lln_check(ModelParams(mu1, Kernel.constant(3.0), n), n, LLN_SEEDS_ER)
+    er = lln_check(ModelParams(ER_MU, Kernel.constant(3.0), n), LLN_SEEDS_ER)
     degree_pass = sum(row["tv_degree"] <= 0.02 for row in er["per_seed"])
 
-    mu2, C2 = _bench_model()
-    bench = lln_check(ModelParams(mu2, C2, n), n, LLN_SEEDS_BENCH)
+    bench = lln_check(ModelParams(BENCH_MU, BENCH_C, n), LLN_SEEDS_BENCH)
     nbhd_pass = sum(row["tv_neighborhood"] <= 0.05
                     for row in bench["per_seed"])
     elapsed = time.perf_counter() - started

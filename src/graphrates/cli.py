@@ -63,13 +63,17 @@ def _require(cfg, key, kind=None):
 
 
 def _real(value, key, finite=True):
-    """A config number as a float; a bool, string or other value is a config error,
-    and so is an infinite one unless finite is False."""
+    """A config number as a float; a bool, string, other value or one too large for a
+    float is a config error, and so is an infinite one unless finite is False."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"config key {key!r} is too large for a float") from None
     if finite and math.isinf(value):
         raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-    return float(value)
+    return value
 
 
 def _rate_json(value):
@@ -180,32 +184,33 @@ def _cmd_generate(args):
 
 
 def _load_graph(cfg, args):
+    """The graph to measure and the seed that drew it (None for a given graph)."""
     if "graph" in cfg:
         try:
-            return ColoredGraph.from_dict(_require(cfg, "graph", dict))
+            return ColoredGraph.from_dict(_require(cfg, "graph", dict)), None
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline graph: {exc}") from exc
     if "graph_path" in cfg:
         try:
             with open(cfg["graph_path"]) as fh:
-                return ColoredGraph.from_text(fh.read())
+                return ColoredGraph.from_text(fh.read()), None
         except OSError as exc:
             raise ConfigError(f"cannot read graph {cfg['graph_path']}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"bad graph file {cfg['graph_path']}: {exc}") from exc
     if "mu" in cfg:
         mu, C = _parse_model(cfg)
-        return sample_colored_graph(
-            _from_config(ModelParams, mu, C, _require(cfg, "n", int)),
-            _resolve_seed(cfg, args))
+        params = _from_config(ModelParams, mu, C, _require(cfg, "n", int))
+        seed = _resolve_seed(cfg, args)
+        return sample_colored_graph(params, seed), seed
     raise ConfigError("measure needs one of: graph, graph_path, or mu/C/n/seed")
 
 
 def _cmd_measure(args):
     cfg = _load_config(args.config)
-    graph = _load_graph(cfg, args)
+    graph, seed = _load_graph(cfg, args)
     cc, pc, nc = empirical_measures(graph)
-    doc = {"manifest": _manifest("measure", cfg, cfg.get("seed", args.seed)),
+    doc = {"manifest": _manifest("measure", cfg, seed),
            "n": graph.n, "edge_count": graph.edge_count,
            "color_counts": cc.to_dict(), "pair_counts": pc.to_dict(),
            "neighborhood_counts": nc.to_dict()}
@@ -237,7 +242,7 @@ def _cmd_degree_rate(args):
     raw = _require(cfg, "degrees", dict)
     try:
         degrees = {int(k): float(v) for k, v in raw.items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"degrees must map integers to probabilities: {exc}") from exc
     c = _real(_require(cfg, "c"), "c")
     mean = cfg.get("mean")
@@ -333,11 +338,12 @@ def _cmd_approximate(args):
     cap = cfg.get("cap", False)
     if not isinstance(cap, bool):
         raise ConfigError(f"config key 'cap' must be true or false, got {cap!r}")
+    seed = _resolve_seed(cfg, args) if "n" in cfg else None
     nu = rates.poisson_limit_law(mu, C)
     pair = product_kernel_measure(C, mu)
     pair_hat, nu_hat = consistify(pair, nu, eps)
     _, phi2 = phi(nu_hat)
-    doc = {"manifest": _manifest("approximate", cfg, cfg.get("seed", args.seed)),
+    doc = {"manifest": _manifest("approximate", cfg, seed),
            "consistify": {
                "pair": pair_hat.to_dict(), "nu_atoms": len(nu_hat.support),
                "consistency_residual": float(np.abs(phi2 - pair_hat.weights).max()),
@@ -345,8 +351,6 @@ def _cmd_approximate(args):
                "nu_tv": total_variation(nu, nu_hat)}}
     if "n" in cfg:
         n = _require(cfg, "n", int)
-        seed = _resolve_seed(cfg, args)
-        doc["manifest"] = _manifest("approximate", cfg, seed)
         graph = sample_colored_graph(_from_config(ModelParams, mu, C, n), seed)
         cc, pc, _ = empirical_measures(graph)
         nu_n = quantize(cc, pc, nu, seed)

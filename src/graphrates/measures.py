@@ -43,8 +43,18 @@ def magnitude(ell):
     return sum(ell)
 
 
+def _whole(x, what):
+    """x as an int; a fractional, bool or non-numeric value is an error, never truncated."""
+    try:
+        if type(x) is int or (int(x) == x and not isinstance(x, (bool, np.bool_))):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
 def _as_degree_vector(ell, m):
-    t = tuple(int(x) for x in ell)
+    t = tuple(_whole(x, "degree vector entry") for x in ell)
     if len(t) != m:
         raise ValueError(f"degree vector has length {len(t)}, alphabet has m={m}")
     if any(x < 0 for x in t):
@@ -152,7 +162,7 @@ class NeighborhoodMeasure:
         clean = {}
         total = 0.0
         for (a, ell), mass in support.items():
-            a = int(a)
+            a = _whole(a, "color")
             if not 0 <= a < m:
                 raise ValueError(f"color {a} outside alphabet of size {m}")
             key = (a, _as_degree_vector(ell, m))
@@ -206,9 +216,9 @@ class Kernel:
         self.values = v
 
     @classmethod
-    def constant(cls, c, m=1):
-        """Erdos-Renyi style kernel: every entry equal to c."""
-        return cls(Alphabet(m), np.full((m, m), float(c)))
+    def constant(cls, c):
+        """Erdos-Renyi kernel: the single-color kernel [[c]]."""
+        return cls(Alphabet(1), [[float(c)]])
 
     def __repr__(self):
         return f"Kernel({self.values.tolist()})"
@@ -330,10 +340,10 @@ class NeighborhoodCounts:
         clean = {}
         total = 0
         for (a, ell), c in counts.items():
-            c = int(c)
+            c = _whole(c, "atom count")
             if c <= 0:
                 raise ValueError(f"atom count must be positive, got {c}")
-            a = int(a)
+            a = _whole(a, "color")
             if not 0 <= a < m:
                 raise ValueError(f"color {a} outside alphabet of size {m}")
             clean[(a, _as_degree_vector(ell, m))] = c
@@ -450,11 +460,11 @@ def phi(nu):
     return ColorMeasure(nu.alphabet, nu1, probability=nu.probability), phi2
 
 
-def is_sub_consistent(pair, nu, tol=SUB_CONSISTENCY_TOL):
-    """True iff the induced pair matrix is entrywise <= pair + tol."""
+def is_sub_consistent(pair, nu):
+    """True iff the induced pair matrix is entrywise <= pair + SUB_CONSISTENCY_TOL."""
     _check_same_alphabet(pair, nu)
     _, phi2 = phi(nu)
-    return bool(np.all(phi2 <= pair.weights + tol))
+    return bool(np.all(phi2 <= pair.weights + SUB_CONSISTENCY_TOL))
 
 
 def degree_distribution(nu):

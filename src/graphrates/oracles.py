@@ -19,6 +19,7 @@ from .measures import phi_counts
 
 VECTOR_PARTITION_BUDGET = 14
 _SCALAR_BOUND_CONST = 2.57  # just above the Hardy-Ramanujan pi*sqrt(2/3)
+_SCALAR_LIMIT = 60
 
 # ---------------------------------------------------------------------------
 # binomial tails
@@ -126,13 +127,13 @@ def scalar_partition_counts(limit):
     return p
 
 
-def partition_bound_check(m, magnitudes, scalar_limit=60):
+def partition_bound_check(m, magnitudes):
     """Vector-partition growth check against the ln-scale envelope.
 
     For each magnitude S, finds max vector_partition_count over all ell with
     |ell| = S and m coordinates, and reports theta_hat(S) =
     ln(max count) / (ln(S) * S^{(2m-1)/(2m)}); asserts theta_hat <= 3m. Also
-    checks p(S) <= exp(2.57 sqrt(S)) for S <= scalar_limit. Counts are
+    checks p(S) <= exp(2.57 sqrt(S)) for S <= 60. Counts are
     reported as decimal strings to keep them exact in JSON.
     """
     m = int(m)
@@ -163,13 +164,13 @@ def partition_bound_check(m, magnitudes, scalar_limit=60):
     if not theta_ok:
         raise AssertionError(f"theta bound 3m={3 * m} violated: {rows}")
 
-    scalar = scalar_partition_counts(scalar_limit)
+    scalar = scalar_partition_counts(_SCALAR_LIMIT)
     scalar_ok = all(scalar[S] <= math.exp(_SCALAR_BOUND_CONST * math.sqrt(S))
-                    for S in range(1, scalar_limit + 1))
+                    for S in range(1, _SCALAR_LIMIT + 1))
     if not scalar_ok:
         raise AssertionError("scalar partition bound exp(2.57 sqrt(S)) violated")
     return {"m": m, "theta_bound": 3 * m, "per_magnitude": rows,
-            "theta_ok": theta_ok, "scalar_limit": scalar_limit,
+            "theta_ok": theta_ok, "scalar_limit": _SCALAR_LIMIT,
             "scalar_ok": scalar_ok}
 
 

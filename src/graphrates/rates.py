@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 from scipy.stats import poisson
 
 from . import varsolve
@@ -20,6 +20,8 @@ from .errors import NonConvergenceError
 from .measures import (PROB_TOL, SUB_CONSISTENCY_TOL, NeighborhoodMeasure,
                        _check_same_alphabet, is_sub_consistent, phi,
                        product_kernel_measure, relative_entropy, require_probability)
+
+LIMIT_TAIL_MASS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,11 @@ def h_c(pair, omega, C):
     return max(ent + ref.total_mass - pair.total_mass, 0.0)
 
 
+def _poisson_log_pmf(k, lam):
+    """ln of the Poisson(lam) pmf at k, elementwise; lam = 0 gives 0 at k = 0, -inf above."""
+    return xlogy(k, lam) - lam - gammaln(k + 1)
+
+
 def q_measure(pair, nu1, support):
     """Product-Poisson reference law Q[pair, nu1] on the requested atoms.
 
@@ -74,7 +81,6 @@ def q_measure(pair, nu1, support):
     intensity) are omitted, so mass(a, ell) reads as 0 there.
     """
     _check_same_alphabet(pair, nu1)
-    m = pair.alphabet.m
     atoms = {}
     for a, ell in support:
         a = int(a)
@@ -83,12 +89,7 @@ def q_measure(pair, nu1, support):
         if base <= 0.0:
             continue
         lam = pair.weights[a] / base
-        k = np.asarray(ell, dtype=float)
-        if np.any((lam == 0.0) & (k > 0)):
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = -lam + k * np.log(lam) - gammaln(k + 1)
-        terms[k == 0.0] = -lam[k == 0.0]
+        terms = _poisson_log_pmf(np.asarray(ell, dtype=float), lam)
         logq = math.log(base) + float(terms.sum())
         mass = math.exp(logq)
         if mass > 0.0:
@@ -96,19 +97,20 @@ def q_measure(pair, nu1, support):
     return NeighborhoodMeasure(pair.alphabet, atoms)
 
 
-def poisson_limit_law(mu, C, tail_mass=1e-14):
+def poisson_limit_law(mu, C):
     """Zero point of rate_J: independent Poisson neighbor counts around mu.
 
     For each color a with mu(a) > 0, ell(b) is Poisson(C(a,b) mu(b)). The
     countable support is truncated per color so the dropped mass is at most
-    tail_mass, and the residual is folded into the degree-zero atom so the
-    color marginal stays mu to within rounding. Grid size is exponential in
-    the number of colors with positive intensity rows; intended for small m.
+    LIMIT_TAIL_MASS = 1e-14, and the residual is folded into the degree-zero
+    atom so the color marginal stays mu to within rounding. Grid size is
+    exponential in the number of colors with positive intensity rows;
+    intended for small m.
     """
     _check_same_alphabet(mu, C)
     require_probability(mu, "mu")
     m = mu.alphabet.m
-    axis_tail = tail_mass / m
+    axis_tail = LIMIT_TAIL_MASS / m
     atoms = {}
     zero = (0,) * m
     for a in range(m):
@@ -118,12 +120,9 @@ def poisson_limit_law(mu, C, tail_mass=1e-14):
         lam = C.values[a] * mu.weights
         pmfs = []
         for b in range(m):
-            if lam[b] == 0.0:
-                pmfs.append(np.array([1.0]))
-                continue
-            cap = int(poisson.ppf(1.0 - axis_tail, lam[b])) + 2
-            k = np.arange(cap + 1, dtype=float)
-            pmfs.append(np.exp(-lam[b] + k * math.log(lam[b]) - gammaln(k + 1)))
+            # a zero intensity gives the pmf [1, 0, 0]; its zero atoms drop out below
+            k = np.arange(int(poisson.ppf(1.0 - axis_tail, lam[b])) + 3, dtype=float)
+            pmfs.append(np.exp(_poisson_log_pmf(k, lam[b])))
         grid = np.array(base)
         for p in pmfs:
             grid = np.multiply.outer(grid, p)
@@ -195,10 +194,6 @@ def rate_J_tilde(nu, omega, pair):
     return max(relative_entropy(nu, q), 0.0)
 
 
-def _poisson_log_pmf(k, x):
-    return -x + k * math.log(x) - math.lgamma(k + 1)
-
-
 def _validate_degree_distribution(d):
     total = 0.0
     for k, p in d.items():
@@ -216,7 +211,7 @@ def _delta_given_x(d, c, x):
     ent = 0.0
     for k, p in d.items():
         if p > 0:
-            ent += p * (math.log(p) - _poisson_log_pmf(int(k), x))
+            ent += p * (math.log(p) - float(_poisson_log_pmf(int(k), x)))
     return 0.5 * x * math.log(x / c) - 0.5 * x + 0.5 * c + ent
 
 

@@ -82,6 +82,21 @@ def test_generate_deterministic_output(tmp_path):
     assert doc_a == doc_b
 
 
+def test_measure_manifest_records_the_seed_it_drew_with(tmp_path):
+    cfg = _write(tmp_path, "meas.json", dict(BENCH, n=100, seed=3))
+    code, doc = _run_json(tmp_path, ["measure", "--config", cfg, "--seed", "5"])
+    gen = _write(tmp_path, "gen.json", dict(BENCH, n=100, seed=5))
+    _, doc5 = _run_json(tmp_path, ["generate", "--config", gen], name="gen-out.json")
+    assert code == 0 and doc["manifest"]["config"]["seed"] == 5
+    assert doc["edge_count"] == len(doc5["graph"]["edges"])
+    assert doc["neighborhood_counts"] == doc5["neighborhood_counts"]
+    # approximate draws a graph only with "n", so only then does it record a seed
+    cfg = _write(tmp_path, "appr.json", dict(BENCH, eps=0.1))
+    code, doc = _run_json(tmp_path, ["approximate", "--config", cfg, "--seed", "5"],
+                          name="appr-out.json")
+    assert code == 0 and "seed" not in doc["manifest"]["config"]
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = _write(tmp_path, "gen.json", dict(BENCH, n=100, seed=42))
     code, doc = _run_json(tmp_path, ["generate", "--config", cfg, "--seed", "43"])
@@ -98,7 +113,7 @@ def test_seed_flag_overrides_config(tmp_path):
 def test_rate_zero_point(tmp_path):
     mu = ColorMeasure(Alphabet(2), BENCH["mu"], probability=True)
     C = Kernel(Alphabet(2), BENCH["C"])
-    nu = poisson_limit_law(mu, C, tail_mass=1e-12)
+    nu = poisson_limit_law(mu, C)
     pair = product_kernel_measure(C, mu)
     cfg = _write(tmp_path, "rate.json",
                  dict(BENCH, nu=nu.to_dict(), pair=pair.to_dict(),
@@ -375,6 +390,20 @@ def _rate_config(one_color_key):
      "unknown event kind ['edges']"),
     ("approximate", dict(BENCH, eps=0.01, n=100, seed=1, cap="no"),
      "'cap' must be true or false, got 'no'"),
+    # a fractional degree-vector entry is an error, not truncated
+    ("rate", dict(BENCH, pair={"m": 2, "weights": [[1.0, 0.5], [0.5, 1.0]]},
+                  nu={"m": 2, "atoms": [{"color": 0, "ell": [1.5, 0], "mass": 1.0}]}),
+     "degree vector entry must be an integer, got 1.5"),
+    # an integer too large for a float is out of range, not an OverflowError
+    ("edge-rate", {"mu": [1.0], "C": 2.0, "x": 10 ** 400}, "'x' is too large for a float"),
+    ("ising", {"beta": 10 ** 400, "c": 2.0}, "'beta' is too large for a float"),
+    ("ising", {"beta": 0.5, "c": [2.0, 10 ** 400]}, "'c' is too large for a float"),
+    ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": 10 ** 400},
+     "'c' is too large for a float"),
+    ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "mean": 10 ** 400},
+     "'mean' is too large for a float"),
+    ("approximate", dict(BENCH, eps=10 ** 400), "'eps' is too large for a float"),
+    ("degree-rate", {"degrees": {"0": 10 ** 400}, "c": 1.0}, "degrees must map integers"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)

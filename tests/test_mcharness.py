@@ -276,8 +276,8 @@ def test_estimate_round_trip_dict():
 
 
 def test_lln_check_structure_and_decay():
-    params = ModelParams(MU2, C2, 1)
-    out = lln_check(params, 5000, seeds=range(20))
+    params = ModelParams(MU2, C2, 5000)
+    out = lln_check(params, seeds=range(20))
     assert out["n"] == 5000
     assert len(out["per_seed"]) == 20
     row = out["per_seed"][0]

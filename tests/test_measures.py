@@ -61,6 +61,18 @@ def test_counts_reject_fractional_and_bool_entries():
         PairCounts(4, [[0.5, 1], [1, 0]])
 
 
+def test_neighborhood_counts_reject_fractional_and_bool_entries():
+    # a whole float is an integer; a fraction or a bool is never truncated
+    assert NeighborhoodCounts(4.0, {(0, (1.0, 0)): 4.0}).counts == {(0, (1, 0)): 4}
+    for bad in ({(0, (1.5, 0)): 4}, {(0, (True, 0)): 4}, {(0, (1, 0)): 3.5},
+                {(0, (1, 0)): True, (0, (0, 0)): 3}, {(0.5, (1, 0)): 4},
+                {(0, (math.inf, 0)): 4}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            NeighborhoodCounts(4, bad)
+    with pytest.raises(ValueError, match="degree vector entry must be an integer"):
+        NeighborhoodMeasure(A2, {(0, (1.5, 0)): 1.0})
+
+
 @pytest.mark.parametrize("build, good", [
     (ColorMeasure, [0.5, 0.5]),
     (PairMeasure, [[1.0, 0.5], [0.5, 0.0]]),

@@ -60,7 +60,7 @@ def test_q_measure_zero_intensity_atom():
 
 
 def test_rate_j_zero_point():
-    qstar = poisson_limit_law(MU2, C2, tail_mass=1e-14)
+    qstar = poisson_limit_law(MU2, C2)
     pair_star = product_kernel_measure(C2, MU2)
     rv = rate_J(pair_star, qstar, MU2, C2)
     assert rv.finite
