@@ -8,9 +8,9 @@ geometric gaps between successes (Batagelj & Brandes 2005). The conditional
 sampler instead fixes the exact color counts and per-color-pair edge counts
 and draws uniformly from the graphs realizing them: a seeded shuffle of the
 fixed color multiset, then for every unordered color pair exactly n(a, b)
-distinct edge slots drawn without replacement; sample_conditional_batch
-draws it for many seeds at once, as arrays. All samplers index the pair slots
-of a color-class pair the same way and share one slot-to-local-index decoder.
+distinct edge slots drawn without replacement. sample_colored_batch and
+sample_conditional_batch draw many seeds, each with its own stream, and
+decode all their slots at once with the one decoder every sampler shares.
 """
 
 import math
@@ -22,19 +22,15 @@ from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodCounts, PairCounts, _check_same_alphabet)
 
 
-def _sorted_edges(edges, n):
-    """Edges of shape (R, E, 2) sorted per graph by u n + v, ColoredGraph's checks made.
-
-    Graph r gets keys in [r n^2, (r + 1) n^2), so one flat sort orders all R graphs.
-    """
-    u, v = edges[..., 0], edges[..., 1]
+def _edge_order(rep, u, v, n):
+    """Order sorting edges (u, v) of replicas rep by (rep, u n + v), ColoredGraph's checks made."""
     if (u < 0).any() or (u >= v).any() or (v >= n).any():
         raise ValueError(f"edges must satisfy 0 <= u < v < n = {n} (no loops)")
-    key = (u * n + v + n * n * np.arange(len(u))[:, None]).ravel()
+    key = (rep * n + u) * n + v
     order = key.argsort()
     if (key[order[1:]] == key[order[:-1]]).any():
         raise ValueError("duplicate edges")
-    return edges.reshape(-1, 2)[order].reshape(edges.shape)
+    return order
 
 
 class ColoredGraph:
@@ -47,12 +43,12 @@ class ColoredGraph:
             raise ValueError(f"colors shape {colors.shape} != ({n},)")
         if n and (colors.min() < 0 or colors.max() >= m):
             raise ValueError("color index outside alphabet")
-        edges = _sorted_edges(np.asarray(edges, dtype=np.int64).reshape(1, -1, 2), n)[0]
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.n = n
         self.alphabet = Alphabet(m)
         self.colors = colors.copy()
         self.colors.setflags(write=False)
-        self.edges = edges.copy()
+        self.edges = edges[_edge_order(0, edges[:, 0], edges[:, 1], n)]
         self.edges.setflags(write=False)
 
     @property
@@ -133,25 +129,25 @@ def _slot_count(ka, kb, same):
 
 
 def _slot_pairs(ka, kb, slots, same):
-    """Class-local indices (i, j) of slot indices, for slot arrays of any shape.
+    """Class-local indices (i, j) of slot indices; ka, kb and the mask same are per slot.
 
-    Within one class of k = ka vertices (same) the slots enumerate the pairs
-    i < j row by row, row i starting at slot i k - i (i + 1) / 2; across two
-    classes slot s is the pair (s // kb, s % kb).
+    Across two classes slot s is the pair (s // kb, s % kb). Within one class of
+    k = ka vertices the slots list the pairs i < j row by row, row i starting at
+    slot i k - i (i + 1) / 2, so slot s lies in row ((2k - 1) - sqrt((2k - 1)^2 - 8s)) / 2
+    rounded down; the discriminant is exact in int64, and one step each way
+    absorbs the rounding of the root.
     """
-    if same:
-        rows = np.arange(ka)
-        starts = rows * ka - rows * (rows + 1) // 2
-        i = np.searchsorted(starts, slots, side="right") - 1
-        return i, slots - starts[i] + i + 1
-    return np.divmod(slots, kb)
+    def start(row):
+        return row * k - row * (row + 1) // 2
 
-
-def _slots_to_edges(A, B, slots, same):
-    """Edges (u, v), u < v, for slot indices between sorted vertex classes A and B."""
-    i, j = _slot_pairs(A.size, B.size, slots, same)
-    u, v = A[i], B[j]
-    return np.column_stack((u, v) if same else (np.minimum(u, v), np.maximum(u, v)))
+    i, j = np.divmod(slots, kb)
+    k, s = ka[same], slots[same]
+    b = 2 * k - 1
+    row = ((b - np.sqrt(b * b - 8 * s)) * 0.5).astype(np.int64)  # >= 0, so truncation floors
+    row -= start(row) > s
+    row += start(row + 1) <= s
+    i[same], j[same] = row, s - start(row) + row + 1
+    return i, j
 
 
 def _bernoulli_slots(S, p, rng):
@@ -178,22 +174,61 @@ def _bernoulli_slots(S, p, rng):
     return hits[hits < S]
 
 
-def sample_colored_graph(params, seed):
-    """Draw one graph from the model; deterministic per seed."""
+def _free_draw(params, seed):
+    """One seed's free draw: its colors, then the edge slots of each class pair a <= b."""
     n, m = params.n, params.mu.alphabet.m
     rng = np.random.default_rng(seed)
     colors = rng.choice(m, size=n, p=params.mu.weights / params.mu.weights.sum())
-    classes = [(colors == a).nonzero()[0] for a in range(m)]
-    probs = params.edge_probabilities
-
-    parts = []
-    for a in range(m):
-        for b in range(a, m):
-            A, B, same = classes[a], classes[b], a == b
-            slots = _bernoulli_slots(_slot_count(A.size, B.size, same),
+    sizes, probs = np.bincount(colors, minlength=m).tolist(), params.edge_probabilities
+    return colors, [_bernoulli_slots(_slot_count(sizes[a], sizes[b], a == b),
                                      float(probs[a, b]), rng)
-            parts.append(_slots_to_edges(A, B, slots, same))
-    return ColoredGraph(n, m, colors, np.concatenate(parts))
+                    for a in range(m) for b in range(a, m)]
+
+
+def _decode_edges(colors, slots, lengths, m):
+    """Edges (replica, u, v), u < v, of R draws, decoded at once; unsorted and unchecked.
+
+    colors is (R, n); slots holds each replica's edge slots, class pair a <= b
+    by class pair, replica after replica, and lengths counts them in that order.
+    """
+    R, n = colors.shape
+    sizes = np.bincount((colors + m * np.arange(R)[:, None]).ravel(),
+                        minlength=R * m).reshape(R, m)
+    # a stable sort (a radix sort on 8 bits, as m <= 64) lists each class's
+    # vertices in increasing order, class a of replica r from flat position first[r, a]
+    first = np.cumsum(sizes, axis=1) - sizes + n * np.arange(R)[:, None]
+    order = np.argsort(colors.astype(np.uint8), axis=1, kind="stable").ravel()
+    a, b = np.array([(x, y) for x in range(m) for y in range(x, m)]).T
+    # per (replica, class pair) values, repeated once per slot
+    rep, same, ka, kb, fa, fb = (np.repeat(x.ravel(), lengths) for x in (
+        np.arange(R).repeat(len(a)), np.tile(a == b, R), sizes[:, a], sizes[:, b],
+        first[:, a], first[:, b]))
+    i, j = _slot_pairs(ka, kb, slots, same)
+    u, v = order[fa + i], order[fb + j]
+    return rep, np.minimum(u, v), np.maximum(u, v)
+
+
+def _free_edges(params, seeds):
+    """colors (R, n) and unsorted edges (replica, u, v) of the free draws of R seeds."""
+    draws = [_free_draw(params, s) for s in seeds]
+    colors = np.array([c for c, _ in draws], dtype=np.int64).reshape(len(draws), params.n)
+    parts = [part for _, pairs in draws for part in pairs]
+    slots = np.concatenate((np.empty(0, dtype=np.int64), *parts))
+    return colors, *_decode_edges(colors, slots, [len(x) for x in parts], params.mu.alphabet.m)
+
+
+def sample_colored_graph(params, seed):
+    """Draw one graph from the model; deterministic per seed."""
+    colors, _, u, v = _free_edges(params, [seed])
+    return ColoredGraph(params.n, params.mu.alphabet.m, colors[0], np.column_stack((u, v)))
+
+
+def sample_colored_batch(params, seeds):
+    """colors (R, n) and sorted edges (replica, u, v) of sample_colored_graph for R seeds;
+    each seed keeps its own stream, and ColoredGraph's checks run once for the batch."""
+    colors, rep, u, v = _free_edges(params, seeds)
+    keep = _edge_order(rep, u, v, params.n)
+    return colors, rep[keep], u[keep], v[keep]
 
 
 def empirical_measures(graph):
@@ -264,20 +299,13 @@ def sample_conditional_batch(omega_n, pair_n, seeds):
     and the sorting run once for the whole batch.
     """
     plan = _conditional_plan(omega_n, pair_n)
-    n, m, seeds = omega_n.n, omega_n.alphabet.m, list(seeds)
+    n, m, seeds, ks = omega_n.n, omega_n.alphabet.m, list(seeds), [k for *_, k in plan]
     colors = np.tile(np.repeat(np.arange(m, dtype=np.int64), omega_n.counts), (len(seeds), 1))
-    slots = [np.empty((len(seeds), k), dtype=np.int64) for *_, k in plan]
+    slots, ends = np.empty((len(seeds), sum(ks)), dtype=np.int64), np.cumsum(ks).tolist()
     for r, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         rng.shuffle(colors[r])
-        for out, (_, _, S, k) in zip(slots, plan):
-            out[r] = rng.choice(S, k, replace=False, shuffle=False)
-    # a stable sort lists each class's vertices in increasing order
-    classes = np.split(np.argsort(colors, axis=1, kind="stable"),
-                       np.cumsum(omega_n.counts)[:-1], axis=1)
-    parts = []
-    for drawn, (a, b, _, _) in zip(slots, plan):
-        i, j = _slot_pairs(classes[a].shape[1], classes[b].shape[1], drawn, a == b)
-        u, v = np.take_along_axis(classes[a], i, 1), np.take_along_axis(classes[b], j, 1)
-        parts.append(np.stack((np.minimum(u, v), np.maximum(u, v)), axis=-1))
-    return colors, _sorted_edges(np.concatenate(parts, axis=1), n)
+        for (_, _, S, k), end in zip(plan, ends):
+            slots[r, end - k:end] = rng.choice(S, k, replace=False, shuffle=False)
+    rep, u, v = _decode_edges(colors, slots.ravel(), ks * len(seeds), m)
+    return colors, np.stack((u, v), axis=-1)[_edge_order(rep, u, v, n)].reshape(*slots.shape, 2)

@@ -7,7 +7,9 @@ check of the limiting neighborhood law at fixed n. The edges and pair
 events depend on a graph only through its color counts and its edge counts
 per class pair, so they are drawn from those counts (a multinomial, then
 one binomial per class pair) without building a graph; the Erdos-Renyi
-model is the one-color case. Only degree_zero builds a graph per replica.
+model is the one-color case. degree_zero reads degrees: each replica draws
+its graph from its own seed, and a chunk of replicas is decoded and counted
+at once, without a graph object.
 The one-color edge-count tail is sampled from the binomial law tilted to
 its threshold and reweighted by the likelihood ratio (Siegmund 1976;
 Bucklew 2004), so sizes whose event plain Monte Carlo never sees still get
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import ModelParams, _slot_count, empirical_measures, sample_colored_graph
+from .graphs import (ModelParams, _slot_count, empirical_measures, sample_colored_batch,
+                     sample_colored_graph)
 from .measures import degree_distribution, product_kernel_measure, total_variation
 from .oracles import binomial_log_tail
 from .rates import poisson_limit_law
@@ -38,6 +41,9 @@ from .seeds import derive_child_seed
 # edges and pair replicas are drawn in blocks of this size; block
 # boundaries are part of the merge contract, so this constant is load-bearing
 REPLICA_BLOCK = 65536
+# degree_zero replicas are decoded and counted in chunks of about this many
+# vertices, so memory does not grow with the replica count; it changes no hit
+CHUNK_CELLS = 1 << 12
 
 # each event kind with the keys its event dict must carry, threshold last
 _EVENT_KEYS = {"edges": ("x",), "degree_zero": ("t",), "pair": ("a", "b", "s")}
@@ -90,7 +96,9 @@ class TailExperiment:
         if missing:
             raise ValueError(f"{kind} event is missing {missing}")
         thr = self.event[_EVENT_KEYS[kind][-1]]
-        if isinstance(thr, bool) or not (isinstance(thr, numbers.Real) and math.isfinite(thr)):
+        # NaN, an infinity and an integer too large for a float all fail this bound
+        if isinstance(thr, bool) or not (isinstance(thr, numbers.Real)
+                                         and abs(thr) <= float(np.finfo(float).max)):
             raise ValueError(f"{kind} event threshold {thr!r} is not a finite real number")
         if kind == "pair":
             m = self.mu.alphabet.m
@@ -217,12 +225,14 @@ def _count_hits(exp, n):
 
 
 def _count_isolated_hits(exp, n):
-    """Hits of a degree_zero event, which reads degrees, so each replica builds its graph."""
-    params = ModelParams(exp.mu, exp.C, n)
-    hits = 0
-    for idx in range(exp.replica_offset, exp.replica_offset + exp.replicas):
-        graph = sample_colored_graph(params, derive_child_seed(exp.seed, n, idx))
-        hits += int(np.count_nonzero(graph.degrees() == 0)) / n >= exp.event["t"]
+    """Hits of a degree_zero event; replica i draws its graph from its own child seed."""
+    params, t, hits = ModelParams(exp.mu, exp.C, n), float(exp.event["t"]), 0
+    lo, hi, step = exp.replica_offset, exp.replica_offset + exp.replicas, max(1, CHUNK_CELLS // n)
+    for start in range(lo, hi, step):
+        seeds = [derive_child_seed(exp.seed, n, i) for i in range(start, min(start + step, hi))]
+        _, rep, u, v = sample_colored_batch(params, seeds)
+        degrees = np.bincount(np.concatenate((rep * n + u, rep * n + v)), minlength=len(seeds) * n)
+        hits += int(np.count_nonzero((degrees.reshape(-1, n) == 0).sum(axis=1) / n >= t))
     return hits, 0.0, float(hits), float(hits)
 
 

@@ -185,7 +185,7 @@ class NeighborhoodMeasure:
 
     def mass(self, a, ell):
         """Mass of the atom (a, ell); 0 when absent from the support."""
-        return self.support.get((int(a), tuple(int(x) for x in ell)), 0.0)
+        return self.support.get((_whole(a, "color"), _as_degree_vector(ell, self.alphabet.m)), 0.0)
 
     def atoms(self):
         """Atoms in a deterministic (color, degree vector) sort order."""

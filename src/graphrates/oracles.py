@@ -2,9 +2,9 @@
 
 Everything here is coded independently of the modules under test: binomial
 tails in log space, exact composition/partition counting with the proven
-sandwich bounds, the support-size bound for empirical neighborhood measures,
-the spin-count Ising free energy, and brute-force tiny partition functions.
-Counts are exact Python integers throughout.
+sandwich bounds, the support-size bound for empirical neighborhood measures
+and the spin-count Ising free energy. Counts are exact Python integers
+throughout.
 """
 
 import itertools
@@ -234,41 +234,3 @@ def ising_oracle(beta, c):
             c2 = lo + inv * (hi - lo)
             f2 = f(c2)
     return max(best, f1, f2)
-
-
-def exact_tiny_partition_function(n, p, beta, seed=None):
-    """Brute-force Ising partition function on a tiny Erdos-Renyi graph.
-
-    With a seed: samples G(n, p) and returns Z(beta) by summing over all 2^n
-    spin assignments. With seed=None: returns E Z(beta) exactly via the
-    per-edge expectation prod (1 - p + p e^{beta eta_u eta_v}), reduced over
-    the spin-up count. Budget n <= 14.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > 14:
-        raise BudgetError(f"n={n} exceeds the 2^n enumeration budget (14)")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-
-    if seed is None:
-        agree_factor = 1.0 - p + p * math.exp(beta)
-        cross_factor = 1.0 - p + p * math.exp(-beta)
-        total = 0.0
-        for j in range(n + 1):
-            agree_pairs = math.comb(j, 2) + math.comb(n - j, 2)
-            cross_pairs = j * (n - j)
-            total += (math.comb(n, j) * agree_factor ** agree_pairs
-                      * cross_factor ** cross_pairs)
-        return total
-
-    rng = np.random.default_rng(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    present = rng.random(len(pairs)) < p
-    edges = [uv for uv, keep in zip(pairs, present) if keep]
-    spins = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
-    energy = np.zeros(2 ** n)
-    for u, v in edges:
-        energy += spins[:, u] * spins[:, v]
-    return float(np.exp(beta * energy).sum())

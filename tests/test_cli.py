@@ -404,6 +404,13 @@ def _rate_config(one_color_key):
      "'mean' is too large for a float"),
     ("approximate", dict(BENCH, eps=10 ** 400), "'eps' is too large for a float"),
     ("degree-rate", {"degrees": {"0": 10 ** 400}, "c": 1.0}, "degrees must map integers"),
+    # so is a Monte Carlo event threshold of that size
+    ("edge-rate", dict(ER_MC, event={"kind": "edges", "x": 10 ** 400}),
+     "edges event threshold"),
+    ("edge-rate", dict(ER_MC, event={"kind": "degree_zero", "t": 10 ** 400}),
+     "degree_zero event threshold"),
+    ("edge-rate", dict(ER_MC, event={"kind": "pair", "a": 0, "b": 0, "s": 10 ** 400}),
+     "pair event threshold"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -11,6 +12,7 @@ from graphrates import (Alphabet, ColorCounts, ColoredGraph, ColorMeasure,
                         phi_counts, sample_colored_graph, sample_conditional,
                         sample_conditional_batch)
 from graphrates.errors import InfeasibleError
+from graphrates.graphs import _slot_pairs, sample_colored_batch
 from graphrates.seeds import derive_child_seed
 
 A1 = Alphabet(1)
@@ -95,12 +97,11 @@ def test_sampler_small_n_pair_law(mu, C, base):
     frequency within 4 SE of p(a, b) over 20,000 seeds."""
     n, reps = 5, 20000
     params = ModelParams(mu, C, n)
-    colors = np.empty((reps, n), dtype=np.int64)
+    # the batch draws each seed's graph bit for bit (test_sample_colored_batch_*)
+    colors, rep, u, v = sample_colored_batch(params, [derive_child_seed(base, i)
+                                                      for i in range(reps)])
     adj = np.zeros((reps, n, n), dtype=bool)
-    for i in range(reps):
-        g = sample_colored_graph(params, derive_child_seed(base, i))
-        colors[i] = g.colors
-        adj[i, g.edges[:, 0], g.edges[:, 1]] = True
+    adj[rep, u, v] = True
     u, v = np.triu_indices(n, 1)
     lo = np.minimum(colors[:, u], colors[:, v])
     hi = np.maximum(colors[:, u], colors[:, v])
@@ -111,6 +112,98 @@ def test_sampler_small_n_pair_law(mu, C, base):
             trials = group.sum(axis=0)
             freq = (group & adj[:, u, v]).sum(axis=0) / trials
             assert np.all(np.abs(freq - p) <= 4 * np.sqrt(p * (1 - p) / trials))
+
+
+A3 = Alphabet(3)
+MODELS = {
+    1: (ColorMeasure(A1, [1.0], probability=True), Kernel.constant(2.0)),
+    2: (MU2, Kernel(A2, [[3.0, 1.0], [1.0, 2.0]])),
+    3: (ColorMeasure(A3, [0.3, 0.3, 0.4], probability=True),
+        Kernel(A3, [[3.0, 1.0, 0.5], [1.0, 2.0, 1.5], [0.5, 1.5, 4.0]])),
+}
+
+
+@pytest.mark.parametrize("m, n, seed, digest", [
+    (1, 200, 7, "5e808a745a432106"),
+    (1, 3000, 0, "7d31bb5be781b047"),
+    (2, 5, 7, "c3fb51d78e24393c"),
+    (2, 37, 0, "e061f02ab92863a7"),
+    (3, 200, 0, "f6a3c2c3f12b4537"),
+    (3, 3000, 2 ** 63 + 5, "5aa3ad14b256c0fc"),
+])
+def test_sample_colored_graph_pinned_digests(m, n, seed, digest):
+    # digests of (colors, edges) as little-endian int64, taken from the
+    # one-graph-at-a-time sampler that drew each class pair's edges apart
+    g = sample_colored_graph(ModelParams(*MODELS[m], n), seed)
+    data = g.colors.astype("<i8").tobytes() + g.edges.astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sample_colored_batch_matches_single_draws(m):
+    params = ModelParams(*MODELS[m], 40)
+    seeds = [derive_child_seed(77, i) for i in range(50)]
+    colors, rep, u, v = sample_colored_batch(params, seeds)
+    assert np.all(np.diff(rep) >= 0)
+    for r, seed in enumerate(seeds):
+        g = sample_colored_graph(params, seed)
+        assert np.array_equal(colors[r], g.colors)
+        assert np.array_equal(np.column_stack((u, v))[rep == r], g.edges)
+    colors, rep, u, v = sample_colored_batch(params, [])
+    assert colors.shape == (0, 40) and rep.size == u.size == v.size == 0
+
+
+def test_slot_decoder_enumerates_pairs_for_every_small_class():
+    for k in range(2, 301):
+        slots = np.arange(k * (k - 1) // 2)
+        size = np.full(slots.size, k)
+        i, j = _slot_pairs(size, size, slots, np.ones(slots.size, dtype=bool))
+        expect_i, expect_j = np.triu_indices(k, 1)  # the pairs i < j, row by row
+        assert np.array_equal(i, expect_i) and np.array_equal(j, expect_j)
+
+
+def test_slot_decoder_at_a_million_vertices():
+    k = 10 ** 6
+    S = k * (k - 1) // 2
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, k - 1, 1000)
+    starts = rows * k - rows * (rows + 1) // 2
+    # random slots, plus the first and last slot of rows, where rounding bites
+    slots = np.concatenate((rng.integers(0, S, 10 ** 5), starts, starts - 1, [0, S - 1]))
+    slots = slots[(slots >= 0) & (slots < S)]
+    size = np.full(slots.size, k)
+    i, j = _slot_pairs(size, size, slots, np.ones(slots.size, dtype=bool))
+    all_rows = np.arange(k)
+    row_start = all_rows * k - all_rows * (all_rows + 1) // 2
+    expect_i = np.searchsorted(row_start, slots, side="right") - 1
+    assert np.array_equal(i, expect_i)
+    assert np.array_equal(j, slots - row_start[expect_i] + expect_i + 1)
+    assert np.all((0 <= i) & (i < j) & (j < k))
+
+
+def test_slot_decoder_corrects_the_rounded_root():
+    # at k = 10^9 the discriminant exceeds 2^53, so the float root can land
+    # one row off; slot s must end in the row i with start(i) <= s < start(i + 1)
+    k = 10 ** 9
+    rows = np.random.default_rng(1).integers(1, k - 1, 20000)
+    starts = rows * k - rows * (rows + 1) // 2
+    slots = np.concatenate((starts, starts - 1, starts + 1))
+    size = np.full(slots.size, k)
+    i, j = _slot_pairs(size, size, slots, np.ones(slots.size, dtype=bool))
+    start = i * k - i * (i + 1) // 2
+    assert np.all((start <= slots) & (slots < start + (k - 1 - i)))
+    assert np.array_equal(j, slots - start + i + 1)
+    assert np.array_equal(i[:rows.size], rows)
+    assert np.array_equal(i[rows.size:2 * rows.size], rows - 1)
+
+
+def test_slot_decoder_mixes_same_and_cross_pairs():
+    ka = np.array([5, 5, 3, 7, 7])
+    kb = np.array([5, 4, 3, 2, 7])
+    slots = np.array([9, 19, 1, 13, 20])
+    i, j = _slot_pairs(ka, kb, slots, ka == kb)
+    assert i.tolist() == [3, 4, 0, 6, 5]
+    assert j.tolist() == [4, 3, 2, 1, 6]
 
 
 def test_empirical_measures_empty_graph():

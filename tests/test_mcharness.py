@@ -6,7 +6,8 @@ from scipy.stats import binom
 
 from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
                         TailExperiment, estimate_tail_exponent,
-                        exact_er_edge_exponent, lln_check)
+                        exact_er_edge_exponent, lln_check, sample_colored_graph)
+from graphrates import mcharness
 from graphrates.mcharness import REPLICA_BLOCK
 from graphrates.seeds import derive_child_seed
 
@@ -207,6 +208,38 @@ def test_degree_zero_event_sanity():
                           sizes=(200,), replicas=2000, seed=11)
     rare_est = estimate_tail_exponent(rare)
     assert rare_est.rows[0]["p_hat"] < 0.05
+
+
+A3 = Alphabet(3)
+MU3 = ColorMeasure(A3, [0.3, 0.3, 0.4], probability=True)
+C3 = Kernel(A3, [[3.0, 1.0, 0.5], [1.0, 2.0, 1.5], [0.5, 1.5, 4.0]])
+
+
+@pytest.mark.parametrize("mu, C", [(MU1, Kernel.constant(2.0)), (MU2, C2), (MU3, C3)])
+def test_isolated_hits_match_per_graph_counts(monkeypatch, mu, C):
+    n, seed, offset, replicas = 30, 5, 13, 60
+    isolated = [np.count_nonzero(sample_colored_graph(
+        ModelParams(mu, C, n), derive_child_seed(seed, n, idx)).degrees() == 0)
+        for idx in range(offset, offset + replicas)]
+    # thresholds at the sampled quantiles, so hits fall strictly inside (0, replicas)
+    for t in sorted({q / n for q in np.percentile(isolated, [20, 50, 80]).round()}):
+        exp = TailExperiment(mu=mu, C=C, event={"kind": "degree_zero", "t": t},
+                             sizes=(n,), replicas=replicas, seed=seed,
+                             replica_offset=offset)
+        expect = sum(i / n >= t for i in isolated)
+        assert 0 < expect < replicas
+        assert mcharness._count_isolated_hits(exp, n) == (expect, 0.0, expect, expect)
+        # chunks of 7 replicas: the run crosses eight chunk boundaries
+        monkeypatch.setattr(mcharness, "CHUNK_CELLS", 7 * n)
+        assert mcharness._count_isolated_hits(exp, n)[0] == expect
+        monkeypatch.undo()
+
+
+def test_event_threshold_too_large_for_a_float():
+    for event in ({"kind": "edges", "x": 10 ** 400}, {"kind": "degree_zero", "t": 10 ** 400},
+                  {"kind": "pair", "a": 0, "b": 1, "s": 10 ** 400}):
+        with pytest.raises(ValueError, match="not a finite real number"):
+            TailExperiment(mu=MU2, C=C2, event=event, sizes=(50,), replicas=10, seed=0)
 
 
 def test_experiment_validation():

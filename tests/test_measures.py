@@ -73,6 +73,15 @@ def test_neighborhood_counts_reject_fractional_and_bool_entries():
         NeighborhoodMeasure(A2, {(0, (1.5, 0)): 1.0})
 
 
+def test_neighborhood_mass_rejects_fractional_keys():
+    # the lookup checks its key as the constructor does, never truncating it
+    nu = NeighborhoodMeasure(A1, {(0, (1,)): 1.0}, probability=True)
+    assert nu.mass(0, (1,)) == nu.mass(0.0, (1.0,)) == 1.0
+    for a, ell in ((0, (1.5,)), (0.7, (1,)), (True, (1,)), (0, (True,))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            nu.mass(a, ell)
+
+
 @pytest.mark.parametrize("build, good", [
     (ColorMeasure, [0.5, 0.5]),
     (PairMeasure, [[1.0, 0.5], [0.5, 0.0]]),
