@@ -162,27 +162,14 @@ def _bernoulli_slots(S, p, rng):
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(S, dtype=np.int64)
-    out = []
-    pos = -1
+    hits, pos = None, -1
     while pos < S:
         mean = (S - pos) * p
-        batch = int(mean + 4.0 * math.sqrt(mean)) + 8
-        steps = pos + np.cumsum(rng.geometric(p, batch))
-        out.append(steps)
+        steps = rng.geometric(p, int(mean + 4.0 * math.sqrt(mean)) + 8).cumsum()
+        steps += pos
+        hits = steps if hits is None else np.concatenate((hits, steps))
         pos = int(steps[-1])
-    hits = np.concatenate(out)
-    return hits[hits < S]
-
-
-def _free_draw(params, seed):
-    """One seed's free draw: its colors, then the edge slots of each class pair a <= b."""
-    n, m = params.n, params.mu.alphabet.m
-    rng = np.random.default_rng(seed)
-    colors = rng.choice(m, size=n, p=params.mu.weights / params.mu.weights.sum())
-    sizes, probs = np.bincount(colors, minlength=m).tolist(), params.edge_probabilities
-    return colors, [_bernoulli_slots(_slot_count(sizes[a], sizes[b], a == b),
-                                     float(probs[a, b]), rng)
-                    for a in range(m) for b in range(a, m)]
+    return hits[:hits.searchsorted(S)]
 
 
 def _decode_edges(colors, slots, lengths, m):
@@ -209,12 +196,24 @@ def _decode_edges(colors, slots, lengths, m):
 
 
 def _free_edges(params, seeds):
-    """colors (R, n) and unsorted edges (replica, u, v) of the free draws of R seeds."""
-    draws = [_free_draw(params, s) for s in seeds]
-    colors = np.array([c for c, _ in draws], dtype=np.int64).reshape(len(draws), params.n)
-    parts = [part for _, pairs in draws for part in pairs]
+    """colors (R, n) and unsorted edges (replica, u, v) of the free draws of R seeds.
+
+    Each seed's stream draws its colors, exactly as Generator.choice(m, n, p=mu)
+    would without its per-call checks, then the edge slots of each class pair a <= b.
+    """
+    n, m, seeds = params.n, params.mu.alphabet.m, list(seeds)
+    cdf = (params.mu.weights / params.mu.weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    probs = params.edge_probabilities.tolist()
+    colors, parts = np.empty((len(seeds), n), dtype=np.int64), []
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        colors[r] = cdf.searchsorted(rng.random(n), side="right")
+        sizes = np.bincount(colors[r], minlength=m).tolist()
+        parts += [_bernoulli_slots(_slot_count(sizes[a], sizes[b], a == b), probs[a][b], rng)
+                  for a in range(m) for b in range(a, m)]
     slots = np.concatenate((np.empty(0, dtype=np.int64), *parts))
-    return colors, *_decode_edges(colors, slots, [len(x) for x in parts], params.mu.alphabet.m)
+    return colors, *_decode_edges(colors, slots, [len(x) for x in parts], m)
 
 
 def sample_colored_graph(params, seed):

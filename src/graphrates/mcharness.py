@@ -6,10 +6,10 @@ oracle for the Erdos-Renyi edge-count event, plus a law-of-large-numbers
 check of the limiting neighborhood law at fixed n. The edges and pair
 events depend on a graph only through its color counts and its edge counts
 per class pair, so they are drawn from those counts (a multinomial, then
-one binomial per class pair) without building a graph; the Erdos-Renyi
-model is the one-color case. degree_zero reads degrees: each replica draws
-its graph from its own seed, and a chunk of replicas is decoded and counted
-at once, without a graph object.
+one binomial per class pair, each from its own stream) without building a
+graph; the Erdos-Renyi model is the one-color case. degree_zero reads
+degrees: each replica draws its graph from its own seed, and a chunk of
+replicas is decoded and counted at once, without a graph object.
 The one-color edge-count tail is sampled from the binomial law tilted to
 its threshold and reweighted by the likelihood ratio (Siegmund 1976;
 Bucklew 2004), so sizes whose event plain Monte Carlo never sees still get
@@ -18,6 +18,9 @@ an estimate.
 Replicas are indexed globally: replica i of size n always uses the child
 seed derived from (base seed, n, its block or index), so splitting an
 experiment across workers draws the same replicas as the monolithic run.
+Each stream of a block is one call of one distribution, whose first r draws
+do not depend on how many follow, so a block is drawn only up to the last
+replica the run reads.
 Summing the shards' hit counts reproduces its hits exactly; summing their
 weight_sum and weight_sq_sum reproduces its sums up to rounding, since only
 the order of summation differs.
@@ -38,8 +41,9 @@ from .oracles import binomial_log_tail
 from .rates import poisson_limit_law
 from .seeds import derive_child_seed
 
-# edges and pair replicas are drawn in blocks of this size; block
-# boundaries are part of the merge contract, so this constant is load-bearing
+# edges and pair replicas are drawn in blocks of this size, each block only
+# up to the last replica the run reads; block boundaries pick the seeds, so
+# they are part of the merge contract and this constant is load-bearing
 REPLICA_BLOCK = 65536
 # degree_zero replicas are decoded and counted in chunks of about this many
 # vertices, so memory does not grow with the replica count; it changes no hit
@@ -160,7 +164,9 @@ class ExponentEstimate:
 
 
 def _edge_threshold(x, n):
-    return math.ceil(x * n)
+    # the event is certain for x n <= 0 and impossible past n(n-1)/2, so x n
+    # saturates at 0 and n^2, and an overflowing product still has a ceiling
+    return math.ceil(min(max(x * n, 0.0), n * n))
 
 
 def _count_hits(exp, n):
@@ -172,6 +178,10 @@ def _count_hits(exp, n):
     p_ab = min(C(a, b)/n, 1). So each block draws the color counts (one
     multinomial, none for one color) and then one binomial per class pair
     the event reads: (a, b) for a pair event, every a <= b summed for edges.
+    The block seed derive_child_seed(seed, n, start) draws the first class
+    pair; its child derive_child_seed(block seed, i) draws the color counts
+    for i = 1 and the i-th class pair for i >= 2. Every stream draws only the
+    block's replicas up to the run's last, min(hi, start + REPLICA_BLOCK) - start.
 
     The one-color edge count is Binomial(N, p), N = n(n-1)/2. When its
     threshold k = ceil(x n) lies above the mean but can be reached
@@ -204,12 +214,14 @@ def _count_hits(exp, n):
     counts = np.zeros(0, dtype=np.int64)  # counts[K]: draws whose statistic is K
     for blk in range(lo // REPLICA_BLOCK, (hi - 1) // REPLICA_BLOCK + 1):
         start = blk * REPLICA_BLOCK
-        rng = np.random.default_rng(derive_child_seed(exp.seed, n, start))
+        r, seed = min(hi, start + REPLICA_BLOCK) - start, derive_child_seed(exp.seed, n, start)
+        rngs = [np.random.default_rng(derive_child_seed(seed, i) if i else seed)
+                for i in range(len(pairs) + (m > 1))]
         # one color keeps its count the scalar n, so the binomial draws unbroadcast
-        sizes = [n] if m == 1 else rng.multinomial(n, weights, REPLICA_BLOCK).T
-        draws = sum(rng.binomial(_slot_count(sizes[a], sizes[b], a == b),
-                                 probs[a, b], REPLICA_BLOCK) for a, b in pairs)
-        mine = draws[max(lo, start) - start:min(hi, start + REPLICA_BLOCK) - start]
+        sizes = [n] if m == 1 else rngs.pop(1).multinomial(n, weights, r).T
+        draws = sum(rng.binomial(_slot_count(sizes[a], sizes[b], a == b), probs[a, b], r)
+                    for rng, (a, b) in zip(rngs, pairs))
+        mine = draws[max(lo, start) - start:]
         binned = np.bincount(mine, minlength=counts.size)
         binned[:counts.size] += counts
         counts = binned

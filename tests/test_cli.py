@@ -419,6 +419,28 @@ def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("make, huge, plain, code", [
+    (lambda x: dict(ER_MC, x=x), 1e308, 50, 0),
+    (lambda x: dict(ER_MC, event={"kind": "edges", "x": x}), 1e308, 50, 0),
+    # exact mode refuses a threshold past n(n-1)/2, naming it
+    (lambda x: dict(ER_EXACT, x=x, sizes=[50]), 1e308, 50, 2),
+    (lambda x: dict(ER_EXACT, x=x, sizes=[50]), -1e308, -1, 0),
+], ids=["mc", "mc-event", "exact", "exact-negative"])
+def test_edge_threshold_past_the_float_range_answers_as_saturated(tmp_path, capsys, make,
+                                                                  huge, plain, code):
+    # x n overflows at n = 50, yet the event is as impossible as at x = 50
+    # (x n = n^2) or as certain as at x = -1, and gets the same answer
+    answers = []
+    for x in (huge, plain):
+        out = tmp_path / "out.json"
+        out.unlink(missing_ok=True)
+        code = main(["edge-rate", "--config", _write(tmp_path, "cfg.json", make(x)),
+                     "--out", str(out)])
+        doc = json.loads(out.read_text()) if code == 0 else {}
+        answers.append((code, capsys.readouterr().err, doc.get("estimate"), doc.get("rows")))
+    assert answers[0] == answers[1] and answers[0][0] == code
+
+
 def test_degree_rate_infinite_mean_is_a_value(tmp_path):
     # an infinite mean is a law, not an overflow: its rate is infinite
     cfg = _write(tmp_path, "deg.json",

@@ -11,6 +11,7 @@ from graphrates import (Alphabet, ColorCounts, ColoredGraph, ColorMeasure,
                         Kernel, ModelParams, PairCounts, empirical_measures,
                         phi_counts, sample_colored_graph, sample_conditional,
                         sample_conditional_batch)
+from graphrates import graphs
 from graphrates.errors import InfeasibleError
 from graphrates.graphs import _slot_pairs, sample_colored_batch
 from graphrates.seeds import derive_child_seed
@@ -137,6 +138,28 @@ def test_sample_colored_graph_pinned_digests(m, n, seed, digest):
     g = sample_colored_graph(ModelParams(*MODELS[m], n), seed)
     data = g.colors.astype("<i8").tobytes() + g.edges.astype("<i8").tobytes()
     assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("weights", [[1.0], [0.4, 0.6], [0.3, 0.3, 0.4], [0.1, 0.0, 0.9]])
+def test_free_color_draw_is_generator_choice(monkeypatch, weights):
+    # the free draw's colors, and its stream position when the slot draws
+    # begin, are those of Generator.choice(m, size=n, p=mu) on the same seed
+    m, n = len(weights), 41
+    mu = ColorMeasure(Alphabet(m), weights, probability=True)
+    params = ModelParams(mu, Kernel(Alphabet(m), np.full((m, m), 2.0)), n)
+    positions, draw = [], graphs._bernoulli_slots
+
+    def recording(S, p, rng):
+        positions.append(rng.bit_generator.state)
+        return draw(S, p, rng)
+
+    monkeypatch.setattr(graphs, "_bernoulli_slots", recording)
+    for seed in (0, 7, 2 ** 63 + 5):
+        positions.clear()
+        colors = sample_colored_graph(params, seed).colors
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(colors, rng.choice(m, size=n, p=mu.weights / mu.weights.sum()))
+        assert positions[0] == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

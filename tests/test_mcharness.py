@@ -132,6 +132,42 @@ def test_untilted_er_draws_have_unit_weights():
             assert row["p_hat"] == row["hits"] / replicas
 
 
+@pytest.mark.parametrize("event, pairs", [({"kind": "edges", "x": 0.9}, [(0, 0), (0, 1), (1, 1)]),
+                                          ({"kind": "pair", "a": 1, "b": 0, "s": 0.3}, [(0, 1)])])
+def test_multicolor_rows_follow_their_component_streams(event, pairs):
+    # the block seed draws the first class pair the event reads, its child 1
+    # the color counts and its child i >= 2 the i-th class pair, each stream
+    # only up to the last replica the run reads
+    n, seed, offset, replicas = 40, 17, 100, 900
+    block = derive_child_seed(seed, n, 0)
+    k = np.random.default_rng(derive_child_seed(block, 1)).multinomial(
+        n, MU_SKEW.weights / MU_SKEW.weights.sum(), offset + replicas).T
+    p = np.minimum(C2.values / n, 1.0)
+    streams = [block] + [derive_child_seed(block, i) for i in range(2, len(pairs) + 1)]
+    stat = sum(np.random.default_rng(s).binomial(
+        k[a] * (k[a] - 1) // 2 if a == b else k[a] * k[b], p[a, b])
+        for s, (a, b) in zip(streams, pairs))[offset:]
+    expect = int(np.count_nonzero(stat >= math.ceil(event["x"] * n) if event["kind"] == "edges"
+                                  else stat / n >= event["s"]))
+    row, = estimate_tail_exponent(TailExperiment(
+        mu=MU_SKEW, C=C2, event=event, sizes=(n,), replicas=replicas, seed=seed,
+        replica_offset=offset)).rows
+    assert 0 < expect < replicas
+    assert row["hits"] == row["weight_sum"] == row["weight_sq_sum"] == expect
+
+
+def test_edge_threshold_saturates_past_the_float_range():
+    # x n overflows to +-inf at n = 50; the event stays as impossible as at
+    # x = 50 (x n = n^2) and as certain as at x = -1
+    def rows(x):
+        return estimate_tail_exponent(_er_experiment(x, (50,), 100, seed=3)).rows
+
+    assert rows(1e308) == rows(50) and rows(-1e308) == rows(-1.0)
+    assert exact_er_edge_exponent(50, 2.0, -1e308) == exact_er_edge_exponent(50, 2.0, -1.0) == 0.0
+    with pytest.raises(ValueError, match="got 2500"):
+        exact_er_edge_exponent(50, 2.0, 1e308)
+
+
 def test_estimate_deterministic():
     a = estimate_tail_exponent(_er_experiment(1.3, (60, 120), 30000, seed=77))
     b = estimate_tail_exponent(_er_experiment(1.3, (60, 120), 30000, seed=77))
@@ -165,7 +201,15 @@ def test_merge_contract_er_fast_path():
         return _er_experiment(1.25, (80, 160), replicas, seed=4321,
                               offset=offset)
 
+    # one color draws from the block seed alone, so the multicolor stream
+    # layout never moves these rows
+    pinned = {80: (102669, 2339.4162992663705, 101.38356882723502),
+              160: (102164, 181.24659167233474, 0.7583667256862345)}
     for full, left, right in _split_rows(make, 200000, 70001):
+        hits, weight_sum, weight_sq_sum = pinned[full["n"]]
+        assert full["hits"] == hits
+        assert full["weight_sum"] == pytest.approx(weight_sum, rel=1e-12)
+        assert full["weight_sq_sum"] == pytest.approx(weight_sq_sum, rel=1e-12)
         assert full["hits"] == left["hits"] + right["hits"]
         assert full["weight_sum"] < full["hits"]
         # the shards see the same draws; only the summation order differs
@@ -186,7 +230,7 @@ def test_merge_contract_two_color_path():
 
 
 def test_merge_contract_generic_path():
-    # degree_zero is the one event that still builds a graph per replica
+    # degree_zero replicas draw from their own seeds, not from blocks
     def make(replicas, offset):
         return TailExperiment(mu=MU2, C=C2, event={"kind": "degree_zero", "t": 0.2},
                               sizes=(40, 80), replicas=replicas, seed=99,
@@ -213,6 +257,21 @@ def test_degree_zero_event_sanity():
 A3 = Alphabet(3)
 MU3 = ColorMeasure(A3, [0.3, 0.3, 0.4], probability=True)
 C3 = Kernel(A3, [[3.0, 1.0, 0.5], [1.0, 2.0, 1.5], [0.5, 1.5, 4.0]])
+
+
+@pytest.mark.parametrize("mu, C, event", [
+    (MU2, C2, {"kind": "edges", "x": 0.9}), (MU2, C2, {"kind": "pair", "a": 0, "b": 1, "s": 0.3}),
+    (MU3, C3, {"kind": "edges", "x": 0.9}), (MU3, C3, {"kind": "pair", "a": 2, "b": 1, "s": 0.2})])
+def test_merge_contract_inside_a_short_block(mu, C, event):
+    # a run draws its one block only up to its last replica, so the left
+    # shard draws 337 replicas, the full run 1000
+    def make(replicas, offset):
+        return TailExperiment(mu=mu, C=C, event=event, sizes=(40, 80), replicas=replicas,
+                              seed=99, replica_offset=offset)
+
+    for full, left, right in _split_rows(make, 1000, 337):
+        assert 0 < left["hits"] and 0 < right["hits"]
+        assert full["hits"] == left["hits"] + right["hits"]
 
 
 @pytest.mark.parametrize("mu, C", [(MU1, Kernel.constant(2.0)), (MU2, C2), (MU3, C3)])
