@@ -74,9 +74,9 @@ class ColoredGraph:
     # -- serialization ------------------------------------------------------
 
     def to_text(self):
-        lines = [f"{self.n} {self.m}",
-                 " ".join(str(int(c)) for c in self.colors)]
-        lines.extend(f"{u} {v}" for u, v in self.edges)
+        # tolist() hands Python ints to the f-strings, which format them faster
+        lines = [f"{self.n} {self.m}", " ".join(map(str, self.colors.tolist()))]
+        lines.extend(f"{u} {v}" for u, v in self.edges.tolist())
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -320,6 +320,8 @@ def exact_er_edge_exponent(n, c, x):
     N = n * (n - 1) // 2
     p = min(c / n, 1.0)
     k = max(_edge_threshold(x, n), 0)
+    if k > N:  # no graph on n vertices has k edges
+        return math.inf
     return -binomial_log_tail(N, p, k) / n
 
 

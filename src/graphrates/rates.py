@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, xlogy
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from . import varsolve
 from .errors import NonConvergenceError
@@ -73,6 +72,13 @@ def _poisson_log_pmf(k, lam):
     return xlogy(k, lam) - lam - gammaln(k + 1)
 
 
+def _poisson_ppf(q, lam):
+    """Poisson(lam) quantile at 0 < q < 1, found the way scipy.stats.poisson.ppf
+    finds it, without the cost of importing scipy.stats."""
+    k = math.ceil(pdtrik(q, lam))
+    return k - 1 if k >= 1 and pdtr(k - 1, lam) >= q else k
+
+
 def q_measure(pair, nu1, support):
     """Product-Poisson reference law Q[pair, nu1] on the requested atoms.
 
@@ -121,7 +127,7 @@ def poisson_limit_law(mu, C):
         pmfs = []
         for b in range(m):
             # a zero intensity gives the pmf [1, 0, 0]; its zero atoms drop out below
-            k = np.arange(int(poisson.ppf(1.0 - axis_tail, lam[b])) + 3, dtype=float)
+            k = np.arange(_poisson_ppf(1.0 - axis_tail, lam[b]) + 3, dtype=float)
             pmfs.append(np.exp(_poisson_log_pmf(k, lam[b])))
         grid = np.array(base)
         for p in pmfs:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -80,6 +81,32 @@ def test_generate_deterministic_output(tmp_path):
     _, doc_a = _run_json(tmp_path, ["generate", "--config", cfg], name="a.json")
     _, doc_b = _run_json(tmp_path, ["generate", "--config", cfg], name="b.json")
     assert doc_a == doc_b
+
+
+# sha256 of json.dumps(doc, sort_keys=True) for generate on BENCH, n = 200, seed 7,
+# taken while the CLI still wrote indented JSON
+GENERATE_DOC_SHA256 = "92bcb019ac09912fe30fc6bacafa32394e0a0486b1b95cb0f6728bba922318eb"
+
+
+@pytest.mark.parametrize("command, make_cfg, out_name, written", [
+    ("generate", lambda: dict(BENCH, n=200, seed=7), "out.json", "out.json"),
+    ("generate", lambda: dict(BENCH, n=60, seed=3), "g.txt", "g.txt.manifest.json"),
+    ("rate", lambda: dict(BENCH, omega=BENCH["mu"],
+                          **_zero_point_measures(BENCH["mu"], BENCH["C"])),
+     "out.json", "out.json"),
+    ("edge-rate", lambda: dict(BENCH, x=1.2), "out.json", "out.json"),
+    ("validate", None, "out.json", "out.json"),
+], ids=["generate", "generate-sidecar", "rate", "edge-rate-zeta", "validate-rates"])
+def test_json_output_is_one_line(tmp_path, command, make_cfg, out_name, written):
+    argv = [command, "--out", str(tmp_path / out_name)]
+    argv += (["--suite", "rates"] if make_cfg is None
+             else ["--config", _write(tmp_path, "cfg.json", make_cfg())])
+    assert main(argv) == 0
+    text = (tmp_path / written).read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    if written == "out.json" and command == "generate":
+        digest = hashlib.sha256(json.dumps(json.loads(text), sort_keys=True).encode())
+        assert digest.hexdigest() == GENERATE_DOC_SHA256
 
 
 def test_measure_manifest_records_the_seed_it_drew_with(tmp_path):
@@ -164,6 +191,15 @@ def test_edge_rate_exact_rows(tmp_path):
     assert code == 0
     assert doc["rows"][0]["exponent"] == pytest.approx(0.12247458412549937)
     assert doc["rows"][1]["exponent"] == pytest.approx(0.11599436063975796)
+
+
+def test_edge_rate_exact_impossible_threshold_prints_inf(tmp_path):
+    # 50 n edges are more than n(n-1)/2 at n = 50 and 100, but not at n = 200
+    cfg = _write(tmp_path, "ex.json", dict(ER_EXACT, x=50, sizes=[50, 100, 200]))
+    code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg])
+    assert code == 0
+    assert [row["exponent"] for row in doc["rows"][:2]] == ["inf", "inf"]
+    assert math.isfinite(doc["rows"][2]["exponent"])
 
 
 def test_edge_rate_mc_csv(tmp_path):
@@ -422,8 +458,8 @@ def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
 @pytest.mark.parametrize("make, huge, plain, code", [
     (lambda x: dict(ER_MC, x=x), 1e308, 50, 0),
     (lambda x: dict(ER_MC, event={"kind": "edges", "x": x}), 1e308, 50, 0),
-    # exact mode refuses a threshold past n(n-1)/2, naming it
-    (lambda x: dict(ER_EXACT, x=x, sizes=[50]), 1e308, 50, 2),
+    # exact mode answers a threshold past n(n-1)/2 with exponent "inf"
+    (lambda x: dict(ER_EXACT, x=x, sizes=[50]), 1e308, 50, 0),
     (lambda x: dict(ER_EXACT, x=x, sizes=[50]), -1e308, -1, 0),
 ], ids=["mc", "mc-event", "exact", "exact-negative"])
 def test_edge_threshold_past_the_float_range_answers_as_saturated(tmp_path, capsys, make,
@@ -434,10 +470,10 @@ def test_edge_threshold_past_the_float_range_answers_as_saturated(tmp_path, caps
     for x in (huge, plain):
         out = tmp_path / "out.json"
         out.unlink(missing_ok=True)
-        code = main(["edge-rate", "--config", _write(tmp_path, "cfg.json", make(x)),
-                     "--out", str(out)])
-        doc = json.loads(out.read_text()) if code == 0 else {}
-        answers.append((code, capsys.readouterr().err, doc.get("estimate"), doc.get("rows")))
+        got = main(["edge-rate", "--config", _write(tmp_path, "cfg.json", make(x)),
+                    "--out", str(out)])
+        doc = json.loads(out.read_text()) if got == 0 else {}
+        answers.append((got, capsys.readouterr().err, doc.get("estimate"), doc.get("rows")))
     assert answers[0] == answers[1] and answers[0][0] == code
 
 

@@ -40,6 +40,14 @@ def test_graph_text_round_trip():
     assert ColoredGraph.from_dict(g.to_dict()) == g
 
 
+def test_graph_text_bytes_pinned():
+    # the flat format of one sampled graph, byte for byte
+    params = ModelParams(MU2, Kernel(A2, [[3.0, 1.0], [1.0, 2.0]]), 12)
+    assert sample_colored_graph(params, 5).to_text() == (
+        "12 2\n1 1 1 0 0 0 0 0 0 1 1 0\n1 2\n2 5\n2 10\n3 7\n3 9\n4 7\n4 8\n"
+        "6 11\n8 9\n10 11\n")
+
+
 def test_graph_degrees():
     g = ColoredGraph(4, 1, [0, 0, 0, 0], [(0, 1), (0, 2), (0, 3)])
     assert g.degrees().tolist() == [3, 1, 1, 1]

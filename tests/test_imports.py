@@ -1,6 +1,9 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and the CLI imports
+no more of scipy than it uses."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import graphrates
@@ -34,3 +37,12 @@ def test_unused_import_is_reported():
     tree = ast.parse("import os\nimport numpy as np\nfrom x import a, b\n"
                      "__all__ = ['b']\nnp.zeros(a)\n")
     assert _unused_imports(tree) == [(1, "os")]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # importing scipy.stats alone adds about 0.7 s to every command's start-up
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import graphrates.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"

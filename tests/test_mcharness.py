@@ -47,6 +47,18 @@ def test_exact_er_edge_exponent_edges():
         exact_er_edge_exponent(50.7, 2.0, 1.2)
 
 
+def test_exact_er_edge_exponent_of_an_impossible_event_is_inf(monkeypatch):
+    # no graph on 50 vertices has more than 1225 edges; the exact exponent of
+    # that event is +inf, found without asking the binomial tail
+    def no_tail(*args):
+        raise AssertionError("binomial_log_tail called for an impossible event")
+
+    assert exact_er_edge_exponent(50, 2.0, 1225 / 50) < math.inf  # the complete graph
+    monkeypatch.setattr(mcharness, "binomial_log_tail", no_tail)
+    assert exact_er_edge_exponent(50, 2.0, 50) == math.inf
+    assert exact_er_edge_exponent(50, 2.0, 1226 / 50) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # estimation against the exact law
 
@@ -164,8 +176,7 @@ def test_edge_threshold_saturates_past_the_float_range():
 
     assert rows(1e308) == rows(50) and rows(-1e308) == rows(-1.0)
     assert exact_er_edge_exponent(50, 2.0, -1e308) == exact_er_edge_exponent(50, 2.0, -1.0) == 0.0
-    with pytest.raises(ValueError, match="got 2500"):
-        exact_er_edge_exponent(50, 2.0, 1e308)
+    assert exact_er_edge_exponent(50, 2.0, 1e308) == exact_er_edge_exponent(50, 2.0, 50) == math.inf
 
 
 def test_estimate_deterministic():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
                         NeighborhoodMeasure, PairMeasure, RateValue,
@@ -9,7 +10,7 @@ from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
                         product_kernel_measure, q_measure, rate_I,
                         rate_I_omega, rate_J, rate_J_tilde, rate_delta,
                         rate_zeta, rate_zeta_er, sample_colored_graph)
-from graphrates.rates import _delta_given_x
+from graphrates.rates import LIMIT_TAIL_MASS, _delta_given_x, _poisson_ppf
 from graphrates.seeds import derive_child_seed
 
 A1 = Alphabet(1)
@@ -281,6 +282,15 @@ def test_poisson_limit_law_er_degree_is_poisson():
     for k in (0, 1, 4, 9):
         expect = math.exp(-3.0 + k * math.log(3.0) - math.lgamma(k + 1))
         assert qstar.mass(0, (k,)) == pytest.approx(expect, rel=1e-12)
+
+
+def test_poisson_ppf_is_scipy_stats_poisson_ppf():
+    # every quantile poisson_limit_law asks for, m = 1 to 4, lam = 0 included
+    lams = np.concatenate([np.linspace(0.0, 20.0, 4004), [50.0, 100.0]])
+    for m in range(1, 5):
+        q = 1.0 - LIMIT_TAIL_MASS / m
+        expect = poisson.ppf(q, lams)
+        assert [_poisson_ppf(q, lam) for lam in lams] == expect.tolist()
 
 
 def test_nonnegativity_over_random_measures():
