@@ -1,10 +1,12 @@
 """Command line front end.
 
-Every command reads a JSON config, resolves defaults, and emits a one-line
-JSON document whose "manifest" key echoes the resolved config plus the
-effective seed, so a run can be reproduced from its own output. Tabular Monte Carlo
-output switches to CSV when --out ends in .csv; graphs switch to the plain
-text format when --out ends in .txt.
+main frames every command except validate: it reads the JSON config, runs the
+command on it, and emits a one-line JSON document whose first key, "manifest",
+echoes the command and the resolved config, including the seed that took effect
+for a command that draws, so a run can be reproduced from its own output.
+Tabular Monte Carlo output switches to CSV when --out ends in .csv; graphs switch
+to the plain text format when --out ends in .txt, with the manifest in a sidecar.
+validate takes no config and writes no manifest.
 
 Exit codes: 0 success, 2 bad config, 3 infeasible request, 4 solver failed
 to converge. A failed validate suite exits 1.
@@ -119,19 +121,14 @@ def _from_config(build, *args, **kwargs):
 
 
 def _resolve_seed(cfg, args):
+    """The seed that takes effect, recorded in cfg so the manifest echoes it."""
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("a seed is required (config key \"seed\" or --seed)")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _SEED_MAX:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    cfg["seed"] = seed
     return seed
-
-
-def _manifest(command, cfg, seed=None):
-    resolved = dict(cfg)
-    if seed is not None:
-        resolved["seed"] = seed
-    return {"command": command, "config": resolved}
 
 
 def _emit(doc, args, flat=None):
@@ -164,80 +161,71 @@ def _jsonable(obj):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the loaded config and the parsed arguments and returns
+# (body, flat), the document's keys after "manifest" and the flat output for _emit
 
 
-def _cmd_generate(args):
-    cfg = _load_config(args.config)
+def _sample_model_graph(cfg, args):
+    """A graph drawn from the config's model mu, C and n with the resolved seed."""
     mu, C = _parse_model(cfg)
     n = _require(cfg, "n", int)
     seed = _resolve_seed(cfg, args)
-    graph = sample_colored_graph(_from_config(ModelParams, mu, C, n), seed)
+    return sample_colored_graph(_from_config(ModelParams, mu, C, n), seed)
+
+
+def _cmd_generate(cfg, args):
+    graph = _sample_model_graph(cfg, args)
     cc, pc, nc = empirical_measures(graph)
-    doc = {"manifest": _manifest("generate", cfg, seed),
-           "graph": graph.to_dict(),
-           "color_counts": cc.to_dict(), "pair_counts": pc.to_dict(),
-           "neighborhood_counts": nc.to_dict()}
-    _emit(doc, args, (".txt", graph.to_text))
-    return 0
+    return {"graph": graph.to_dict(),
+            "color_counts": cc.to_dict(), "pair_counts": pc.to_dict(),
+            "neighborhood_counts": nc.to_dict()}, (".txt", graph.to_text)
 
 
 def _load_graph(cfg, args):
-    """The graph to measure and the seed that drew it (None for a given graph)."""
+    """The graph to measure: inline, read from graph_path, or drawn from the model."""
     if "graph" in cfg:
         try:
-            return ColoredGraph.from_dict(_require(cfg, "graph", dict)), None
+            return ColoredGraph.from_dict(_require(cfg, "graph", dict))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline graph: {exc}") from exc
     if "graph_path" in cfg:
         try:
             with open(cfg["graph_path"]) as fh:
-                return ColoredGraph.from_text(fh.read()), None
+                return ColoredGraph.from_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read graph {cfg['graph_path']}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"bad graph file {cfg['graph_path']}: {exc}") from exc
     if "mu" in cfg:
-        mu, C = _parse_model(cfg)
-        params = _from_config(ModelParams, mu, C, _require(cfg, "n", int))
-        seed = _resolve_seed(cfg, args)
-        return sample_colored_graph(params, seed), seed
+        return _sample_model_graph(cfg, args)
     raise ConfigError("measure needs one of: graph, graph_path, or mu/C/n/seed")
 
 
-def _cmd_measure(args):
-    cfg = _load_config(args.config)
-    graph, seed = _load_graph(cfg, args)
+def _cmd_measure(cfg, args):
+    graph = _load_graph(cfg, args)
     cc, pc, nc = empirical_measures(graph)
-    doc = {"manifest": _manifest("measure", cfg, seed),
-           "n": graph.n, "edge_count": graph.edge_count,
-           "color_counts": cc.to_dict(), "pair_counts": pc.to_dict(),
-           "neighborhood_counts": nc.to_dict()}
-    _emit(doc, args)
-    return 0
+    return {"n": graph.n, "edge_count": graph.edge_count,
+            "color_counts": cc.to_dict(), "pair_counts": pc.to_dict(),
+            "neighborhood_counts": nc.to_dict()}, None
 
 
-def _cmd_rate(args):
-    cfg = _load_config(args.config)
+def _cmd_rate(cfg, args):
     mu, C = _parse_model(cfg)
     try:
         nu = NeighborhoodMeasure.from_dict(_require(cfg, "nu", dict))
         pair = PairMeasure.from_dict(_require(cfg, "pair", dict))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad measure in config: {exc}") from exc
-    doc = {"manifest": _manifest("rate", cfg),
-           "J": _from_config(rates.rate_J, pair, nu, mu, C).to_dict()}
+    body = {"J": _from_config(rates.rate_J, pair, nu, mu, C).to_dict()}
     if "omega" in cfg:
         omega = _parse_mu(cfg["omega"])
-        doc["I"] = _from_config(rates.rate_I, omega, pair, mu, C).to_dict()
-        doc["I_omega"] = rates.rate_I_omega(pair, omega, C)
-        doc["J_tilde"] = rates.rate_J_tilde(nu, omega, pair)
-    _emit(doc, args)
-    return 0
+        body["I"] = _from_config(rates.rate_I, omega, pair, mu, C).to_dict()
+        body["I_omega"] = rates.rate_I_omega(pair, omega, C)
+        body["J_tilde"] = rates.rate_J_tilde(nu, omega, pair)
+    return body, None
 
 
-def _cmd_degree_rate(args):
-    cfg = _load_config(args.config)
+def _cmd_degree_rate(cfg, args):
     raw = _require(cfg, "degrees", dict)
     try:
         degrees = {int(k): float(v) for k, v in raw.items()}
@@ -247,54 +235,45 @@ def _cmd_degree_rate(args):
     mean = cfg.get("mean")
     value = _from_config(rates.rate_delta, degrees, c,
                          mean=None if mean is None else _real(mean, "mean", finite=False))
-    doc = {"manifest": _manifest("degree-rate", cfg), "value": _rate_json(value)}
-    _emit(doc, args)
-    return 0
+    return {"value": _rate_json(value)}, None
 
 
-def _cmd_edge_rate(args):
-    cfg = _load_config(args.config)
+def _cmd_edge_rate(cfg, args):
     mu, C = _parse_model(cfg)
     mode = cfg.get("mode", "zeta")
     x = None if mode == "mc" and "event" in cfg else _real(_require(cfg, "x"), "x")
-    doc, flat = {"manifest": _manifest("edge-rate", cfg)}, None
     if mode == "zeta":
-        doc["value"] = _rate_json(_from_config(rates.rate_zeta, x, mu, C))
+        body = {"value": _rate_json(_from_config(rates.rate_zeta, x, mu, C))}
         if mu.alphabet.m == 1:
-            doc["er_closed_form"] = rates.rate_zeta_er(x, float(C.values[0, 0]))
-    elif mode == "exact":
+            body["er_closed_form"] = rates.rate_zeta_er(x, float(C.values[0, 0]))
+        return body, None
+    if mode == "exact":
         if mu.alphabet.m != 1:
             raise ConfigError("mode \"exact\" needs the single-color model")
         sizes = _require(cfg, "sizes", list)
         c = float(C.values[0, 0])
-        doc["rows"] = [{"n": n, "exponent":
-                        _rate_json(_from_config(exact_er_edge_exponent, n, c, x))}
-                       for n in sizes]
-    elif mode == "mc":
-        seed = _resolve_seed(cfg, args)
-        doc["manifest"] = _manifest("edge-rate", cfg, seed)
-        event = cfg.get("event", {"kind": "edges", "x": x})
-        if not isinstance(event, dict):
-            raise ConfigError("event must be a JSON object")
-        exp = _from_config(
-            TailExperiment, mu=mu, C=C, event=event, sizes=_require(cfg, "sizes", list),
-            replicas=_require(cfg, "replicas"), seed=seed,
-            replica_offset=cfg.get("replica_offset", 0))
-        # only the edge event has a rate here, taken at the event's own x
-        prediction = (_rate_json(_from_config(rates.rate_zeta, float(event["x"]), mu, C))
-                      if event["kind"] == "edges" else None)
-        est = estimate_tail_exponent(exp)
-        doc["estimate"] = est.to_dict()
-        doc["rate_prediction"] = prediction
-        flat = (".csv", lambda: est.to_csv(rate_prediction=prediction))
-    else:
+        return {"rows": [{"n": n, "exponent":
+                          _rate_json(_from_config(exact_er_edge_exponent, n, c, x))}
+                         for n in sizes]}, None
+    if mode != "mc":
         raise ConfigError(f"unknown edge-rate mode {mode!r}")
-    _emit(doc, args, flat)
-    return 0
+    seed = _resolve_seed(cfg, args)
+    event = cfg.get("event", {"kind": "edges", "x": x})
+    if not isinstance(event, dict):
+        raise ConfigError("event must be a JSON object")
+    exp = _from_config(
+        TailExperiment, mu=mu, C=C, event=event, sizes=_require(cfg, "sizes", list),
+        replicas=_require(cfg, "replicas"), seed=seed,
+        replica_offset=cfg.get("replica_offset", 0))
+    # only the edge event has a rate here, taken at the event's own x
+    prediction = (_rate_json(_from_config(rates.rate_zeta, float(event["x"]), mu, C))
+                  if event["kind"] == "edges" else None)
+    est = estimate_tail_exponent(exp)
+    return ({"estimate": est.to_dict(), "rate_prediction": prediction},
+            (".csv", lambda: est.to_csv(rate_prediction=prediction)))
 
 
-def _cmd_ising(args):
-    cfg = _load_config(args.config)
+def _cmd_ising(cfg, args):
     betas = cfg.get("beta", 0.0)
     cs = _require(cfg, "c", (int, float, list))
     betas = [_real(b, "beta") for b in (betas if isinstance(betas, list) else [betas])]
@@ -308,29 +287,21 @@ def _cmd_ising(args):
                             "oracle": oracles.ising_oracle(beta, c),
                             "iterations": report.iterations,
                             "converged": report.converged})
-    doc = {"manifest": _manifest("ising", cfg), "records": records}
-    _emit(doc, args)
-    return 0
+    return {"records": records}, None
 
 
-def _cmd_sample_conditional(args):
-    cfg = _load_config(args.config)
+def _cmd_sample_conditional(cfg, args):
     n = _require(cfg, "n", int)
     try:
         omega_n = ColorCounts(n, _require(cfg, "color_counts", list))
         pair_n = PairCounts(n, _require(cfg, "edge_counts", list))
     except ValueError as exc:
         raise ConfigError(f"bad counts: {exc}") from exc
-    seed = _resolve_seed(cfg, args)
-    graph = sample_conditional(omega_n, pair_n, seed)
-    doc = {"manifest": _manifest("sample-conditional", cfg, seed),
-           "graph": graph.to_dict()}
-    _emit(doc, args, (".txt", graph.to_text))
-    return 0
+    graph = sample_conditional(omega_n, pair_n, _resolve_seed(cfg, args))
+    return {"graph": graph.to_dict()}, (".txt", graph.to_text)
 
 
-def _cmd_approximate(args):
-    cfg = _load_config(args.config)
+def _cmd_approximate(cfg, args):
     mu, C = _parse_model(cfg)
     eps = _real(_require(cfg, "eps"), "eps")
     if not eps > 0:
@@ -338,33 +309,31 @@ def _cmd_approximate(args):
     cap = cfg.get("cap", False)
     if not isinstance(cap, bool):
         raise ConfigError(f"config key 'cap' must be true or false, got {cap!r}")
+    # a missing seed is reported before the later stages' errors
     seed = _resolve_seed(cfg, args) if "n" in cfg else None
     nu = rates.poisson_limit_law(mu, C)
     pair = product_kernel_measure(C, mu)
     pair_hat, nu_hat = consistify(pair, nu, eps)
     _, phi2 = phi(nu_hat)
-    doc = {"manifest": _manifest("approximate", cfg, seed),
-           "consistify": {
-               "pair": pair_hat.to_dict(), "nu_atoms": len(nu_hat.support),
-               "consistency_residual": float(np.abs(phi2 - pair_hat.weights).max()),
-               "pair_moved": float(np.abs(pair_hat.weights - pair.weights).max()),
-               "nu_tv": total_variation(nu, nu_hat)}}
+    body = {"consistify": {
+        "pair": pair_hat.to_dict(), "nu_atoms": len(nu_hat.support),
+        "consistency_residual": float(np.abs(phi2 - pair_hat.weights).max()),
+        "pair_moved": float(np.abs(pair_hat.weights - pair.weights).max()),
+        "nu_tv": total_variation(nu, nu_hat)}}
     if "n" in cfg:
-        n = _require(cfg, "n", int)
-        graph = sample_colored_graph(_from_config(ModelParams, mu, C, n), seed)
+        graph = _sample_model_graph(cfg, args)
         cc, pc, _ = empirical_measures(graph)
         nu_n = quantize(cc, pc, nu, seed)
         color, adj = phi_counts(nu_n)
-        stage = {"n": n, "tv_to_target": total_variation(nu_n.measure, nu),
+        stage = {"n": graph.n, "tv_to_target": total_variation(nu_n.measure, nu),
                  "phi_color_exact": bool(np.array_equal(color, cc.counts)),
                  "phi_pair_exact": bool(np.array_equal(adj, pc.adjacency))}
         if cap:
             capped = cap_degrees(nu_n)
             stage["max_magnitude_before"] = nu_n.max_magnitude()
             stage["max_magnitude_after"] = capped.max_magnitude()
-        doc["quantize"] = stage
-    _emit(doc, args)
-    return 0
+        body["quantize"] = stage
+    return body, None
 
 
 def _cmd_validate(args):
@@ -388,7 +357,6 @@ _COMMANDS = {
     "ising": _cmd_ising,
     "sample-conditional": _cmd_sample_conditional,
     "approximate": _cmd_approximate,
-    "validate": _cmd_validate,
 }
 
 
@@ -404,7 +372,7 @@ def build_parser():
         prog="graphrates",
         description="Rate functions and samplers for sparse colored graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in [*_COMMANDS, "validate"]:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=_seed_arg,
@@ -420,7 +388,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "validate":
+            return _cmd_validate(args)
+        cfg = _load_config(args.config)
+        body, flat = _COMMANDS[args.command](cfg, args)
+        _emit({"manifest": {"command": args.command, "config": cfg}, **body}, args, flat)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

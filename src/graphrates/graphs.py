@@ -43,7 +43,11 @@ class ColoredGraph:
             raise ValueError(f"colors shape {colors.shape} != ({n},)")
         if n and (colors.min() < 0 or colors.max() >= m):
             raise ValueError("color index outside alphabet")
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(edges, dtype=np.int64)
+        if edges.shape == (0,):  # an empty list is no edges
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must have shape (E, 2), got {edges.shape}")
         self.n = n
         self.alphabet = Alphabet(m)
         self.colors = colors.copy()

@@ -62,6 +62,17 @@ def _as_degree_vector(ell, m):
     return t
 
 
+def _atom_records(records, field):
+    """{(color, ell): rec[field]} of atom records; a repeated (color, ell) is an error."""
+    support = {}
+    for rec in records:
+        key = (rec["color"], tuple(rec["ell"]))
+        if key in support:
+            raise ValueError(f"duplicate atom {key}")
+        support[key] = rec[field]
+    return support
+
+
 class Alphabet:
     """Finite color set {0, ..., m-1}; dense storage bounds m at 64."""
 
@@ -198,8 +209,8 @@ class NeighborhoodMeasure:
 
     @classmethod
     def from_dict(cls, d):
-        support = {(rec["color"], tuple(rec["ell"])): rec["mass"] for rec in d["atoms"]}
-        return cls(Alphabet(d["m"]), support, d.get("probability", False))
+        return cls(Alphabet(d["m"]), _atom_records(d["atoms"], "mass"),
+                   d.get("probability", False))
 
     def __repr__(self):
         return f"NeighborhoodMeasure({len(self.support)} atoms, mass={self.total_mass:g})"
@@ -259,16 +270,6 @@ class ColorCounts:
     def measure(self):
         return ColorMeasure(self.alphabet, self.counts / self.n, probability=True)
 
-    @classmethod
-    def from_measure(cls, omega, n):
-        """Nearest n-empirical color counts, largest-remainder rounding."""
-        w = omega.weights / omega.weights.sum()
-        base = np.floor(w * n).astype(np.int64)
-        short = n - int(base.sum())
-        order = np.argsort(-(w * n - base), kind="stable")
-        base[order[:short]] += 1
-        return cls(n, base)
-
     def to_dict(self):
         return {"n": self.n, "counts": self.counts.tolist()}
 
@@ -306,17 +307,6 @@ class PairCounts:
     @property
     def measure(self):
         return PairMeasure(self.alphabet, self.adjacency / self.n)
-
-    @classmethod
-    def from_measure(cls, pair, n):
-        """Nearest n-empirical pair counts: round n*pi/(1+1{a=b}) per pair."""
-        m = pair.alphabet.m
-        e = np.zeros((m, m), dtype=np.int64)
-        for a in range(m):
-            for b in range(a, m):
-                scale = 2.0 if a == b else 1.0
-                e[a, b] = e[b, a] = int(round(n * pair.weights[a, b] / scale))
-        return cls(n, e)
 
     def to_dict(self):
         return {"n": self.n, "edge_counts": self.edge_counts.tolist()}
@@ -373,8 +363,7 @@ class NeighborhoodCounts:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["n"], {(rec["color"], tuple(rec["ell"])): rec["count"]
-                            for rec in d["atoms"]})
+        return cls(d["n"], _atom_records(d["atoms"], "count"))
 
 
 def _phi_sums(atoms, m, dtype):

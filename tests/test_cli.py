@@ -133,6 +133,45 @@ def test_seed_flag_overrides_config(tmp_path):
     assert doc["graph"]["edges"] != doc42["graph"]["edges"]
 
 
+# every config command with a config, and whether it draws with a seed
+MANIFEST_CASES = [
+    ("generate", lambda: dict(BENCH, n=50, seed=7), True),
+    ("measure", lambda: dict(BENCH, n=50, seed=7), True),
+    ("measure", lambda: {"graph": {"n": 3, "m": 1, "colors": [0, 0, 0], "edges": [[0, 2]]}},
+     False),
+    ("rate", lambda: dict(BENCH, **_zero_point_measures(BENCH["mu"], BENCH["C"])), False),
+    ("degree-rate", lambda: {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "seed": 9}, False),
+    ("edge-rate", lambda: dict(BENCH, x=1.2), False),
+    ("edge-rate", lambda: dict(ER_EXACT, sizes=[50]), False),
+    ("edge-rate", lambda: dict(ER_MC, replicas=20), True),
+    ("ising", lambda: {"beta": 0.5, "c": 2.0}, False),
+    ("sample-conditional", lambda: {"n": 4, "color_counts": [4], "edge_counts": [[2]],
+                                    "seed": 1}, True),
+    ("approximate", lambda: dict(BENCH, eps=0.1), False),
+    ("approximate", lambda: dict(BENCH, eps=0.1, n=50, seed=7), True),
+]
+
+
+@pytest.mark.parametrize("command, make_cfg, draws", MANIFEST_CASES, ids=[
+    "generate", "measure-model", "measure-inline", "rate", "degree-rate", "edge-rate-zeta",
+    "edge-rate-exact", "edge-rate-mc", "ising", "sample-conditional", "approximate",
+    "approximate-n"])
+def test_manifest_echoes_the_command_and_resolved_config(tmp_path, command, make_cfg,
+                                                          draws):
+    cfg = make_cfg()
+    runs = [(cfg, [], cfg), (cfg, ["--seed", "5"], dict(cfg, seed=5) if draws else cfg)]
+    if draws:  # a seed given only by the flag is added to the echoed config
+        bare = {k: v for k, v in cfg.items() if k != "seed"}
+        runs.append((bare, ["--seed", "5"], dict(bare, seed=5)))
+    for i, (given, flag, expected) in enumerate(runs):
+        path = _write(tmp_path, f"cfg{i}.json", given)
+        code, doc = _run_json(tmp_path, [command, "--config", path, *flag], name=f"{i}.json")
+        assert code == 0
+        assert next(iter(doc)) == "manifest"
+        assert doc["manifest"] == {"command": command, "config": expected}
+        assert list(doc["manifest"]["config"]) == list(expected)
+
+
 # ---------------------------------------------------------------------------
 # rates
 
@@ -349,6 +388,21 @@ def test_zero_size_exit_2(tmp_path, capsys):
     assert "n must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["graph_path", "inline", "flat"])
+def test_measure_refuses_an_edge_that_is_not_a_pair(tmp_path, capsys, source):
+    # each of these was once regrouped and read as the two edges (0, 1) and (1, 2)
+    if source == "graph_path":
+        path = tmp_path / "g.txt"
+        path.write_text("3 2\n0 1 1\n0 1 1 2\n")
+        cfg = {"graph_path": str(path)}
+    else:
+        edges = [[0, 1, 1, 2]] if source == "inline" else [0, 1, 1, 2]
+        cfg = {"graph": {"n": 3, "m": 2, "colors": [0, 1, 1], "edges": edges}}
+    assert main(["measure", "--config", _write(tmp_path, "m.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "edges must have shape (E, 2)" in err
+
+
 @pytest.mark.parametrize("command,payload,key", [
     ("edge-rate", {"mu": [1.0], "C": 2.0, "x": True}, "'x'"),
     ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "mean": "abc"}, "'mean'"),
@@ -447,6 +501,11 @@ def _rate_config(one_color_key):
      "degree_zero event threshold"),
     ("edge-rate", dict(ER_MC, event={"kind": "pair", "a": 0, "b": 0, "s": 10 ** 400}),
      "pair event threshold"),
+    # a repeated atom is refused, not merged into one of mass 0.5
+    ("rate", {"mu": [1.0], "C": 2.0, "pair": {"m": 1, "weights": [[1.0]]},
+              "nu": {"m": 1, "atoms": [{"color": 0, "ell": [1], "mass": 0.5}] * 2
+                     + [{"color": 0, "ell": [0], "mass": 0.5}]}},
+     "duplicate atom (0, (1,))"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)

@@ -34,6 +34,15 @@ def test_colored_graph_validation():
     assert g.edges.tolist() == [[0, 1], [0, 2]]  # sorted on construction
 
 
+def test_colored_graph_edges_are_pairs():
+    g = ColoredGraph(3, 2, [0, 1, 1], [])  # an empty list is no edges
+    assert g.edge_count == 0 and g.edges.shape == (0, 2)
+    # a row of four or a flat list is not regrouped into two edges
+    for bad in ([[0, 1, 1, 2]], [0, 1, 1, 2], [[]]):
+        with pytest.raises(ValueError, match="shape"):
+            ColoredGraph(3, 2, [0, 1, 1], bad)
+
+
 def test_graph_text_round_trip():
     g = ColoredGraph(4, 3, [1, 0, 2, 1], [(0, 2), (1, 3)])
     assert ColoredGraph.from_text(g.to_text()) == g

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and the CLI imports
-no more of scipy than it uses."""
+"""Every module of the package uses each name it imports, every private helper
+is used somewhere in the package, and the CLI imports no more of scipy than it
+uses."""
 
 import ast
 import subprocess
@@ -37,6 +38,33 @@ def test_unused_import_is_reported():
     tree = ast.parse("import os\nimport numpy as np\nfrom x import a, b\n"
                      "__all__ = ['b']\nnp.zeros(a)\n")
     assert _unused_imports(tree) == [(1, "os")]
+
+
+def _unused_private_definitions(trees):
+    """(module, line, name) of each top-level _name function or class that no
+    module refers to by name or attribute."""
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted((module, node.lineno, node.name)
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and node.name not in used)
+
+
+def test_no_unused_private_functions():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unused = [f"{module}:{line} {name}"
+              for module, line, name in _unused_private_definitions(trees)]
+    assert not unused, f"private helper defined but never used: {unused}"
+
+
+def test_unused_private_function_is_reported():
+    trees = {"a.py": ast.parse("def _lost():\n    pass\n\ndef _kept():\n    pass\n"
+                               "class _Box:\n    pass\n"),
+             "b.py": ast.parse("import a\na._kept()\n_Box = None\n")}
+    assert _unused_private_definitions(trees) == [("a.py", 1, "_lost")]
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -111,6 +111,20 @@ def test_counts_round_trip_dicts():
     assert NeighborhoodCounts.from_dict(nc.to_dict()).counts == nc.counts
 
 
+def test_neighborhood_from_dict_refuses_a_repeated_atom():
+    # a dict built from the records would keep only the last of the two
+    atoms = [{"color": 0, "ell": [1], "mass": 0.5}, {"color": 0, "ell": [1], "mass": 0.5},
+             {"color": 0, "ell": [0], "mass": 0.5}]
+    with pytest.raises(ValueError, match="duplicate atom"):
+        NeighborhoodMeasure.from_dict({"m": 1, "atoms": atoms})
+
+
+def test_neighborhood_counts_from_dict_refuses_a_repeated_atom():
+    atoms = [{"color": 0, "ell": [1], "count": 2}, {"color": 0, "ell": [1], "count": 2}]
+    with pytest.raises(ValueError, match="duplicate atom"):
+        NeighborhoodCounts.from_dict({"n": 4, "atoms": atoms})
+
+
 # ---------------------------------------------------------------------------
 # relative entropy
 
@@ -253,13 +267,6 @@ def test_degree_distribution_poisson_limit():
 
 # ---------------------------------------------------------------------------
 # counts and their measures
-
-
-def test_color_counts_from_measure_largest_remainder():
-    target = ColorMeasure(A2, [1 / 3, 2 / 3], probability=True)
-    cc = ColorCounts.from_measure(target, 10)
-    assert cc.counts.sum() == 10
-    assert cc.counts.tolist() == [3, 7]
 
 
 def test_pair_counts_adjacency_and_edges():
