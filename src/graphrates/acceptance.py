@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import oracles, rates, varsolve
+from . import mcharness, oracles, rates, varsolve
 from .graphs import (ColoredGraph, ModelParams, empirical_measures, sample_colored_graph,
                      sample_conditional_batch)
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
@@ -71,9 +71,7 @@ def criterion_1():
     c, x = 2.0, 1.5
     sizes = (250, 500, 1000, 2000)
     exponents = [exact_er_edge_exponent(n, c, x) for n in sizes]
-    X = np.array([[1.0, 1.0 / n] for n in sizes])
-    coef, *_ = np.linalg.lstsq(X, np.array(exponents), rcond=None)
-    extrapolated = float(coef[0])
+    extrapolated = float(mcharness.extrapolate(sizes, exponents)[0][0])
     target = rates.rate_zeta_er(x, c)
     rel_err = abs(extrapolated - target) / target
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
-                       NeighborhoodCounts, PairCounts, _check_same_alphabet)
+                       NeighborhoodCounts, PairCounts, _check_same_alphabet, _whole)
 
 
 def _edge_order(rep, u, v, n):
@@ -37,7 +37,7 @@ class ColoredGraph:
     """Simple graph with vertex colors; edges stored as sorted (u, v), u < v."""
 
     def __init__(self, n, m, colors, edges):
-        n, m = int(n), int(m)
+        n, m = _whole(n, "n"), _whole(m, "m")
         colors = np.asarray(colors, dtype=np.int64)
         if colors.shape != (n,):
             raise ValueError(f"colors shape {colors.shape} != ({n},)")
@@ -111,7 +111,7 @@ class ModelParams:
         if not isinstance(C, Kernel):
             raise ValueError("C must be a Kernel")
         _check_same_alphabet(mu, C)
-        n = int(n)
+        n = _whole(n, "n")
         if n < 1:
             raise ValueError("n must be >= 1")
         self.mu = mu

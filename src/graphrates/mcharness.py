@@ -298,17 +298,24 @@ def estimate_tail_exponent(exp):
         est.intercept = 0.0
         est.ci_half_width = 1.96 * se
         return est
-    X = np.array([[1.0, 1.0 / n] for n, _, _ in points])
-    y = np.array([v for _, v, _ in points])
-    w = np.array([1.0 / se ** 2 for _, _, se in points])
-    Xw = X * w[:, None]
-    cov = np.linalg.inv(X.T @ Xw)
-    coef = cov @ (Xw.T @ y)
+    coef, cov, residuals = extrapolate(*zip(*points))
     est.exponent = float(coef[0])
     est.intercept = float(coef[1])
     est.ci_half_width = float(1.96 * math.sqrt(max(cov[0, 0], 0.0)))
-    est.fit_residuals = (y - X @ coef).tolist()
+    est.fit_residuals = residuals.tolist()
     return est
+
+
+def extrapolate(sizes, exponents, se=None):
+    """Fit exponents ~ coef[0] + coef[1] / n by least squares weighted by 1 / se^2, or
+    unweighted when se is None; returns (coef, its covariance, residuals)."""
+    X = np.array([[1.0, 1.0 / n] for n in sizes])
+    y = np.array(exponents, dtype=float)
+    w = np.ones(len(X)) if se is None else np.array([1.0 / s ** 2 for s in se])
+    Xw = X * w[:, None]
+    cov = np.linalg.inv(X.T @ Xw)
+    coef = cov @ (Xw.T @ y)
+    return coef, cov, y - X @ coef
 
 
 def exact_er_edge_exponent(n, c, x):

@@ -54,12 +54,20 @@ def _whole(x, what):
 
 
 def _as_degree_vector(ell, m):
-    t = tuple(_whole(x, "degree vector entry") for x in ell)
+    t = tuple(x if type(x) is int else _whole(x, "degree vector entry") for x in ell)
     if len(t) != m:
         raise ValueError(f"degree vector has length {len(t)}, alphabet has m={m}")
-    if any(x < 0 for x in t):
+    if min(t) < 0:
         raise ValueError(f"degree vector has negative entries: {t}")
     return t
+
+
+def _atom_key(a, ell, m):
+    """(color, degree vector) as checked ints; a color outside 0..m-1 is an error."""
+    a = _whole(a, "color")
+    if not 0 <= a < m:
+        raise ValueError(f"color {a} outside alphabet of size {m}")
+    return a, _as_degree_vector(ell, m)
 
 
 def _atom_records(records, field):
@@ -77,7 +85,7 @@ class Alphabet:
     """Finite color set {0, ..., m-1}; dense storage bounds m at 64."""
 
     def __init__(self, m):
-        m = int(m)
+        m = _whole(m, "m")
         if not 1 <= m <= 64:
             raise ValueError(f"m must be in [1, 64], got {m}")
         self.m = m
@@ -173,10 +181,7 @@ class NeighborhoodMeasure:
         clean = {}
         total = 0.0
         for (a, ell), mass in support.items():
-            a = _whole(a, "color")
-            if not 0 <= a < m:
-                raise ValueError(f"color {a} outside alphabet of size {m}")
-            key = (a, _as_degree_vector(ell, m))
+            key = _atom_key(a, ell, m)
             mass = float(mass)
             if not math.isfinite(mass) or mass <= 0:
                 raise ValueError(f"atom {key} has non-positive mass {mass!r}")
@@ -253,7 +258,7 @@ class ColorCounts:
     """n and per-color vertex counts; counts/n is the empirical color measure."""
 
     def __init__(self, n, counts):
-        n = int(n)
+        n = _whole(n, "n")
         if n < 1:
             raise ValueError("n must be >= 1")
         c = _int_counts(counts, "counts")
@@ -286,7 +291,7 @@ class PairCounts:
     """
 
     def __init__(self, n, edge_counts):
-        n = int(n)
+        n = _whole(n, "n")
         if n < 1:
             raise ValueError("n must be >= 1")
         e = _int_counts(edge_counts, "edge_counts")
@@ -320,7 +325,7 @@ class NeighborhoodCounts:
     """n and integer atom counts; counts/n is the empirical neighborhood law."""
 
     def __init__(self, n, counts):
-        n = int(n)
+        n = _whole(n, "n")
         if n < 1:
             raise ValueError("n must be >= 1")
         ms = {len(ell) for (_, ell) in counts}
@@ -333,10 +338,7 @@ class NeighborhoodCounts:
             c = _whole(c, "atom count")
             if c <= 0:
                 raise ValueError(f"atom count must be positive, got {c}")
-            a = _whole(a, "color")
-            if not 0 <= a < m:
-                raise ValueError(f"color {a} outside alphabet of size {m}")
-            clean[(a, _as_degree_vector(ell, m))] = c
+            clean[_atom_key(a, ell, m)] = c
             total += c
         if total != n:
             raise ValueError(f"atom counts sum to {total}, expected n={n}")

@@ -4,8 +4,10 @@ Everything here is a pure formula layer: relative entropies, the pair cost
 h_c, the product-Poisson reference law Q, and the assembled rate functions
 for neighborhood measures (rate_J, rate_J_tilde), color/pair measures
 (rate_I, rate_I_omega), degree distributions (rate_delta), and the edge
-count (rate_zeta and its closed Erdos-Renyi form). Fixed points and inner
-infima are delegated to varsolve.
+count (rate_zeta and its closed Erdos-Renyi form). One function evaluates Q,
+for q_measure and for its zero point poisson_limit_law, and one computes
+H(nu || Q) for rate_J and rate_J_tilde. Fixed points and inner infima are
+delegated to varsolve.
 """
 
 import math
@@ -16,7 +18,7 @@ from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from . import varsolve
 from .errors import NonConvergenceError
-from .measures import (PROB_TOL, SUB_CONSISTENCY_TOL, NeighborhoodMeasure,
+from .measures import (PROB_TOL, SUB_CONSISTENCY_TOL, NeighborhoodMeasure, _atom_key,
                        _check_same_alphabet, is_sub_consistent, phi,
                        product_kernel_measure, relative_entropy, require_probability)
 
@@ -61,10 +63,7 @@ def h_c(pair, omega, C):
     _check_same_alphabet(pair, omega, C)
     require_probability(omega, "omega")
     ref = product_kernel_measure(C, omega)
-    ent = relative_entropy(pair, ref)
-    if math.isinf(ent):
-        return math.inf
-    return max(ent + ref.total_mass - pair.total_mass, 0.0)
+    return max(relative_entropy(pair, ref) + ref.total_mass - pair.total_mass, 0.0)
 
 
 def _poisson_log_pmf(k, lam):
@@ -79,70 +78,59 @@ def _poisson_ppf(q, lam):
     return k - 1 if k >= 1 and pdtr(k - 1, lam) >= q else k
 
 
+def _q_masses(base, lam, ells):
+    """Q masses base * prod_b Poisson(lam[b]) pmf at ell(b), one row of ells per atom, from
+    one pmf call; base > 0 and lam broadcast against the rows."""
+    return np.exp(np.log(base) + _poisson_log_pmf(ells, lam).sum(axis=1))
+
+
 def q_measure(pair, nu1, support):
     """Product-Poisson reference law Q[pair, nu1] on the requested atoms.
 
-    Q(a, ell) = nu1(a) * prod_b Poisson(pair(a,b)/nu1(a)) pmf at ell(b). Atoms
-    whose mass is 0 (a color with nu1(a) = 0, or ell charging a zero
-    intensity) are omitted, so mass(a, ell) reads as 0 there.
+    Q(a, ell) = nu1(a) * prod_b Poisson(pair(a,b)/nu1(a)) pmf at ell(b); each
+    atom is checked as NeighborhoodMeasure checks it. Atoms whose mass is 0 (a
+    color with nu1(a) = 0, or ell charging a zero intensity) are omitted, so
+    mass(a, ell) reads as 0 there.
     """
     _check_same_alphabet(pair, nu1)
-    atoms = {}
-    for a, ell in support:
-        a = int(a)
-        ell = tuple(int(x) for x in ell)
-        base = float(nu1.weights[a])
-        if base <= 0.0:
-            continue
-        lam = pair.weights[a] / base
-        terms = _poisson_log_pmf(np.asarray(ell, dtype=float), lam)
-        logq = math.log(base) + float(terms.sum())
-        mass = math.exp(logq)
-        if mass > 0.0:
-            atoms[(a, ell)] = mass
-    return NeighborhoodMeasure(pair.alphabet, atoms)
+    m = pair.alphabet.m
+    keys = [_atom_key(a, ell, m) for a, ell in support]
+    keys = [(a, ell) for a, ell in keys if nu1.weights[a] > 0.0]
+    colors = [a for a, _ in keys]
+    base = nu1.weights[colors]
+    lam = pair.weights[colors] / base[:, None]
+    masses = _q_masses(base, lam, np.reshape([ell for _, ell in keys], (-1, m))).tolist()
+    return NeighborhoodMeasure(pair.alphabet, {k: q for k, q in zip(keys, masses) if q > 0.0})
 
 
 def poisson_limit_law(mu, C):
-    """Zero point of rate_J: independent Poisson neighbor counts around mu.
+    """Zero point of rate_J: Q[C mu x mu, mu], where ell(b) at color a is Poisson(C(a,b) mu(b)).
 
-    For each color a with mu(a) > 0, ell(b) is Poisson(C(a,b) mu(b)). The
-    countable support is truncated per color so the dropped mass is at most
-    LIMIT_TAIL_MASS = 1e-14, and the residual is folded into the degree-zero
-    atom so the color marginal stays mu to within rounding. Grid size is
-    exponential in the number of colors with positive intensity rows;
-    intended for small m.
+    Each color's grid is truncated so that it drops at most LIMIT_TAIL_MASS =
+    1e-14, and the residual is folded into the degree-zero atom so the color
+    marginal stays mu to within rounding. Grid size is exponential in m.
     """
     _check_same_alphabet(mu, C)
     require_probability(mu, "mu")
-    m = mu.alphabet.m
-    axis_tail = LIMIT_TAIL_MASS / m
     atoms = {}
-    zero = (0,) * m
-    for a in range(m):
-        base = float(mu.weights[a])
-        if base <= 0.0:
-            continue
-        lam = C.values[a] * mu.weights
-        pmfs = []
-        for b in range(m):
-            # a zero intensity gives the pmf [1, 0, 0]; its zero atoms drop out below
-            k = np.arange(_poisson_ppf(1.0 - axis_tail, lam[b]) + 3, dtype=float)
-            pmfs.append(np.exp(_poisson_log_pmf(k, lam[b])))
-        grid = np.array(base)
-        for p in pmfs:
-            grid = np.multiply.outer(grid, p)
-        listed = float(grid.sum())
-        for idx in np.ndindex(grid.shape):
-            mass = float(grid[idx])
-            if mass > 0.0:
-                atoms[(a, tuple(idx))] = mass
-        residual = base - listed
-        key = (a, zero)
-        atoms[key] = atoms.get(key, 0.0) + residual
-        if atoms[key] <= 0.0:
-            del atoms[key]
+    for a in np.flatnonzero(mu.weights).tolist():
+        lam = C.values[a] * mu.weights  # pair(a, b) / mu(a) at pair = C mu x mu
+        # a zero intensity gives the axis 0, 1, 2, whose atoms above 0 have mass 0
+        shape = [_poisson_ppf(1.0 - LIMIT_TAIL_MASS / len(lam), x) + 3 for x in lam]
+        ells = np.indices(shape).reshape(len(shape), -1).T  # C order, degree zero first
+        masses = _q_masses(mu.weights[a], lam, ells)
+        masses[0] += mu.weights[a] - masses.sum()
+        atoms.update(((a, tuple(ell)), q) for ell, q in zip(ells.tolist(), masses.tolist())
+                     if q > 0.0)
     return NeighborhoodMeasure(mu.alphabet, atoms, probability=True)
+
+
+def _neighborhood_entropy(pair, nu):
+    """(nu1, H(nu || Q[pair, nu1])), nu1 the color marginal; (None, inf) unless sub-consistent."""
+    if not is_sub_consistent(pair, nu):
+        return None, math.inf
+    nu1, _ = phi(nu)
+    return nu1, max(relative_entropy(nu, q_measure(pair, nu1, nu.support)), 0.0)
 
 
 def rate_J(pair, nu, mu, C):
@@ -155,12 +143,11 @@ def rate_J(pair, nu, mu, C):
     _check_same_alphabet(pair, nu, mu, C)
     require_probability(mu, "mu")
     require_probability(nu, "nu")
-    if not is_sub_consistent(pair, nu):
+    nu1, ent = _neighborhood_entropy(pair, nu)
+    if nu1 is None:
         return RateValue(math.inf, {}, reason="not-sub-consistent")
-    nu1, _ = phi(nu)
-    q = q_measure(pair, nu1, nu.support)
     return _assemble({
-        "neighborhood": max(relative_entropy(nu, q), 0.0),
+        "neighborhood": ent,
         "color": max(relative_entropy(nu1, mu), 0.0),
         "pair": 0.5 * h_c(pair, nu1, C),
     })
@@ -191,25 +178,10 @@ def rate_J_tilde(nu, omega, pair):
     _check_same_alphabet(nu, omega, pair)
     require_probability(nu, "nu")
     require_probability(omega, "omega")
-    if not is_sub_consistent(pair, nu):
+    nu1, ent = _neighborhood_entropy(pair, nu)
+    if nu1 is None or np.max(np.abs(nu1.weights - omega.weights)) > SUB_CONSISTENCY_TOL:
         return math.inf
-    nu1, _ = phi(nu)
-    if np.max(np.abs(nu1.weights - omega.weights)) > SUB_CONSISTENCY_TOL:
-        return math.inf
-    q = q_measure(pair, nu1, nu.support)
-    return max(relative_entropy(nu, q), 0.0)
-
-
-def _validate_degree_distribution(d):
-    total = 0.0
-    for k, p in d.items():
-        if int(k) != k or k < 0:
-            raise ValueError(f"degree {k!r} is not a nonnegative integer")
-        if p < 0:
-            raise ValueError(f"degree {k} has negative mass {p!r}")
-        total += p
-    if abs(total - 1.0) > PROB_TOL:
-        raise ValueError(f"degree distribution has total mass {total!r}")
+    return ent
 
 
 def _delta_given_x(d, c, x):
@@ -224,26 +196,37 @@ def _delta_given_x(d, c, x):
 def rate_delta(d, c, mean=None):
     """Rate for the degree distribution of the graph.
 
-    d maps degree k to probability mass. mean overrides the computed first
-    moment; pass math.inf to flag an infinite-mean distribution (value +inf).
+    d maps degree k to probability mass. A finite mean must agree with the
+    first moment of d within PROB_TOL, relative above 1; pass math.inf to flag
+    an infinite-mean distribution (value +inf).
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c!r}")
-    _validate_degree_distribution(d)
-    if mean is None:
-        mean = sum(int(k) * p for k, p in d.items())
+    total = 0.0
+    for k, p in d.items():
+        if int(k) != k or k < 0:
+            raise ValueError(f"degree {k!r} is not a nonnegative integer")
+        if p < 0:
+            raise ValueError(f"degree {k} has negative mass {p!r}")
+        total += p
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValueError(f"degree distribution has total mass {total!r}")
+    if mean is None or not math.isinf(mean):
+        moment = sum(int(k) * p for k, p in d.items())
+        mean = moment if mean is None else mean
     if math.isinf(mean):
         return math.inf
     if mean < 0:
         raise ValueError(f"mean must be nonnegative, got {mean!r}")
+    if not abs(mean - moment) <= PROB_TOL * max(1.0, moment):
+        raise ValueError(f"mean {mean!r} differs from the degrees' mean {moment!r}")
+    x = mean
     if mean <= c:
         report = varsolve.solve_degree_fixed_point(mean, c)
         if not report.converged:
             raise NonConvergenceError(
                 f"degree fixed point stalled at residual {report.residual:g}")
         x = report.value
-    else:
-        x = mean
     return max(_delta_given_x(d, c, x), 0.0)
 
 
@@ -272,6 +255,4 @@ def rate_zeta_er(x, c):
         raise ValueError(f"c must be positive, got {c!r}")
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x!r}")
-    if x == 0:
-        return c / 2
-    return x * math.log(x) - x - x * math.log(c / 2) + c / 2
+    return float(xlogy(x, x)) - x - x * math.log(c / 2) + c / 2

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -401,6 +403,49 @@ def test_measure_refuses_an_edge_that_is_not_a_pair(tmp_path, capsys, source):
     assert main(["measure", "--config", _write(tmp_path, "m.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "edges must have shape (E, 2)" in err
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": 4.7, "m": 2, "colors": [0, 1, 0, 1], "edges": [[0, 1]]},
+    {"n": 4, "m": 2.9, "colors": [0, 1, 0, 1], "edges": [[0, 1]]},
+    {"n": True, "m": 2, "colors": [0], "edges": []},
+], ids=["n-fraction", "m-fraction", "n-true"])
+def test_measure_refuses_a_size_that_is_not_an_integer(tmp_path, capsys, graph):
+    # each was once truncated, and 4.7 and 2.9 measured a graph with n = 4 and m = 2
+    assert main(["measure", "--config", _write(tmp_path, "m.json", {"graph": graph})]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be an integer" in err
+
+
+def test_degree_rate_refuses_a_mean_the_degrees_contradict(tmp_path, capsys):
+    degrees = {"0": 0.5, "2": 0.5}
+    cfg = _write(tmp_path, "deg.json", {"degrees": degrees, "c": 1.0, "mean": 5})
+    assert main(["degree-rate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mean 5.0 differs from the degrees' mean 1.0" in err
+    # a matching mean answers as no mean does; an infinite one flags the law
+    values = []
+    for extra in ({}, {"mean": 1}, {"mean": math.inf}):
+        cfg = _write(tmp_path, "deg.json", dict({"degrees": degrees, "c": 1.0}, **extra))
+        values.append(_run_json(tmp_path, ["degree-rate", "--config", cfg])[1]["value"])
+    assert values[0] == values[1] != "inf" and values[2] == "inf"
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every config the README echoes is written, and every command it shows exits 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    commands = 0
+    for line in block.splitlines():
+        if line.startswith("echo "):
+            payload, name = shlex.split(line[len("echo "):])[0::2]
+            (tmp_path / name).write_text(payload)
+        elif line.startswith("graphrates "):
+            assert main(shlex.split(line)[1:]) == 0, line
+            commands += 1
+    assert commands == 10
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command,payload,key", [

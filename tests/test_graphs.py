@@ -43,6 +43,18 @@ def test_colored_graph_edges_are_pairs():
             ColoredGraph(3, 2, [0, 1, 1], bad)
 
 
+def test_graph_and_model_sizes_are_never_truncated():
+    # n = 4.7 and m = 2.9 were once read as 4 and 2, and n = true as 1
+    assert ColoredGraph(4.0, 2.0, [0, 1, 0, 1], [[0, 1]]).n == 4
+    assert ModelParams(MU2, Kernel(A2, [[1.0, 1.0], [1.0, 1.0]]), 10.0).n == 10
+    for n, m in ((4.7, 2), (4, 2.9), (True, 2), (4, True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ColoredGraph(n, m, [0, 1, 0, 1], [[0, 1]])
+    for n in (10.5, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ModelParams(MU2, Kernel(A2, [[1.0, 1.0], [1.0, 1.0]]), n)
+
+
 def test_graph_text_round_trip():
     g = ColoredGraph(4, 3, [1, 0, 2, 1], [(0, 2), (1, 3)])
     assert ColoredGraph.from_text(g.to_text()) == g

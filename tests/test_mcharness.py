@@ -375,6 +375,39 @@ def test_estimate_round_trip_dict():
 
 
 # ---------------------------------------------------------------------------
+# the exponent fit
+
+
+def test_extrapolate_recovers_a_line_in_one_over_n():
+    sizes = (100, 200, 400, 800)
+    coef, cov, residuals = mcharness.extrapolate(sizes, [0.1 + 2.0 / n for n in sizes])
+    assert coef.tolist() == pytest.approx([0.1, 2.0], rel=1e-12)
+    assert np.abs(residuals).max() <= 1e-15
+
+
+def test_extrapolate_unit_weights_are_least_squares():
+    rng = np.random.default_rng(3)
+    sizes = (250, 500, 1000, 2000)
+    y = 0.11 + 3.0 / np.array(sizes) + rng.normal(0.0, 1e-4, 4)
+    X = np.array([[1.0, 1.0 / n] for n in sizes])
+    expect, *_ = np.linalg.lstsq(X, y, rcond=None)
+    coef, cov, _ = mcharness.extrapolate(sizes, y.tolist())
+    assert coef.tolist() == pytest.approx(expect.tolist(), rel=1e-12)
+    # equal standard errors s give the same fit, with covariance s^2 (X'X)^-1
+    coef_s, cov_s, _ = mcharness.extrapolate(sizes, y.tolist(), [0.01] * 4)
+    assert coef_s.tolist() == pytest.approx(coef.tolist(), rel=1e-12)
+    assert np.allclose(cov_s, 1e-4 * cov, rtol=1e-12, atol=0.0)
+
+
+def test_extrapolate_weights_by_inverse_variance():
+    # a size with a huge standard error barely moves the fit of the other two
+    sizes = (100, 200, 400)
+    y = [0.1 + 2.0 / 100, 0.1 + 2.0 / 200, 5.0]
+    coef, _, _ = mcharness.extrapolate(sizes, y, [1e-3, 1e-3, 1e6])
+    assert coef.tolist() == pytest.approx([0.1, 2.0], rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # law of large numbers harness
 
 

@@ -61,6 +61,20 @@ def test_counts_reject_fractional_and_bool_entries():
         PairCounts(4, [[0.5, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: Alphabet(n),
+    lambda n: ColorCounts(n, [4]),
+    lambda n: PairCounts(n, [[1]]),
+    lambda n: NeighborhoodCounts(n, {(0, (0,)): 4}),
+], ids=["Alphabet", "ColorCounts", "PairCounts", "NeighborhoodCounts"])
+def test_sizes_are_never_truncated(build):
+    # 4.0 is the integer 4; 4.7 is not read as 4, nor true as 1
+    build(4.0)
+    for bad in (4.7, True, "4"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(bad)
+
+
 def test_neighborhood_counts_reject_fractional_and_bool_entries():
     # a whole float is an integer; a fraction or a bool is never truncated
     assert NeighborhoodCounts(4.0, {(0, (1.0, 0)): 4.0}).counts == {(0, (1, 0)): 4}

@@ -56,6 +56,30 @@ def test_q_measure_zero_intensity_atom():
     assert q.mass(0, (2, 0)) > 0.0
 
 
+def test_q_measure_empty_support_is_empty():
+    q = q_measure(PairMeasure(A2, [[1.0, 0.5], [0.5, 1.0]]), MU2, [])
+    assert q.support == {} and q.total_mass == 0.0
+
+
+def test_q_measure_omits_a_color_of_no_mass():
+    nu1 = ColorMeasure(A2, [1.0, 0.0], probability=True)
+    pair = PairMeasure(A2, [[1.0, 0.0], [0.0, 0.0]])
+    q = q_measure(pair, nu1, [(0, (1, 0)), (1, (0, 0)), (1, (1, 0))])
+    assert list(q.support) == [(0, (1, 0))]
+    assert q.mass(0, (1, 0)) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+def test_q_measure_refuses_fractional_keys():
+    # (0.5, (1.7,)) was once truncated and answered as the atom (0, (1,))
+    pair = PairMeasure(A1, [[2.0]])
+    q = q_measure(pair, MU1, [(0.0, (1.0,))])
+    assert list(q.support) == [(0, (1,))]
+    assert q.mass(0, (1,)) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-15)
+    for key in ((0.5, (1.7,)), (0, (1.7,)), (0.5, (1,)), (True, (1,)), (0, (True,)), (1, (0,))):
+        with pytest.raises(ValueError, match="must be an integer|outside alphabet"):
+            q_measure(pair, MU1, [key])
+
+
 # ---------------------------------------------------------------------------
 # rate_J and relatives
 
@@ -192,6 +216,20 @@ def test_rate_delta_infinite_mean():
     assert rate_delta({0: 0.5, 10: 0.5}, 2.0, mean=math.inf) == math.inf
 
 
+def test_rate_delta_refuses_a_mean_the_degrees_contradict():
+    d = {0: 0.5, 2: 0.5}
+    # a mean that matches, to rounding, answers as no mean does
+    assert rate_delta(d, 1.0, mean=1.0) == rate_delta(d, 1.0)
+    assert math.isfinite(rate_delta(d, 1.0, mean=1.0 + 1e-12))  # within PROB_TOL
+    assert rate_delta({0: 0.2, 3: 0.5, 5: 0.3}, 1.0, mean=3.0) == rate_delta(
+        {0: 0.2, 3: 0.5, 5: 0.3}, 1.0)
+    for mean in (5.0, 0.5, 1.0 + 1e-6, math.nan):
+        with pytest.raises(ValueError, match="differs from the degrees' mean"):
+            rate_delta(d, 1.0, mean=mean)
+    with pytest.raises(ValueError, match="mean must be nonnegative"):
+        rate_delta(d, 1.0, mean=-1.0)
+
+
 def test_rate_delta_rejects_bad_distribution():
     with pytest.raises(ValueError):
         rate_delta({0: 0.4, 1: 0.4}, 2.0)  # mass 0.8
@@ -282,6 +320,27 @@ def test_poisson_limit_law_er_degree_is_poisson():
     for k in (0, 1, 4, 9):
         expect = math.exp(-3.0 + k * math.log(3.0) - math.lgamma(k + 1))
         assert qstar.mass(0, (k,)) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu, C", [
+    ([0.5, 0.5], [[3.0, 1.0], [1.0, 2.0]]),
+    ([0.5, 0.0, 0.5], [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 1.5]]),
+], ids=["bench", "zero-weight-color"])
+def test_poisson_limit_law_masses_are_the_poisson_product(mu, C):
+    # an evaluation apart from the package's: mu(a) prod_b e^-lam lam^k / k!, lam = C(a,b) mu(b)
+    m = len(mu)
+    qstar = poisson_limit_law(ColorMeasure(Alphabet(m), mu, probability=True),
+                              Kernel(Alphabet(m), C))
+    assert {a for a, _ in qstar.support} == {a for a in range(m) if mu[a] > 0}
+    for (a, ell), mass in qstar.support.items():
+        if not any(ell):
+            continue  # the degree-zero atom also holds the truncated tail
+        expect = mu[a]
+        for b, k in enumerate(ell):
+            lam = C[a][b] * mu[b]
+            expect *= math.exp(-lam) * lam ** k / math.factorial(k)
+        assert mass == pytest.approx(expect, rel=1e-13, abs=0.0)
+        assert qstar.mass(a, ell) == mass
 
 
 def test_poisson_ppf_is_scipy_stats_poisson_ppf():
