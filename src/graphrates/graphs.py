@@ -154,26 +154,34 @@ def _slot_pairs(ka, kb, slots, same):
     return i, j
 
 
-def _bernoulli_slots(S, p, rng):
-    """Indices of successes among S independent Bernoulli(p) slots.
+_NO_SLOTS = np.empty(0, dtype=np.int64)
+_NO_SLOTS.setflags(write=False)
+
+
+def _bernoulli_slots(S, p, rng, drawn=_NO_SLOTS):
+    """Indices of successes among S independent Bernoulli(p) slots, and the successes past them.
 
     Gaps between successes are iid Geometric(p) on {1, 2, ...}, so the hits
-    are the partial sums of the gaps that stay below S. Each batch covers the
-    expected remaining hits plus four standard deviations, so one batch
-    almost always suffices.
+    are the partial sums of the gaps that stay below S. The successes drawn
+    at or past S come back as the rest, counted from slot S. Passing them as
+    drawn to the next call runs one Bernoulli(p) sequence over consecutive
+    slot spaces: no drawn gap is lost, so the hits do not depend on how the
+    slots are split. Each batch covers the expected remaining hits plus four
+    standard deviations, so one batch almost always suffices.
     """
     if S <= 0 or p <= 0.0:
-        return np.empty(0, dtype=np.int64)
+        return _NO_SLOTS, drawn
     if p >= 1.0:
-        return np.arange(S, dtype=np.int64)
-    hits, pos = None, -1
+        return np.arange(S, dtype=np.int64), _NO_SLOTS
+    hits, pos = drawn, int(drawn[-1]) if drawn.size else -1
     while pos < S:
         mean = (S - pos) * p
         steps = rng.geometric(p, int(mean + 4.0 * math.sqrt(mean)) + 8).cumsum()
         steps += pos
-        hits = steps if hits is None else np.concatenate((hits, steps))
+        hits = np.concatenate((hits, steps)) if hits.size else steps
         pos = int(steps[-1])
-    return hits[:hits.searchsorted(S)]
+    cut = hits.searchsorted(S)
+    return hits[:cut], hits[cut:] - S
 
 
 def _decode_edges(colors, slots, lengths, m):
@@ -214,9 +222,9 @@ def _free_edges(params, seeds):
         rng = np.random.default_rng(seed)
         colors[r] = cdf.searchsorted(rng.random(n), side="right")
         sizes = np.bincount(colors[r], minlength=m).tolist()
-        parts += [_bernoulli_slots(_slot_count(sizes[a], sizes[b], a == b), probs[a][b], rng)
+        parts += [_bernoulli_slots(_slot_count(sizes[a], sizes[b], a == b), probs[a][b], rng)[0]
                   for a in range(m) for b in range(a, m)]
-    slots = np.concatenate((np.empty(0, dtype=np.int64), *parts))
+    slots = np.concatenate((_NO_SLOTS, *parts))
     return colors, *_decode_edges(colors, slots, [len(x) for x in parts], m)
 
 

@@ -8,19 +8,22 @@ events depend on a graph only through its color counts and its edge counts
 per class pair, so they are drawn from those counts (a multinomial, then
 one binomial per class pair, each from its own stream) without building a
 graph; the Erdos-Renyi model is the one-color case. degree_zero reads
-degrees: each replica draws its graph from its own seed, and a chunk of
-replicas is decoded and counted at once, without a graph object.
+degrees: the same multinomial gives each replica's class sizes, and each
+class pair is one Bernoulli gap stream over the pair slots of a block's
+replicas in turn, decoded and counted a chunk at a time, without a graph
+object or vertex colors.
 The one-color edge-count tail is sampled from the binomial law tilted to
 its threshold and reweighted by the likelihood ratio (Siegmund 1976;
 Bucklew 2004), so sizes whose event plain Monte Carlo never sees still get
 an estimate.
 
 Replicas are indexed globally: replica i of size n always uses the child
-seed derived from (base seed, n, its block or index), so splitting an
-experiment across workers draws the same replicas as the monolithic run.
-Each stream of a block is one call of one distribution, whose first r draws
-do not depend on how many follow, so a block is drawn only up to the last
-replica the run reads.
+seeds derived from (base seed, n, its block), so splitting an experiment
+across workers draws the same replicas as the monolithic run. Each stream of
+a block is one sequence of draws of one distribution, whose first r draws do
+not depend on how many follow or on how they are split into calls (a
+degree_zero gap stream keeps what it drew past a chunk for the next), so a
+block is drawn only up to the last replica the run reads.
 Summing the shards' hit counts reproduces its hits exactly; summing their
 weight_sum and weight_sq_sum reproduces its sums up to rounding, since only
 the order of summation differs.
@@ -34,28 +37,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (ModelParams, _slot_count, empirical_measures, sample_colored_batch,
-                     sample_colored_graph)
-from .measures import degree_distribution, product_kernel_measure, total_variation
+from .graphs import (_NO_SLOTS, ModelParams, _bernoulli_slots, _slot_count, _slot_pairs,
+                     empirical_measures, sample_colored_graph)
+from .measures import _whole, degree_distribution, product_kernel_measure, total_variation
 from .oracles import binomial_log_tail
 from .rates import poisson_limit_law
 from .seeds import derive_child_seed
 
-# edges and pair replicas are drawn in blocks of this size, each block only
-# up to the last replica the run reads; block boundaries pick the seeds, so
-# they are part of the merge contract and this constant is load-bearing
+# replicas are drawn in blocks of this size, each block only up to the last
+# replica the run reads; block boundaries pick the seeds, so they are part of
+# the merge contract and this constant is load-bearing
 REPLICA_BLOCK = 65536
-# degree_zero replicas are decoded and counted in chunks of about this many
-# vertices, so memory does not grow with the replica count; it changes no hit
-CHUNK_CELLS = 1 << 12
+# degree_zero replicas are drawn, decoded and counted in chunks of about this
+# many vertices, so memory does not grow with the replica count; the streams
+# carry on across chunks, so it changes no hit
+CHUNK_CELLS = 1 << 14
 
 # each event kind with the keys its event dict must carry, threshold last
 _EVENT_KEYS = {"edges": ("x",), "degree_zero": ("t",), "pair": ("a", "b", "s")}
 
 
-def _is_int(value):
-    # JSON true/false parse to bool, which Python counts as an int
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _whole_at_least(x, low):
+    """x as an int when it is a whole number >= low (measures._whole's rule), else None."""
+    try:
+        x = _whole(x, "")
+    except ValueError:
+        return None
+    return x if x >= low else None
 
 
 @dataclass(frozen=True)
@@ -82,16 +90,18 @@ class TailExperiment:
 
     def __post_init__(self):
         ModelParams(self.mu, self.C, 1)  # mu a probability law on C's alphabet
-        if not all(_is_int(n) and n >= 1 for n in self.sizes):
+        sizes = tuple(_whole_at_least(n, 1) for n in self.sizes)
+        if None in sizes:
             raise ValueError(f"sizes must be integers >= 1, got {list(self.sizes)}")
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", sizes)
         if not self.sizes or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError(f"sizes must be strictly increasing, got {self.sizes}")
-        if not _is_int(self.replicas) or self.replicas < 1:
-            raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
-        if not _is_int(self.replica_offset) or self.replica_offset < 0:
-            raise ValueError(f"replica_offset must be an integer >= 0, "
-                             f"got {self.replica_offset!r}")
+        for name, low in (("replicas", 1), ("replica_offset", 0)):
+            value = _whole_at_least(getattr(self, name), low)
+            if value is None:
+                raise ValueError(f"{name} must be an integer >= {low}, "
+                                 f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         kind = self.event.get("kind")
         if not isinstance(kind, str) or kind not in _EVENT_KEYS:
             raise ValueError(f"unknown event kind {kind!r}, "
@@ -107,7 +117,7 @@ class TailExperiment:
         if kind == "pair":
             m = self.mu.alphabet.m
             a, b = self.event["a"], self.event["b"]
-            if not all(_is_int(c) and 0 <= c < m for c in (a, b)):
+            if any(_whole_at_least(c, 0) is None or c >= m for c in (a, b)):
                 raise ValueError(f"pair event colors a={a!r}, b={b!r} must be "
                                  f"integers in [0, {m})")
 
@@ -169,19 +179,74 @@ def _edge_threshold(x, n):
     return math.ceil(min(max(x * n, 0.0), n * n))
 
 
-def _count_hits(exp, n):
-    """Hits and weight sums of an edges or pair event, drawn from its statistic.
+def _blocks(exp, n, pairs):
+    """The run's blocks, each as (skip, r, sizes, rngs).
 
-    Both events read a graph only through its color counts and its edge
-    counts per class pair, and given the color counts the edge count between
-    classes a <= b is Binomial(S_ab, p_ab), S_ab their pair slots and
-    p_ab = min(C(a, b)/n, 1). So each block draws the color counts (one
-    multinomial, none for one color) and then one binomial per class pair
-    the event reads: (a, b) for a pair event, every a <= b summed for edges.
-    The block seed derive_child_seed(seed, n, start) draws the first class
-    pair; its child derive_child_seed(block seed, i) draws the color counts
-    for i = 1 and the i-th class pair for i >= 2. Every stream draws only the
-    block's replicas up to the run's last, min(hi, start + REPLICA_BLOCK) - start.
+    Replica i of size n lies in the block starting at replica
+    start = REPLICA_BLOCK * (i // REPLICA_BLOCK). A block draws its replicas
+    only up to the run's last, r = min(hi, start + REPLICA_BLOCK) - start of
+    them, and the run reads those from skip = max(lo, start) - start on. Each
+    block component has its own stream: the block seed
+    derive_child_seed(seed, n, start) draws the first class pair of pairs, and
+    its child derive_child_seed(block seed, i) draws the color counts for
+    i = 1 and the i-th class pair for i >= 2. sizes is the color counts, one
+    multinomial(n, mu, r) as an (m, r) array, or [n] for one color, which
+    draws none; rngs holds the class pairs' generators in the order of pairs.
+    """
+    m, lo, hi = exp.mu.alphabet.m, exp.replica_offset, exp.replica_offset + exp.replicas
+    weights = exp.mu.weights / exp.mu.weights.sum()
+    for start in range(lo - lo % REPLICA_BLOCK, hi, REPLICA_BLOCK):
+        r, seed = min(hi, start + REPLICA_BLOCK) - start, derive_child_seed(exp.seed, n, start)
+        rngs = [np.random.default_rng(derive_child_seed(seed, i) if i else seed)
+                for i in range(len(pairs) + (m > 1))]
+        # one color keeps its count the scalar n, so the binomial draws unbroadcast
+        sizes = [n] if m == 1 else rngs.pop(1).multinomial(n, weights, r).T
+        yield max(lo, start) - start, r, sizes, rngs
+
+
+def _isolated_counts(exp, n, pairs, probs):
+    """counts[i]: the run's replicas with i isolated vertices, every class pair
+    a <= b in pairs drawing its edges with probability probs[a, b] (see _count_hits)."""
+    m, step = exp.mu.alphabet.m, max(1, CHUNK_CELLS // n)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for skip, r, sizes, rngs in _blocks(exp, n, pairs):
+        sizes = np.broadcast_to(np.reshape(sizes, (m, -1)), (m, r))  # one color: n per replica
+        rest = [_NO_SLOTS] * len(pairs)  # each stream's successes past the chunks so far
+        for lo in range(0, r, step):
+            k = sizes[:, lo:lo + step]
+            # each class's first vertex in the chunk's replicas, laid end to end
+            first, ends = k.cumsum(axis=0) - k + n * np.arange(k.shape[1]), []
+            for x, ((a, b), rng) in enumerate(zip(pairs, rngs)):
+                S = _slot_count(k[a], k[b], a == b)
+                cum = S.cumsum()
+                hits, rest[x] = _bernoulli_slots(int(cum[-1]), probs[a, b], rng, rest[x])
+                rep = cum.searchsorted(hits, side="right")
+                i, j = _slot_pairs(k[a][rep], k[b][rep], hits - cum[rep] + S[rep],
+                                   np.full(hits.size, a == b))
+                ends += [first[a][rep] + i, first[b][rep] + j]
+            degrees = np.bincount(np.concatenate(ends), minlength=k.shape[1] * n)
+            isolated = (degrees.reshape(-1, n) == 0).sum(axis=1)
+            counts += np.bincount(isolated[max(skip - lo, 0):], minlength=n + 1)
+    return counts
+
+
+def _count_hits(exp, n):
+    """Hits and weight sums of an event, drawn from the statistic it reads.
+
+    edges and pair events read a graph only through its color counts and its
+    edge counts per class pair, and given the color counts the edge count
+    between classes a <= b is Binomial(S_ab, p_ab), S_ab their pair slots and
+    p_ab = min(C(a, b)/n, 1). So each block of _blocks draws one binomial per
+    class pair the event reads: (a, b) for a pair event, every a <= b summed
+    for edges. A degree_zero event reads the isolated vertices. Its block
+    draws every class pair a <= b as one Bernoulli(p_ab) sequence over the
+    pair slots of the block's replicas, one replica after the other, by
+    _bernoulli_slots from the pair's stream; a stream carries on from chunk
+    to chunk of about CHUNK_CELLS vertices. A hit is mapped to its replica by
+    its slot position and to class-local indices by _slot_pairs, and one
+    bincount over (replica, class offset + index) gives the degrees. Which
+    vertex of a class carries which index changes no isolated count, so no
+    vertex colors are drawn.
 
     The one-color edge count is Binomial(N, p), N = n(n-1)/2. When its
     threshold k = ceil(x n) lies above the mean but can be reached
@@ -193,10 +258,11 @@ def _count_hits(exp, n):
     untilted, every weight is 1 and both sums equal the hit count.
     """
     event, m = exp.event, exp.mu.alphabet.m
+    kind = event["kind"]
     probs = np.minimum(exp.C.values / n, 1.0)
+    pairs = [(a, b) for a in range(m) for b in range(a, m)]
     k, log_wk, beta = 0, 0.0, 0.0
-    if event["kind"] == "edges":
-        pairs = [(a, b) for a in range(m) for b in range(a, m)]
+    if kind == "edges":
         k = _edge_threshold(event["x"], n)
         N, p = n * (n - 1) // 2, float(probs[0, 0])
         if m == 1 and N * p < k <= N:
@@ -206,46 +272,29 @@ def _count_hits(exp, n):
             if k < N:
                 log_wk += (N - k) * math.log((1.0 - p) / (1.0 - q))
                 beta += math.log((1.0 - p) / (1.0 - q))
-    else:
+    elif kind == "pair":
         pairs = [tuple(sorted((int(event["a"]), int(event["b"]))))]
-    weights = exp.mu.weights / exp.mu.weights.sum()
-    lo = exp.replica_offset
-    hi = lo + exp.replicas
-    counts = np.zeros(0, dtype=np.int64)  # counts[K]: draws whose statistic is K
-    for blk in range(lo // REPLICA_BLOCK, (hi - 1) // REPLICA_BLOCK + 1):
-        start = blk * REPLICA_BLOCK
-        r, seed = min(hi, start + REPLICA_BLOCK) - start, derive_child_seed(exp.seed, n, start)
-        rngs = [np.random.default_rng(derive_child_seed(seed, i) if i else seed)
-                for i in range(len(pairs) + (m > 1))]
-        # one color keeps its count the scalar n, so the binomial draws unbroadcast
-        sizes = [n] if m == 1 else rngs.pop(1).multinomial(n, weights, r).T
-        draws = sum(rng.binomial(_slot_count(sizes[a], sizes[b], a == b), probs[a, b], r)
-                    for rng, (a, b) in zip(rngs, pairs))
-        mine = draws[max(lo, start) - start:]
-        binned = np.bincount(mine, minlength=counts.size)
-        binned[:counts.size] += counts
-        counts = binned
+    if kind == "degree_zero":
+        counts = _isolated_counts(exp, n, pairs, probs)
+    else:
+        counts = np.zeros(0, dtype=np.int64)  # counts[K]: draws whose statistic is K
+        for skip, r, sizes, rngs in _blocks(exp, n, pairs):
+            draws = sum(rng.binomial(_slot_count(sizes[a], sizes[b], a == b), probs[a, b], r)
+                        for rng, (a, b) in zip(rngs, pairs))
+            binned = np.bincount(draws[skip:], minlength=counts.size)
+            binned[:counts.size] += counts
+            counts = binned
     # the weights depend on K alone, so they are applied once per distinct K
     K = np.arange(counts.size)
-    if event["kind"] == "edges":
+    if kind == "edges":
         hit = K >= k
-    else:
+    elif kind == "pair":
         hit = K * (2.0 if pairs[0][0] == pairs[0][1] else 1.0) / n >= event["s"]
+    else:
+        hit = K / n >= event["t"]
     ratio = np.exp(-beta * (K[hit] - k))
     return (int(counts[hit].sum()), log_wk, float(counts[hit] @ ratio),
             float(counts[hit] @ (ratio * ratio)))
-
-
-def _count_isolated_hits(exp, n):
-    """Hits of a degree_zero event; replica i draws its graph from its own child seed."""
-    params, t, hits = ModelParams(exp.mu, exp.C, n), float(exp.event["t"]), 0
-    lo, hi, step = exp.replica_offset, exp.replica_offset + exp.replicas, max(1, CHUNK_CELLS // n)
-    for start in range(lo, hi, step):
-        seeds = [derive_child_seed(exp.seed, n, i) for i in range(start, min(start + step, hi))]
-        _, rep, u, v = sample_colored_batch(params, seeds)
-        degrees = np.bincount(np.concatenate((rep * n + u, rep * n + v)), minlength=len(seeds) * n)
-        hits += int(np.count_nonzero((degrees.reshape(-1, n) == 0).sum(axis=1) / n >= t))
-    return hits, 0.0, float(hits), float(hits)
 
 
 def estimate_tail_exponent(exp):
@@ -265,8 +314,7 @@ def estimate_tail_exponent(exp):
     points = []
     R = exp.replicas
     for n in exp.sizes:
-        count = _count_isolated_hits if exp.event["kind"] == "degree_zero" else _count_hits
-        hits, log_wk, s1, s2 = count(exp, n)
+        hits, log_wk, s1, s2 = _count_hits(exp, n)
         weight_sum = math.exp(log_wk) * s1
         row = {"n": n, "replicas": R, "hits": hits, "p_hat": weight_sum / R,
                "weight_sum": weight_sum, "weight_sq_sum": math.exp(2.0 * log_wk) * s2,
@@ -320,8 +368,7 @@ def extrapolate(sizes, exponents, se=None):
 
 def exact_er_edge_exponent(n, c, x):
     """Exact finite-n exponent -(1/n) ln P(|E| >= ceil(x n)) for the ER model."""
-    if not _is_int(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
+    n = _whole(n, "n")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     N = n * (n - 1) // 2

@@ -1,21 +1,22 @@
 """Exact ground-truth computations used to validate the main code paths.
 
 Everything here is coded independently of the modules under test: binomial
-tails in log space, exact composition/partition counting with the proven
-sandwich bounds, the support-size bound for empirical neighborhood measures
-and the spin-count Ising free energy. Counts are exact Python integers
-throughout.
+tails in log space, the isolated-vertex law of G(n, p) in fixed point, exact
+composition/partition counting with the proven sandwich bounds, the
+support-size bound for empirical neighborhood measures and the spin-count
+Ising free energy. Counts are exact Python integers throughout.
 """
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import BudgetError
-from .measures import phi_counts
+from .measures import _whole, phi_counts
 
 VECTOR_PARTITION_BUDGET = 14
 _SCALAR_BOUND_CONST = 2.57  # just above the Hardy-Ramanujan pi*sqrt(2/3)
@@ -47,6 +48,50 @@ def binomial_log_tail(N, p, k):
     log_terms = (gammaln(N + 1) - gammaln(j + 1) - gammaln(N - j + 1)
                  + j * math.log(p) + (N - j) * math.log1p(-p))
     return float(min(logsumexp(log_terms), 0.0))
+
+
+def _isolated_law(n, p, bits):
+    """P(I = i) for i = 0..n, I the isolated vertices of G(n, p), as integers scaled by 2^bits.
+
+    Summing over the set of isolated vertices gives
+        P(I = i) = C(n, i) (1 - p)^(i (n - i) + i (i - 1) / 2) q_(n - i),
+    q_k being the chance that G(k, p) has no isolated vertex, and the same
+    sum over k vertices is 1, which fixes q_k from q_0 = 1, ..., q_(k-1).
+    That recursion cancels catastrophically, so it runs in fixed point.
+    """
+    one = 1 << bits
+    r = round((1 - Fraction(p)) * one)
+    r_pow = [one]  # r_pow[i] = (1 - p)^i
+    for _ in range(n):
+        r_pow.append(r_pow[-1] * r >> bits)
+    # at each k, w[i] = (1 - p)^(i (k - i) + i (i - 1) / 2), which at k + 1
+    # gains the factor (1 - p)^i; w[k] at k is w[k - 1] at k
+    q, w = [one], [one]
+    for k in range(1, n + 1):
+        w = [x * r_pow[i] >> bits for i, x in enumerate(w)]
+        w.append(w[-1])
+        q.append(one - sum(math.comb(k, i) * (w[i] * q[k - i] >> bits)
+                           for i in range(1, k + 1)))
+    return [math.comb(n, i) * (w[i] * q[n - i] >> bits) for i in range(n + 1)]
+
+
+def isolated_log_tail(n, c, t):
+    """ln P(I / n >= t), I the isolated vertices of G(n, p), p = min(c / n, 1).
+
+    Exact up to the rounding of a fixed-point recursion with 2n + 256
+    fraction bits (see _isolated_law); i / n >= t is the comparison the
+    Monte Carlo rows make. -inf when no i qualifies.
+    """
+    n = _whole(n, "n")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError(f"c must be finite and >= 0, got {c!r}")
+    bits = 2 * n + 256
+    tail = sum(x for i, x in enumerate(_isolated_law(n, min(c / n, 1.0), bits)) if i / n >= t)
+    if tail <= 0:
+        return -math.inf
+    return min(math.log(tail) - bits * math.log(2.0), 0.0)
 
 
 # ---------------------------------------------------------------------------

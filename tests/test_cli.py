@@ -616,6 +616,22 @@ def test_edge_rate_mc_event_needs_no_top_level_x(tmp_path):
         assert main(["edge-rate", "--config", _write(tmp_path, f"{name}.json", bare)]) == 2
 
 
+def test_edge_rate_whole_float_counts_are_integers(tmp_path):
+    # one integer rule: 50.0 is 50 in sizes, replicas and the offset, as "n": 4.0
+    # is 4 in a graph
+    for name, base, floats in (("mc", ER_MC, dict(sizes=[50.0], replicas=100.0,
+                                                   replica_offset=3.0)),
+                               ("exact", ER_EXACT, dict(sizes=[50.0]))):
+        ints = {key: [int(v) for v in val] if isinstance(val, list) else int(val)
+                for key, val in floats.items()}
+        docs = [_run_json(tmp_path, ["edge-rate", "--config",
+                                     _write(tmp_path, f"{name}{i}.json", dict(base, **cfg))],
+                          name=f"{name}{i}-out.json") for i, cfg in enumerate((floats, ints))]
+        assert [code for code, _ in docs] == [0, 0]
+        rows = [doc["estimate"]["rows"] if name == "mc" else doc["rows"] for _, doc in docs]
+        assert [row["exponent"] for row in rows[0]] == [row["exponent"] for row in rows[1]]
+
+
 # ---------------------------------------------------------------------------
 # validate
 

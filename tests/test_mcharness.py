@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ from scipy.stats import binom
 
 from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
                         TailExperiment, estimate_tail_exponent,
-                        exact_er_edge_exponent, lln_check, sample_colored_graph)
+                        exact_er_edge_exponent, lln_check)
 from graphrates import mcharness
 from graphrates.mcharness import REPLICA_BLOCK
+from graphrates.oracles import isolated_log_tail
 from graphrates.seeds import derive_child_seed
 
 A1 = Alphabet(1)
@@ -240,14 +242,23 @@ def test_merge_contract_two_color_path():
             assert full["hits"] == left["hits"] + right["hits"]
 
 
-def test_merge_contract_generic_path():
-    # degree_zero replicas draw from their own seeds, not from blocks
+def test_merge_contract_generic_path(monkeypatch):
+    # degree_zero replicas draw from block streams that carry on from chunk to
+    # chunk. With blocks of 2000 the full run and the right shard cross a
+    # block boundary, and at both sizes the cut lies inside a chunk, past the
+    # first chunk boundary of block 0
+    monkeypatch.setattr(mcharness, "REPLICA_BLOCK", 2000)
+    cut = 1234
+    for n in (40, 80):
+        step = mcharness.CHUNK_CELLS // n
+        assert step < cut and cut % step
+
     def make(replicas, offset):
         return TailExperiment(mu=MU2, C=C2, event={"kind": "degree_zero", "t": 0.2},
                               sizes=(40, 80), replicas=replicas, seed=99,
                               replica_offset=offset)
 
-    full, merged = _split_hits(make, 3000, 1234)
+    full, merged = _split_hits(make, 3000, cut)
     assert full == merged
 
 
@@ -272,7 +283,8 @@ C3 = Kernel(A3, [[3.0, 1.0, 0.5], [1.0, 2.0, 1.5], [0.5, 1.5, 4.0]])
 
 @pytest.mark.parametrize("mu, C, event", [
     (MU2, C2, {"kind": "edges", "x": 0.9}), (MU2, C2, {"kind": "pair", "a": 0, "b": 1, "s": 0.3}),
-    (MU3, C3, {"kind": "edges", "x": 0.9}), (MU3, C3, {"kind": "pair", "a": 2, "b": 1, "s": 0.2})])
+    (MU3, C3, {"kind": "edges", "x": 0.9}), (MU3, C3, {"kind": "pair", "a": 2, "b": 1, "s": 0.2}),
+    (MU2, C2, {"kind": "degree_zero", "t": 0.2}), (MU3, C3, {"kind": "degree_zero", "t": 0.2})])
 def test_merge_contract_inside_a_short_block(mu, C, event):
     # a run draws its one block only up to its last replica, so the left
     # shard draws 337 replicas, the full run 1000
@@ -287,22 +299,72 @@ def test_merge_contract_inside_a_short_block(mu, C, event):
 
 @pytest.mark.parametrize("mu, C", [(MU1, Kernel.constant(2.0)), (MU2, C2), (MU3, C3)])
 def test_isolated_hits_match_per_graph_counts(monkeypatch, mu, C):
+    # the block seed draws the first class pair a <= b, its child 1 the color
+    # counts and its child i >= 2 the i-th class pair. Each class pair is one
+    # run of Geometric(p_ab) gaps over the pair slots of replicas 0, 1, ... in
+    # turn, and a replica's slots list its class pairs (i, j) row by row;
+    # replicas before the offset are drawn and dropped
     n, seed, offset, replicas = 30, 5, 13, 60
-    isolated = [np.count_nonzero(sample_colored_graph(
-        ModelParams(mu, C, n), derive_child_seed(seed, n, idx)).degrees() == 0)
-        for idx in range(offset, offset + replicas)]
+    m, total = mu.alphabet.m, offset + replicas
+    pairs = [(a, b) for a in range(m) for b in range(a, m)]
+    block = derive_child_seed(seed, n, 0)
+    streams = [block] + [derive_child_seed(block, i) for i in range(2, len(pairs) + 1)]
+    k = (np.full((1, total), n) if m == 1 else np.random.default_rng(
+        derive_child_seed(block, 1)).multinomial(n, mu.weights / mu.weights.sum(), total).T)
+    first = np.cumsum(k, axis=0) - k
+    p = np.minimum(C.values / n, 1.0)
+    touched = np.zeros((total, n), dtype=bool)
+    for stream, (a, b) in zip(streams, pairs):
+        slots = [(r, first[a, r] + i, first[b, r] + j) for r in range(total)
+                 for i, j in (itertools.combinations(range(k[a, r]), 2) if a == b else
+                              itertools.product(range(k[a, r]), range(k[b, r])))]
+        # as many gaps as slots always reach past the last slot
+        for h in np.random.default_rng(stream).geometric(p[a, b], len(slots)).cumsum() - 1:
+            if h >= len(slots):
+                break
+            r, u, v = slots[h]
+            touched[r, u] = touched[r, v] = True
+    isolated = n - touched[offset:].sum(axis=1)
     # thresholds at the sampled quantiles, so hits fall strictly inside (0, replicas)
     for t in sorted({q / n for q in np.percentile(isolated, [20, 50, 80]).round()}):
         exp = TailExperiment(mu=mu, C=C, event={"kind": "degree_zero", "t": t},
                              sizes=(n,), replicas=replicas, seed=seed,
                              replica_offset=offset)
-        expect = sum(i / n >= t for i in isolated)
+        expect = int(np.count_nonzero(isolated / n >= t))
         assert 0 < expect < replicas
-        assert mcharness._count_isolated_hits(exp, n) == (expect, 0.0, expect, expect)
-        # chunks of 7 replicas: the run crosses eight chunk boundaries
-        monkeypatch.setattr(mcharness, "CHUNK_CELLS", 7 * n)
-        assert mcharness._count_isolated_hits(exp, n)[0] == expect
+        assert mcharness._count_hits(exp, n) == (expect, 0.0, expect, expect)
+        # chunks of 7 replicas cross ten chunk boundaries, chunks of one cross
+        # every replica boundary; the streams carry on across them all
+        for cells in (7 * n, n):
+            monkeypatch.setattr(mcharness, "CHUNK_CELLS", cells)
+            assert mcharness._count_hits(exp, n)[0] == expect
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("mu, C", [(MU2, C2), (MU3, C3)])
+def test_isolated_count_mean_matches_closed_form(mu, C):
+    # a vertex of color a is isolated with chance (1 - sum_b mu_b p_ab)^(n-1)
+    n, replicas, m = 60, 20000, mu.alphabet.m
+    mu_w, p = mu.weights / mu.weights.sum(), np.minimum(C.values / n, 1.0)
+    exp = TailExperiment(mu=mu, C=C, event={"kind": "degree_zero", "t": 0.2}, sizes=(n,),
+                         replicas=replicas, seed=808)
+    counts = mcharness._isolated_counts(exp, n, [(a, b) for a in range(m) for b in range(a, m)],
+                                        p)
+    assert counts.sum() == replicas
+    i = np.arange(n + 1)
+    mean = counts @ i / replicas
+    se = math.sqrt((counts @ (i - mean) ** 2) / (replicas - 1) / replicas)
+    expect = n * float(mu_w @ (1.0 - p @ mu_w) ** (n - 1))
+    assert abs(mean - expect) <= 3.0 * se
+
+
+def test_er_isolated_rows_match_exact_tail():
+    exp = TailExperiment(mu=MU1, C=Kernel.constant(2.0), event={"kind": "degree_zero", "t": 0.2},
+                         sizes=(100, 200), replicas=20000, seed=1601)
+    for row in estimate_tail_exponent(exp).rows:
+        assert row["hits"] >= 100
+        exact = -isolated_log_tail(row["n"], 2.0, 0.2) / row["n"]
+        assert abs(row["exponent"] - exact) <= 3.0 * row["se"]
 
 
 def test_event_threshold_too_large_for_a_float():
@@ -326,19 +388,25 @@ def test_experiment_validation():
     for bad in ("big", float("nan"), float("inf"), True, None):
         with pytest.raises(ValueError):
             _er_experiment(bad, (50,), 10, seed=0)
-    # sizes, replicas and the offset are integers, never truncated
+    # sizes, replicas and the offset are integers, never truncated; a whole
+    # float is that integer
     for sizes, replicas, offset in (((50.7,), 10, 0), ((0, 50), 10, 0), (("a",), 10, 0),
-                                    ((50,), 10.0, 0), ((50,), 10, 2.5), ((50,), 10, True)):
+                                    ((50,), 10.5, 0), ((50,), 10, 2.5), ((50,), 10, True)):
         with pytest.raises(ValueError):
             _er_experiment(1.2, sizes, replicas, seed=0, offset=offset)
+    whole = _er_experiment(1.2, (50.0, np.int64(60)), 10.0, seed=0, offset=2.0)
+    assert (whole.sizes, whole.replicas, whole.replica_offset) == ((50, 60), 10, 2)
+    assert all(type(x) is int for x in (*whole.sizes, whole.replicas, whole.replica_offset))
     with pytest.raises(ValueError, match="unknown event kind"):
         TailExperiment(mu=MU1, C=Kernel.constant(2.0), event={"kind": ["edges"], "x": 1.2},
                        sizes=(50,), replicas=10, seed=0)
-    for a, b in ((0, 2), (-1, 0), (0.0, 1), (True, 0)):
+    for a, b in ((0, 2), (-1, 0), (0.5, 1), (True, 0)):
         with pytest.raises(ValueError):
             TailExperiment(mu=MU2, C=C2,
                            event={"kind": "pair", "a": a, "b": b, "s": 0.1},
                            sizes=(50,), replicas=10, seed=0)
+    TailExperiment(mu=MU2, C=C2, event={"kind": "pair", "a": 0.0, "b": 1, "s": 0.1},
+                   sizes=(50,), replicas=10, seed=0)
     # a one-color law against a two-color kernel is no model at all
     with pytest.raises(ValueError, match="alphabet mismatch"):
         TailExperiment(mu=MU1, C=C2, event={"kind": "edges", "x": 1.2},

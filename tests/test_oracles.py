@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from graphrates import (Alphabet, BudgetError, ColorMeasure, Kernel,
                         ModelParams, NeighborhoodCounts, ising_annealed,
                         sample_colored_graph)
-from graphrates.oracles import (binomial_log_tail, composition_count, ising_oracle,
-                                partition_bound_check, scalar_partition_counts,
-                                support_bound_check, vector_partition_count)
+from graphrates.oracles import (_isolated_law, binomial_log_tail, composition_count,
+                                ising_oracle, isolated_log_tail, partition_bound_check,
+                                scalar_partition_counts, support_bound_check,
+                                vector_partition_count)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +52,49 @@ def test_binomial_tail_rejects_bad_args():
         binomial_log_tail(5, 1.5, 2)
     with pytest.raises(ValueError):
         binomial_log_tail(5, 0.5, 7)
+
+
+# ---------------------------------------------------------------------------
+# isolated vertices of G(n, p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_isolated_log_tail_vs_brute_force(n):
+    # graphs on n vertices tallied by (isolated vertices, edges), over all of them
+    pairs = list(itertools.combinations(range(n), 2))
+    tally = {}
+    for edges in itertools.product((False, True), repeat=len(pairs)):
+        touched = {v for on, pair in zip(edges, pairs) if on for v in pair}
+        key = (n - len(touched), sum(edges))
+        tally[key] = tally.get(key, 0) + 1
+    # c = 6 puts p = 1 at every n <= 6: the complete graph
+    for c in (0.5, 2.0, 6.0):
+        p = min(c / n, 1.0)
+        for t in (0.0, 1 / 3, 0.5, 0.9, 1.0):
+            direct = sum(count * p ** e * (1.0 - p) ** (len(pairs) - e)
+                         for (i, e), count in tally.items() if i / n >= t)
+            got = isolated_log_tail(n, c, t)
+            if direct == 0.0:
+                assert got == -math.inf
+            else:
+                assert got == pytest.approx(math.log(direct), abs=1e-12)
+
+
+def test_isolated_log_tail_is_stable_in_its_precision():
+    # the recursion cancels catastrophically; 3n + 512 fraction bits move
+    # ln P by no more than 1e-12 from the 2n + 256 the oracle uses
+    for n, c, t in ((50, 2.0, 0.3), (120, 0.5, 0.9), (200, 2.0, 0.2), (200, 1.0, 0.6)):
+        law = _isolated_law(n, min(c / n, 1.0), 3 * n + 512)
+        tail = sum(x for i, x in enumerate(law) if i / n >= t)
+        finer = math.log(tail) - (3 * n + 512) * math.log(2.0)
+        assert isolated_log_tail(n, c, t) == pytest.approx(finer, abs=1e-12)
+        assert finer < -1.0
+
+
+def test_isolated_log_tail_rejects_bad_args():
+    for n, c in ((0, 1.0), (2.5, 1.0), (10, -1.0), (10, math.inf), (10, math.nan)):
+        with pytest.raises(ValueError):
+            isolated_log_tail(n, c, 0.5)
 
 
 # ---------------------------------------------------------------------------
