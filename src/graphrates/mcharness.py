@@ -259,7 +259,7 @@ def _count_hits(exp, n):
     """
     event, m = exp.event, exp.mu.alphabet.m
     kind = event["kind"]
-    probs = np.minimum(exp.C.values / n, 1.0)
+    probs = ModelParams(exp.mu, exp.C, n).edge_probabilities
     pairs = [(a, b) for a in range(m) for b in range(a, m)]
     k, log_wk, beta = 0, 0.0, 0.0
     if kind == "edges":
@@ -356,14 +356,20 @@ def estimate_tail_exponent(exp):
 
 def extrapolate(sizes, exponents, se=None):
     """Fit exponents ~ coef[0] + coef[1] / n by least squares weighted by 1 / se^2, or
-    unweighted when se is None; returns (coef, its covariance, residuals)."""
-    X = np.array([[1.0, 1.0 / n] for n in sizes])
+    unweighted when se is None; returns (coef, its covariance, residuals).
+
+    The fit is centred on the weighted mean of 1/n: the normal equations of
+    the raw line turn singular in floats when one se lies far below another,
+    as the floored se of a size where every replica hits does."""
+    u = np.array([1.0 / n for n in sizes])
     y = np.array(exponents, dtype=float)
-    w = np.ones(len(X)) if se is None else np.array([1.0 / s ** 2 for s in se])
-    Xw = X * w[:, None]
-    cov = np.linalg.inv(X.T @ Xw)
-    coef = cov @ (Xw.T @ y)
-    return coef, cov, y - X @ coef
+    w = np.ones(len(u)) if se is None else np.array([1.0 / s ** 2 for s in se])
+    ubar, ybar = w @ u / w.sum(), w @ y / w.sum()
+    sxx = w @ (u - ubar) ** 2
+    slope = w @ ((u - ubar) * (y - ybar)) / sxx
+    coef = np.array([ybar - slope * ubar, slope])
+    cov = np.array([[1.0 / w.sum() + ubar * ubar / sxx, -ubar / sxx], [-ubar / sxx, 1.0 / sxx]])
+    return coef, cov, y - (coef[0] + coef[1] * u)
 
 
 def exact_er_edge_exponent(n, c, x):

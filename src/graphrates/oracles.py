@@ -261,6 +261,10 @@ def ising_oracle(beta, c):
         raise ValueError(f"c must be positive, got {c!r}")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    try:
+        math.expm1(beta)
+    except OverflowError:
+        raise ValueError(f"beta {beta!r} is too large: e^beta overflows a float") from None
     f = lambda a: _spin_count_objective(a, beta, c)
     grid = np.linspace(0.0, 0.5, 101)
     best = max(float(f(a)) for a in grid)

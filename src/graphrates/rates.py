@@ -212,7 +212,10 @@ def rate_delta(d, c, mean=None):
     if abs(total - 1.0) > PROB_TOL:
         raise ValueError(f"degree distribution has total mass {total!r}")
     if mean is None or not math.isinf(mean):
-        moment = sum(int(k) * p for k, p in d.items())
+        try:
+            moment = sum(int(k) * p for k, p in d.items())
+        except OverflowError:
+            raise ValueError("a degree is too large for a float") from None
         mean = moment if mean is None else mean
     if math.isinf(mean):
         return math.inf

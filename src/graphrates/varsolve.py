@@ -1,24 +1,27 @@
 """Solvers for the model's low-dimensional variational problems.
 
 Covers the degree-distribution fixed point, the minimization over color
-laws omega on supp mu, the four-variable annealed Ising optimization, and
-the numeric Legendre dual of the conditional pair rate. One face solver,
-multi-start SLSQP in softmax coordinates, does the minimization over color
-laws behind the edge rate's inner infimum. All solvers are deterministic:
-multi-starts come from a fixed low-discrepancy set, never from an RNG.
+laws omega on supp mu, the annealed Ising free energy, and the numeric
+Legendre dual of the conditional pair rate. One face solver, multi-start
+SLSQP in softmax coordinates, does the minimization over color laws behind
+the edge rate's inner infimum. The Ising free energy is one maximization
+over the spin fraction x along the profile where the pair variables are
+stationary, a grid seed refined by a bounded Brent search. All solvers are
+deterministic: multi-starts come from a fixed low-discrepancy set, never
+from an RNG.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import logsumexp
 
 from .measures import _check_same_alphabet
 
 FIXED_POINT_TOL = 1e-12
-OBJECTIVE_TOL = 1e-10
+ARGMAX_TOL = 1e-6
 
 _N_STARTS = 32
 
@@ -194,77 +197,57 @@ def zeta_inner(x, mu, C):
 # annealed Ising free energy
 
 
-def _mix_entropy(x):
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
-
-
 def _ising_objective(x, wpp, wmm, wpm, beta, c):
-    """Four-variable free-energy functional; -inf off the admissible domain."""
-    if not (0.0 <= x <= 1.0) or wpp < 0 or wmm < 0 or wpm < 0:
-        return -math.inf
+    """Four-variable free-energy functional at x in [0, 1] and w >= 0, each w
+    vanishing where its reference c x x, c (1-x) (1-x) or c x (1-x) does."""
     refs = (c * x * x, c * (1.0 - x) * (1.0 - x), c * x * (1.0 - x))
     ent = 0.0
     for w, r, mult in ((wpp, refs[0], 1.0), (wmm, refs[1], 1.0), (wpm, refs[2], 2.0)):
         if w > 0.0:
-            if r == 0.0:
-                return -math.inf
             ent += mult * w * math.log(w / r)
     mass = wpp + wmm + 2.0 * wpm
-    return (0.5 * beta * (wpp + wmm - 2.0 * wpm) + _mix_entropy(x)
+    mix = -x * math.log(x) - (1.0 - x) * math.log(1.0 - x) if 0.0 < x < 1.0 else 0.0
+    return (0.5 * beta * (wpp + wmm - 2.0 * wpm) + mix
             - 0.5 * (ent + c - mass))
 
 
-def _ising_profiled_best(beta, c):
-    # stationarity in the pair variables at fixed x gives w = ref * e^{+-beta};
-    # scanning that profile curve seeds the refinement near the true optimum
-    eb, emb = math.exp(beta), math.exp(-beta)
-    best_val, best_pt = -math.inf, None
-    for x in np.linspace(0.0, 1.0, 401):
-        pt = (float(x), c * x * x * eb, c * (1.0 - x) * (1.0 - x) * eb,
-              c * x * (1.0 - x) * emb)
-        val = _ising_objective(*pt, beta, c)
-        if val > best_val:
-            best_val, best_pt = val, pt
-    return best_val, best_pt
-
-
 def ising_annealed(beta, c):
-    """Limiting annealed free energy via the four-variable maximization.
+    """Limiting annealed free energy, the maximum of the pair-measure functional.
 
-    At fixed x the objective is strictly concave in (w++, w--, w+-), so its
-    maximum lies on the stationarity profile w = ref * e^{+-beta}, and the
-    best of 401 profile points seeds repeated Nelder-Mead polishing until two
-    rounds agree within 1e-10.
-    """
+    At fixed x the functional is strictly concave in (w++, w--, w+-) with its
+    maximum at w = ref * e^{+-beta}, so this maximizes over x in [0, 1] along
+    that profile: the best of 401 grid points seeds a bounded Brent search in
+    the cells beside it. iterations counts the search's objective evaluations;
+    residual is the gap between the evaluated x nearest the result on either
+    side, which bracket the maximizer."""
     if c <= 0:
         raise ValueError(f"c must be positive, got {c!r}")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
-    best_val, best_pt = _ising_profiled_best(beta, c)
+    try:
+        eb, emb = math.exp(beta), math.exp(-beta)
+    except OverflowError:
+        raise ValueError(f"beta {beta!r} is too large: e^beta overflows a float") from None
+    seen = {}
 
-    def neg(v):
-        val = _ising_objective(v[0], v[1], v[2], v[3], beta, c)
-        return 1e18 if val == -math.inf else -val
+    def profile(x):
+        return x, c * x * x * eb, c * (1.0 - x) * (1.0 - x) * eb, c * x * (1.0 - x) * emb
 
-    point = np.asarray(best_pt, dtype=float)
-    value = best_val
-    iterations = 0
-    residual = math.inf
-    for _ in range(6):
-        res = minimize(neg, point, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
-        iterations += int(res.nit)
-        new_val = -neg(res.x)
-        residual = abs(new_val - value)
-        if new_val > value:
-            value, point = new_val, res.x
-        if residual <= OBJECTIVE_TOL:
-            break
-    x, wpp, wmm, wpm = (float(v) for v in point)
-    return SolveReport((x, wpp, wmm, wpm), value, residual, iterations,
-                       residual <= OBJECTIVE_TOL)
+    def neg(x):
+        seen[x] = _ising_objective(*profile(x), beta, c)
+        return -seen[x]
+
+    grid = np.linspace(0.0, 1.0, 401).tolist()
+    i = int(np.argmin([neg(x) for x in grid]))
+    if not all(map(math.isfinite, seen.values())):  # finite everywhere in exact arithmetic
+        raise ValueError(f"beta {beta!r} is too large for c {c!r}: "
+                         "the functional overflows a float")
+    res = minimize_scalar(neg, bounds=(grid[max(i - 1, 0)], grid[min(i + 1, 400)]),
+                          method="bounded", options={"xatol": 1e-12})
+    x = float(res.x) if res.fun <= -seen[grid[i]] else grid[i]
+    residual = (min((t for t in seen if t > x), default=x)
+                - max((t for t in seen if t < x), default=x))
+    return SolveReport(profile(x), seen[x], residual, res.nfev, residual <= ARGMAX_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -551,6 +551,12 @@ def _rate_config(one_color_key):
               "nu": {"m": 1, "atoms": [{"color": 0, "ell": [1], "mass": 0.5}] * 2
                      + [{"color": 0, "ell": [0], "mass": 0.5}]}},
      "duplicate atom (0, (1,))"),
+    # a beta whose e^beta, or a degree whose first moment, overflows a float is out
+    # of range too
+    ("ising", {"beta": 1000, "c": 2.0}, "beta 1000.0 is too large: e^beta overflows a float"),
+    ("ising", {"beta": 709, "c": 2.0}, "the functional overflows a float"),
+    ("degree-rate", {"degrees": {str(10 ** 400): 1.0}, "c": 1.0},
+     "a degree is too large for a float"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)
@@ -596,6 +602,20 @@ def test_pair_event_color_outside_alphabet_exit_2(tmp_path, capsys):
                   "event": {"kind": "pair", "a": 3, "b": 0, "s": 0.1}})
     assert main(["edge-rate", "--config", cfg]) == 2
     assert "pair event colors" in capsys.readouterr().err
+
+
+def test_edge_rate_mc_fit_through_a_size_where_every_replica_hits(tmp_path):
+    # the one vertex at n = 1 is always isolated, so p_hat = 1 and its se is floored
+    cfg = _write(tmp_path, "mc.json",
+                 dict(ER_MC, sizes=[1, 50], replicas=300,
+                      event={"kind": "degree_zero", "t": 0.1}))
+    code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg])
+    assert code == 0
+    est = doc["estimate"]
+    assert est["rows"][0]["p_hat"] == 1.0 and est["rows"][1]["hits"] < 300
+    # two sizes: the fit is the line through (1, 0) and (1/50, exponent at 50)
+    assert est["exponent"] == pytest.approx(est["rows"][1]["exponent"] * 50 / 49, rel=1e-9)
+    assert math.isfinite(est["ci_half_width"])
 
 
 def test_event_threshold_not_a_number_exit_2(tmp_path, capsys):

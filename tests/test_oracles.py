@@ -227,6 +227,8 @@ def test_ising_oracle_rejects_bad_args():
         ising_oracle(-0.1, 1.0)
     with pytest.raises(ValueError):
         ising_oracle(0.5, 0.0)
+    with pytest.raises(ValueError, match="overflows a float"):
+        ising_oracle(1000.0, 2.0)
 
 
 def exact_tiny_partition_function(n, p, beta, seed=None):

@@ -176,6 +176,22 @@ def test_ising_against_oracle(beta, c):
     assert abs(rep.value - ising_oracle(beta, c)) <= 1e-9
 
 
+@pytest.mark.parametrize("beta,c", [(b, c) for b in (0.0, 0.25, 0.5, 1.0)
+                                    for c in (0.5, 1.0, 2.0)] + [(2.0, 3.0), (3.0, 1.0)])
+def test_ising_report_lies_on_the_profile(beta, c):
+    # criterion 4's grid and two ferromagnetic points
+    rep = ising_annealed(beta, c)
+    x, wpp, wmm, wpm = rep.argmin
+    profile = [c * x * x * math.exp(beta), c * (1.0 - x) ** 2 * math.exp(beta),
+               c * x * (1.0 - x) * math.exp(-beta)]
+    assert [wpp, wmm, wpm] == pytest.approx(profile, rel=1e-12)
+    assert rep.converged and rep.iterations > 0
+    assert 0.0 < rep.residual <= 1e-6
+    if beta >= 2.0:
+        # the maximizers sit near 0 and 1, far off the symmetric point 1/2
+        assert abs(x - 0.5) > 0.49
+
+
 def test_ising_monotone_in_beta_and_c():
     betas = np.linspace(0.0, 1.0, 5)
     cs = np.linspace(0.5, 4.0, 5)
