@@ -15,8 +15,7 @@ from .mcharness import (ExponentEstimate, TailExperiment,
 from .rates import (RateValue, h_c, poisson_limit_law, q_measure, rate_I,
                     rate_I_omega, rate_J, rate_J_tilde, rate_delta, rate_zeta,
                     rate_zeta_er)
-from .varsolve import (SolveReport, ising_annealed, legendre_i_omega,
-                       solve_degree_fixed_point, zeta_inner)
+from .varsolve import SolveReport, ising_annealed, legendre_i_omega, zeta_inner
 
 __all__ = [
     "Alphabet", "BudgetError", "ColorCounts", "ColorMeasure", "ColoredGraph",
@@ -31,5 +30,5 @@ __all__ = [
     "quantize", "rate_I", "rate_I_omega", "rate_J", "rate_J_tilde",
     "rate_delta", "rate_zeta", "rate_zeta_er", "relative_entropy",
     "sample_colored_graph", "sample_conditional", "sample_conditional_batch",
-    "solve_degree_fixed_point", "total_variation", "zeta_inner",
+    "total_variation", "zeta_inner",
 ]

@@ -137,10 +137,11 @@ def criterion_3():
         gap = abs(rates.rate_delta({0: 1.0}, c) - 0.5 * c * (1.0 - math.exp(-2.0)))
         worst["closed"] = max(worst["closed"], gap)
         for mean in (0.0, 0.3 * c, 0.7 * c, c):
+            x = rates._degree_tilt(mean, c)
             worst["residual"] = max(worst["residual"],
-                                    varsolve.solve_degree_fixed_point(mean, c).residual)
+                                    abs(x - c * math.exp(-2.0 * (1.0 - mean / x))))
         two_point = {0: 0.5, int(2 * c): 0.5}
-        x_fp = varsolve.solve_degree_fixed_point(float(c), c).value
+        x_fp = rates._degree_tilt(float(c), c)
         v_fixed = rates._delta_given_x(two_point, c, x_fp)
         v_mean = rates._delta_given_x(two_point, c, float(c))
         worst["continuity"] = max(worst["continuity"], abs(v_fixed - v_mean))

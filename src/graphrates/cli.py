@@ -24,7 +24,7 @@ from .errors import ConfigError, InfeasibleError, NonConvergenceError
 from .graphs import (ColoredGraph, ModelParams, empirical_measures,
                      sample_colored_graph, sample_conditional)
 from .measures import (PROB_TOL, Alphabet, ColorCounts, ColorMeasure, Kernel,
-                       NeighborhoodMeasure, PairCounts, PairMeasure,
+                       NeighborhoodMeasure, PairCounts, PairMeasure, _whole,
                        cap_degrees, consistify, phi, phi_counts,
                        product_kernel_measure, quantize, total_variation)
 from .mcharness import TailExperiment, estimate_tail_exponent, exact_er_edge_exponent
@@ -122,11 +122,15 @@ def _from_config(build, *args, **kwargs):
 
 def _resolve_seed(cfg, args):
     """The seed that takes effect, recorded in cfg so the manifest echoes it."""
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
+    raw = args.seed if args.seed is not None else cfg.get("seed")
+    if raw is None:
         raise ConfigError("a seed is required (config key \"seed\" or --seed)")
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _SEED_MAX:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    try:
+        seed = _whole(raw, "seed")
+        if not 0 <= seed < _SEED_MAX:
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {raw!r}") from None
     cfg["seed"] = seed
     return seed
 
@@ -168,7 +172,7 @@ def _jsonable(obj):
 def _sample_model_graph(cfg, args):
     """A graph drawn from the config's model mu, C and n with the resolved seed."""
     mu, C = _parse_model(cfg)
-    n = _require(cfg, "n", int)
+    n = _from_config(_whole, _require(cfg, "n"), "n")
     seed = _resolve_seed(cfg, args)
     return sample_colored_graph(_from_config(ModelParams, mu, C, n), seed)
 
@@ -231,6 +235,10 @@ def _cmd_degree_rate(cfg, args):
         degrees = {int(k): float(v) for k, v in raw.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"degrees must map integers to probabilities: {exc}") from exc
+    if len(degrees) < len(raw):  # keys such as "1" and "01" name one degree
+        listed = [int(k) for k in raw]
+        twice = next(k for k in listed if listed.count(k) > 1)
+        raise ConfigError(f"degree {twice} is listed more than once")
     c = _real(_require(cfg, "c"), "c")
     mean = cfg.get("mean")
     value = _from_config(rates.rate_delta, degrees, c,
@@ -291,7 +299,7 @@ def _cmd_ising(cfg, args):
 
 
 def _cmd_sample_conditional(cfg, args):
-    n = _require(cfg, "n", int)
+    n = _from_config(_whole, _require(cfg, "n"), "n")
     try:
         omega_n = ColorCounts(n, _require(cfg, "color_counts", list))
         pair_n = PairCounts(n, _require(cfg, "edge_counts", list))

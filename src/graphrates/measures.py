@@ -528,10 +528,10 @@ def quantize(omega_n, pair_n, nu, seed):
     """Snap nu onto the exact n-empirical grid (omega_n, pair_n).
 
     Draws omega_n.counts[a] degree vectors i.i.d. from the color-a conditional
-    of a consistified copy of nu, then repairs each coordinate b so the column
-    sums hit the adjacency targets exactly: missing mass is added to the last
-    vector, excess is removed one unit per vector scanning in index order,
-    never driving an entry negative. The result satisfies
+    of nu, then repairs each coordinate b so the column sums hit the adjacency
+    targets exactly: missing mass is added to the last vector, excess is
+    removed one unit per vector scanning in index order, never driving an
+    entry negative. The result satisfies
     phi_counts(result) == (omega_n.counts, pair_n.adjacency) exactly.
     """
     if omega_n.n != pair_n.n:
@@ -545,15 +545,8 @@ def quantize(omega_n, pair_n, nu, seed):
             raise InfeasibleError(
                 f"color {a} has zero vertices but positive adjacency target")
 
-    # smoothing step: a consistent nu_hat keeps repairs small; fall back to nu
-    # itself when its induced matrix is asymmetric or slightly super-consistent
-    try:
-        _, nu_hat = consistify(pair_n.measure, nu, (pair_n.measure.total_mass + 1.0) / n)
-    except ValueError:
-        nu_hat = nu
-
     by_color = {a: [] for a in range(m)}
-    for (a, ell), w in sorted(nu_hat.support.items()):
+    for (a, ell), w in sorted(nu.support.items()):
         by_color[a].append((ell, w))
 
     rng = np.random.default_rng(seed)

@@ -6,7 +6,8 @@ for neighborhood measures (rate_J, rate_J_tilde), color/pair measures
 (rate_I, rate_I_omega), degree distributions (rate_delta), and the edge
 count (rate_zeta and its closed Erdos-Renyi form). One function evaluates Q,
 for q_measure and for its zero point poisson_limit_law, and one computes
-H(nu || Q) for rate_J and rate_J_tilde. Fixed points and inner infima are
+H(nu || Q) for rate_J and rate_J_tilde. The degree rate's fixed point has a
+closed form in the Lambert W function; the edge rate's inner infimum is
 delegated to varsolve.
 """
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrik, xlogy
+from scipy.special import gammaln, lambertw, pdtr, pdtrik, xlogy
 
 from . import varsolve
 from .errors import NonConvergenceError
@@ -193,12 +194,25 @@ def _delta_given_x(d, c, x):
     return 0.5 * x * math.log(x / c) - 0.5 * x + 0.5 * c + ent
 
 
+def _degree_tilt(mean, c):
+    """The x in [max(mean, c e^-2), c] with x = c exp(-2(1 - mean/x)), for 0 <= mean <= c.
+
+    With y = 2 mean/x the equation reads y e^y = 2 mean e^2/c, so x =
+    c exp(W0(2 mean e^2/c) - 2), W0 the principal Lambert W. The argument lies
+    in [0, 2e^2]: mean = 0 gives c e^-2, and W0(2e^2) = 2 gives x = c at mean = c.
+    Dividing by c first keeps 2 mean e^2 from overflowing near the float limit.
+    """
+    return c * math.exp(lambertw(2.0 * math.e ** 2 * (mean / c)).real - 2.0)
+
+
 def rate_delta(d, c, mean=None):
     """Rate for the degree distribution of the graph.
 
     d maps degree k to probability mass. A finite mean must agree with the
     first moment of d within PROB_TOL, relative above 1; pass math.inf to flag
-    an infinite-mean distribution (value +inf).
+    an infinite-mean distribution (value +inf). The rate is
+    H(d || Poisson(x)) + (x ln(x/c) - x + c)/2 at x = mean above c and at
+    x = _degree_tilt(mean, c) for mean <= c.
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c!r}")
@@ -223,13 +237,7 @@ def rate_delta(d, c, mean=None):
         raise ValueError(f"mean must be nonnegative, got {mean!r}")
     if not abs(mean - moment) <= PROB_TOL * max(1.0, moment):
         raise ValueError(f"mean {mean!r} differs from the degrees' mean {moment!r}")
-    x = mean
-    if mean <= c:
-        report = varsolve.solve_degree_fixed_point(mean, c)
-        if not report.converged:
-            raise NonConvergenceError(
-                f"degree fixed point stalled at residual {report.residual:g}")
-        x = report.value
+    x = mean if mean > c else _degree_tilt(mean, c)
     return max(_delta_given_x(d, c, x), 0.0)
 
 

@@ -1,6 +1,6 @@
 """Solvers for the model's low-dimensional variational problems.
 
-Covers the degree-distribution fixed point, the minimization over color
+Covers the numerical searches behind the rates: the minimization over color
 laws omega on supp mu, the annealed Ising free energy, and the numeric
 Legendre dual of the conditional pair rate. One face solver, multi-start
 SLSQP in softmax coordinates, does the minimization over color laws behind
@@ -20,7 +20,6 @@ from scipy.special import logsumexp
 
 from .measures import _check_same_alphabet
 
-FIXED_POINT_TOL = 1e-12
 ARGMAX_TOL = 1e-6
 
 _N_STARTS = 32
@@ -48,50 +47,6 @@ class SolveReport:
         return {"argmin": list(self.argmin), "value": self.value,
                 "residual": self.residual, "iterations": self.iterations,
                 "converged": self.converged}
-
-
-# ---------------------------------------------------------------------------
-# degree fixed point
-
-
-def solve_degree_fixed_point(mean, c):
-    """Unique x in [max(mean, c e^-2), c] with x = c exp(-2(1 - mean/x)).
-
-    Bisection on g(x) = x - c exp(-2(1 - mean/x)); g <= 0 at the left
-    endpoint and >= 0 at x = c, and the solution is unique on the bracket.
-    Only the mean <= c branch of the degree rate calls this.
-    """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    if mean < 0:
-        raise ValueError(f"mean must be nonnegative, got {mean!r}")
-    if mean > c:
-        raise ValueError(f"mean {mean!r} exceeds c {c!r}: fixed point not applicable")
-
-    def g(x):
-        return x - c * math.exp(-2.0 * (1.0 - mean / x))
-
-    lo = max(mean, c * math.exp(-2.0))
-    hi = c
-    for x0, r0 in ((hi, g(hi)), (lo, g(lo))):
-        if r0 == 0.0:
-            return SolveReport((x0,), x0, 0.0, 0, True)
-    iterations = 0
-    glo = g(lo)
-    while hi - lo > 1e-16 * max(1.0, c) and iterations < 200:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            lo = hi = mid
-            break
-        if (gm < 0) == (glo < 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-        iterations += 1
-    x = 0.5 * (lo + hi)
-    residual = abs(g(x))
-    return SolveReport((x,), x, residual, iterations, residual <= FIXED_POINT_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,15 @@ def test_degree_rate_known_value(tmp_path):
     assert doc["value"] == pytest.approx(0.6534264097200272, abs=1e-12)
 
 
+def test_degree_rate_answers_at_large_c(tmp_path):
+    # x = 4766.1 here, where one float step (9e-13) exceeds an absolute 1e-12
+    # residual: a bisection with that stop reported non-convergence and exit 4
+    cfg = _write(tmp_path, "deg.json", {"degrees": {"0": 0.5, "6000": 0.5}, "c": 10000})
+    code, doc = _run_json(tmp_path, ["degree-rate", "--config", cfg])
+    assert code == 0
+    assert doc["value"] == pytest.approx(3309.70928614, abs=1e-8)
+
+
 def test_edge_rate_zeta_matches_closed_form(tmp_path):
     cfg = _write(tmp_path, "er.json", {"mu": [1.0], "C": 2.0, "x": 1.5})
     code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg])
@@ -557,6 +566,17 @@ def _rate_config(one_color_key):
     ("ising", {"beta": 709, "c": 2.0}, "the functional overflows a float"),
     ("degree-rate", {"degrees": {str(10 ** 400): 1.0}, "c": 1.0},
      "a degree is too large for a float"),
+    # "1" and "01" name one degree, which is refused, not read as the last mass given
+    ("degree-rate", {"degrees": {"1": 0.5, "01": 0.5, "0": 0.5}, "c": 1.0},
+     "degree 1 is listed more than once"),
+    # n and the config seed take whole floats, and refuse fractions, bools and strings
+    ("generate", dict(BENCH, n=100.5, seed=1), "n must be an integer, got 100.5"),
+    ("generate", dict(BENCH, n=True, seed=1), "n must be an integer, got True"),
+    ("sample-conditional", {"n": "4", "color_counts": [4], "edge_counts": [[2]], "seed": 1},
+     "n must be an integer, got '4'"),
+    ("generate", dict(BENCH, n=100, seed=2.5), "seed must be an integer in [0, 2**64), got 2.5"),
+    ("approximate", dict(BENCH, eps=0.1, n=100, seed="7"),
+     "seed must be an integer in [0, 2**64), got '7'"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)
@@ -650,6 +670,14 @@ def test_edge_rate_whole_float_counts_are_integers(tmp_path):
         assert [code for code, _ in docs] == [0, 0]
         rows = [doc["estimate"]["rows"] if name == "mc" else doc["rows"] for _, doc in docs]
         assert [row["exponent"] for row in rows[0]] == [row["exponent"] for row in rows[1]]
+    # so are n and the seed of a model graph
+    bodies = []
+    for i, (n, seed) in enumerate(((1000.0, 7.0), (1000, 7))):
+        cfg = _write(tmp_path, f"gen{i}.json", dict(BENCH, n=n, seed=seed))
+        code, doc = _run_json(tmp_path, ["generate", "--config", cfg], name=f"gen{i}-out.json")
+        assert code == 0
+        bodies.append({key: val for key, val in doc.items() if key != "manifest"})
+    assert bodies[0] == bodies[1]
 
 
 # ---------------------------------------------------------------------------

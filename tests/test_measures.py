@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphrates import (Alphabet, ColorCounts, ColorMeasure, Kernel,
+from graphrates import (Alphabet, ColorCounts, ColorMeasure, Kernel, ModelParams,
                         NeighborhoodCounts, NeighborhoodMeasure, PairCounts,
                         PairMeasure, cap_degrees, consistify,
-                        degree_distribution, is_sub_consistent, magnitude, phi,
-                        phi_counts, product_kernel_measure, quantize,
-                        relative_entropy, total_variation)
+                        degree_distribution, empirical_measures, is_sub_consistent,
+                        magnitude, phi, phi_counts, poisson_limit_law,
+                        product_kernel_measure, quantize, relative_entropy,
+                        sample_colored_graph, total_variation)
 from graphrates.errors import InfeasibleError
 from graphrates.seeds import derive_child_seed
 
@@ -270,7 +271,6 @@ def test_degree_distribution_examples():
 
 
 def test_degree_distribution_poisson_limit():
-    from graphrates import poisson_limit_law
     mu = ColorMeasure(A1, [1.0], probability=True)
     qstar = poisson_limit_law(mu, Kernel.constant(2.0))
     d = degree_distribution(qstar)
@@ -352,14 +352,22 @@ def _target_pair():
 def test_quantize_hits_targets_exactly():
     nu, mean_deg = _target_pair()
     n = 200
-    cc = ColorCounts(n, [n])
-    edges = int(round(mean_deg * n / 2))
-    pc = PairCounts(n, [[edges]])
-    nu_n = quantize(cc, pc, nu, seed=31)
-    color, adj = phi_counts(nu_n)
-    assert np.array_equal(color, cc.counts)
-    assert np.array_equal(adj, pc.adjacency)
-    assert sum(nu_n.counts.values()) == n
+    cases = [(ColorCounts(n, [n]), PairCounts(n, [[int(round(mean_deg * n / 2))]]), nu, 31)]
+    # 2 and 3 colors: the limit law snapped onto a sampled graph's exact counts
+    for mu_w, C_raw in (([0.5, 0.5], [[3.0, 1.0], [1.0, 2.0]]),
+                        ([0.3, 0.3, 0.4], [[3.0, 1.0, 0.5], [1.0, 2.0, 1.5], [0.5, 1.5, 4.0]])):
+        alphabet = Alphabet(len(mu_w))
+        mu, C = ColorMeasure(alphabet, mu_w, probability=True), Kernel(alphabet, C_raw)
+        for n in (50, 500):
+            cc, pc, _ = empirical_measures(sample_colored_graph(ModelParams(mu, C, n), n))
+            cases += [(cc, pc, poisson_limit_law(mu, C), derive_child_seed(11, n, i))
+                      for i in range(4)]
+    for cc, pc, target, seed in cases:
+        nu_n = quantize(cc, pc, target, seed)
+        color, adj = phi_counts(nu_n)
+        assert np.array_equal(color, cc.counts)
+        assert np.array_equal(adj, pc.adjacency)
+        assert sum(nu_n.counts.values()) == cc.n
 
 
 def test_quantize_distance_shrinks_with_n():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import poisson
 
 from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
@@ -10,7 +13,7 @@ from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
                         product_kernel_measure, q_measure, rate_I,
                         rate_I_omega, rate_J, rate_J_tilde, rate_delta,
                         rate_zeta, rate_zeta_er, sample_colored_graph)
-from graphrates.rates import LIMIT_TAIL_MASS, _delta_given_x, _poisson_ppf
+from graphrates.rates import LIMIT_TAIL_MASS, _degree_tilt, _delta_given_x, _poisson_ppf
 from graphrates.seeds import derive_child_seed
 
 A1 = Alphabet(1)
@@ -205,11 +208,53 @@ def test_rate_delta_point_mass_closed_form(c):
 
 def test_rate_delta_branch_continuity():
     # mean exactly c: both branch formulas must agree
-    from graphrates import solve_degree_fixed_point
     for c, d in ((1.0, {0: 0.5, 2: 0.5}), (2.0, {1: 0.5, 3: 0.5}),
                  (4.0, {0: 0.5, 8: 0.5})):
-        x_fp = solve_degree_fixed_point(float(c), c).value
+        x_fp = _degree_tilt(float(c), c)
         assert abs(_delta_given_x(d, c, x_fp) - _delta_given_x(d, c, float(c))) <= 1e-10
+
+
+# degree tilt: the x with x = c exp(-2(1 - mean/x)), for mean <= c
+
+
+def _tilt_residual(mean, c, x):
+    return abs(x - c * math.exp(-2.0 * (1.0 - mean / x)))
+
+
+def test_fixed_point_boundary_cases():
+    for c in (1.0, 2.0, 4.0):
+        assert _degree_tilt(c, c) == pytest.approx(c, abs=1e-12)
+        assert _degree_tilt(0.0, c) == pytest.approx(c * math.exp(-2.0), abs=1e-12)
+
+
+def test_fixed_point_interior_residual_and_bracket():
+    c = 2.0
+    for mean in (0.25, 1.0, 1.75):
+        x = _degree_tilt(mean, c)
+        assert _tilt_residual(mean, c, x) <= 1e-12
+        assert max(mean, c * math.exp(-2.0)) - 1e-12 <= x <= c + 1e-12
+
+
+def test_fixed_point_vs_independent_root_finder():
+    c, mean = 2.0, 1.0
+    root = brentq(lambda x: x - c * math.exp(-2.0 * (1.0 - mean / x)),
+                  max(mean, c * math.exp(-2.0)) * 0.999, c, xtol=1e-14)
+    assert _degree_tilt(mean, c) == pytest.approx(root, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-6.0, 8.0), st.floats(0.0, 1.0))
+def test_degree_tilt_solves_the_fixed_point_at_every_scale(log10_c, ratio):
+    c = 10.0 ** log10_c
+    mean = ratio * c
+    x = _degree_tilt(mean, c)
+    lo = max(mean, c * math.exp(-2.0))
+    assert lo * (1.0 - 1e-14) <= x <= c * (1.0 + 1e-14)
+    assert _tilt_residual(mean, c, x) <= 1e-13 * x
+    # the bracket, widened past rounding, has g < 0 at its left end and g > 0 at its right
+    root = brentq(lambda y: y - c * math.exp(-2.0 * (1.0 - mean / y)),
+                  lo * (1.0 - 1e-9), c * (1.0 + 1e-9), xtol=1e-16 * c)
+    assert x == pytest.approx(root, rel=1e-12)
 
 
 def test_rate_delta_infinite_mean():

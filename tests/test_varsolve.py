@@ -5,51 +5,13 @@ import pytest
 from scipy.special import rel_entr
 
 from graphrates import (Alphabet, ColorMeasure, Kernel, SolveReport,
-                        ising_annealed, legendre_i_omega, product_kernel_measure,
-                        solve_degree_fixed_point)
+                        ising_annealed, legendre_i_omega, product_kernel_measure)
 from graphrates.varsolve import zeta_inner
 
 A1 = Alphabet(1)
 A2 = Alphabet(2)
 MU2 = ColorMeasure(A2, [0.5, 0.5], probability=True)
 C2 = Kernel(A2, [[3.0, 1.0], [1.0, 2.0]])
-
-
-# ---------------------------------------------------------------------------
-# degree fixed point: x = c exp(-2(1 - mean/x))
-
-
-def test_fixed_point_boundary_cases():
-    for c in (1.0, 2.0, 4.0):
-        rep = solve_degree_fixed_point(c, c)
-        assert rep.converged
-        assert rep.value == pytest.approx(c, abs=1e-12)
-        rep0 = solve_degree_fixed_point(0.0, c)
-        assert rep0.value == pytest.approx(c * math.exp(-2.0), abs=1e-12)
-
-
-def test_fixed_point_interior_residual_and_bracket():
-    c = 2.0
-    for mean in (0.25, 1.0, 1.75):
-        rep = solve_degree_fixed_point(mean, c)
-        assert rep.converged and rep.residual <= 1e-12
-        x = rep.value
-        assert max(mean, c * math.exp(-2.0)) - 1e-12 <= x <= c + 1e-12
-        assert abs(x - c * math.exp(-2.0 * (1.0 - mean / x))) <= 1e-10
-
-
-def test_fixed_point_vs_independent_root_finder():
-    from scipy.optimize import brentq
-    c, mean = 2.0, 1.0
-    rep = solve_degree_fixed_point(mean, c)
-    root = brentq(lambda x: x - c * math.exp(-2.0 * (1.0 - mean / x)),
-                  max(mean, c * math.exp(-2.0)) * 0.999, c, xtol=1e-14)
-    assert rep.value == pytest.approx(root, abs=1e-9)
-
-
-def test_fixed_point_rejects_mean_above_c():
-    with pytest.raises(ValueError):
-        solve_degree_fixed_point(3.0, 2.0)
 
 
 def test_solve_report_round_trip_and_types():
