@@ -414,18 +414,18 @@ def criterion_9():
 
 def criterion_10():
     started = time.perf_counter()
-    # composition_count re-verifies the sandwich internally on every call
-    for j in range(51):
-        for parts in range(1, 7):
-            oracles.composition_count(j, parts)
+    sandwich_ok = all(
+        j ** (parts - 1) <= oracles.composition_count(j, parts) * math.factorial(parts - 1)
+        <= (j + parts) ** (parts - 1)
+        for j in range(51) for parts in range(1, 7))
     report = oracles.partition_bound_check(2, tuple(range(1, 11)))
     support_ok = all(oracles.support_bound_check(nc)
                      for _, _, _, nc in _mixed_battery())
     support_ok = support_ok and all(oracles.support_bound_check(nc)
                                     for _, _, _, nc in _conditional_battery()[2])
-    passed = report["theta_ok"] and report["scalar_ok"] and support_ok
-    details = {"theta_ok": report["theta_ok"], "scalar_ok": report["scalar_ok"],
-               "support_ok": support_ok,
+    passed = sandwich_ok and report["theta_ok"] and report["scalar_ok"] and support_ok
+    details = {"sandwich_ok": sandwich_ok, "theta_ok": report["theta_ok"],
+               "scalar_ok": report["scalar_ok"], "support_ok": support_ok,
                "graphs_checked": len(_mixed_battery()) + len(_conditional_battery()[2])}
     return _record(10, "combinatorial-bounds", passed, details, started)
 

@@ -319,7 +319,7 @@ def _cmd_approximate(cfg, args):
         raise ConfigError(f"config key 'cap' must be true or false, got {cap!r}")
     # a missing seed is reported before the later stages' errors
     seed = _resolve_seed(cfg, args) if "n" in cfg else None
-    nu = rates.poisson_limit_law(mu, C)
+    nu = _from_config(rates.poisson_limit_law, mu, C)
     pair = product_kernel_measure(C, mu)
     pair_hat, nu_hat = consistify(pair, nu, eps)
     _, phi2 = phi(nu_hat)
@@ -368,13 +368,6 @@ _COMMANDS = {
 }
 
 
-def _seed_arg(text):
-    value = int(text)
-    if not 0 <= value < _SEED_MAX:
-        raise argparse.ArgumentTypeError("seed must be in [0, 2**64)")
-    return value
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="graphrates",
@@ -383,7 +376,7 @@ def build_parser():
     for name in [*_COMMANDS, "validate"]:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=_seed_arg,
+        p.add_argument("--seed", type=int,
                        help="override the config seed (unsigned 64-bit)")
         p.add_argument("--out", help="output path; .csv/.txt pick the flat formats")
         if name == "validate":

@@ -24,6 +24,7 @@ from .measures import (PROB_TOL, SUB_CONSISTENCY_TOL, NeighborhoodMeasure, _atom
                        product_kernel_measure, relative_entropy, require_probability)
 
 LIMIT_TAIL_MASS = 1e-14
+LIMIT_ATOMS = 10 ** 6  # the limit law's grid grows exponentially in m; past this it fills memory
 
 
 @dataclass(frozen=True)
@@ -109,17 +110,22 @@ def poisson_limit_law(mu, C):
 
     Each color's grid is truncated so that it drops at most LIMIT_TAIL_MASS =
     1e-14, and the residual is folded into the degree-zero atom so the color
-    marginal stays mu to within rounding. Grid size is exponential in m.
+    marginal stays mu to within rounding. Grid size is exponential in m; a
+    grid of more than LIMIT_ATOMS atoms is refused with ValueError.
     """
     _check_same_alphabet(mu, C)
     require_probability(mu, "mu")
+    lams = C.values * mu.weights  # row a is pair(a, b) / mu(a) at pair = C mu x mu
+    # a zero intensity gives the axis 0, 1, 2, whose atoms above 0 have mass 0
+    shapes = {a: [_poisson_ppf(1.0 - LIMIT_TAIL_MASS / len(lam), x) + 3 for x in lam]
+              for a, lam in enumerate(lams) if mu.weights[a] > 0}
+    size = sum(math.prod(shape) for shape in shapes.values())
+    if size > LIMIT_ATOMS:
+        raise ValueError(f"the limit law's grid has {size} atoms, more than {LIMIT_ATOMS}")
     atoms = {}
-    for a in np.flatnonzero(mu.weights).tolist():
-        lam = C.values[a] * mu.weights  # pair(a, b) / mu(a) at pair = C mu x mu
-        # a zero intensity gives the axis 0, 1, 2, whose atoms above 0 have mass 0
-        shape = [_poisson_ppf(1.0 - LIMIT_TAIL_MASS / len(lam), x) + 3 for x in lam]
+    for a, shape in shapes.items():
         ells = np.indices(shape).reshape(len(shape), -1).T  # C order, degree zero first
-        masses = _q_masses(mu.weights[a], lam, ells)
+        masses = _q_masses(mu.weights[a], lams[a], ells)
         masses[0] += mu.weights[a] - masses.sum()
         atoms.update(((a, tuple(ell)), q) for ell, q in zip(ells.tolist(), masses.tolist())
                      if q > 0.0)
@@ -186,12 +192,15 @@ def rate_J_tilde(nu, omega, pair):
 
 
 def _delta_given_x(d, c, x):
-    # rate value at a prescribed tilt parameter x > 0; shared by both branches
-    ent = 0.0
-    for k, p in d.items():
-        if p > 0:
-            ent += p * (math.log(p) - float(_poisson_log_pmf(int(k), x)))
-    return 0.5 * x * math.log(x / c) - 0.5 * x + 0.5 * c + ent
+    # rate value at a prescribed tilt parameter x > 0; shared by both branches. Degrees
+    # enter as floats, as numpy holds an int of 2**64 or more as an object
+    k, p = np.array([(k, p) for k, p in d.items() if p > 0], dtype=float).T
+    with np.errstate(invalid="ignore"):  # inf - inf near the float limit, refused below
+        value = (0.5 * x * math.log(x / c) - 0.5 * x + 0.5 * c
+                 + sum((p * (np.log(p) - _poisson_log_pmf(k, x))).tolist()))
+    if math.isnan(value):
+        raise ValueError("a degree is too large for a float")
+    return value
 
 
 def _degree_tilt(mean, c):

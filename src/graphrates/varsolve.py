@@ -23,6 +23,8 @@ from .measures import _check_same_alphabet
 ARGMAX_TOL = 1e-6
 
 _N_STARTS = 32
+# the first primes, enough for the 64 colors an Alphabet admits
+_PRIMES = [p for p in range(2, 320) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,7 @@ def _simplex_starts(k, mu_w):
         v = np.full(k, 0.1 / k)
         v[a] += 0.9
         starts.append(v / v.sum())
-    alphas = np.sqrt(np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
-                               41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83,
-                               89, 97, 101, 103, 107, 109, 113, 127, 131],
-                              dtype=float))[:k]
+    alphas = np.sqrt(np.array(_PRIMES[:k], dtype=float))
     i = 1
     while len(starts) < _N_STARTS:
         v = np.mod(i * alphas, 1.0) + 0.02

@@ -5,12 +5,13 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphrates import (Alphabet, ColorMeasure, ColoredGraph, Kernel,
                         poisson_limit_law, product_kernel_measure, rate_zeta,
                         rate_zeta_er)
-from graphrates import acceptance
+from graphrates import acceptance, oracles
 from graphrates.cli import main
 
 BENCH = {"mu": [0.5, 0.5], "C": [[3.0, 1.0], [1.0, 2.0]]}
@@ -201,6 +202,14 @@ def test_degree_rate_known_value(tmp_path):
     assert doc["value"] == pytest.approx(0.6534264097200272, abs=1e-12)
 
 
+def test_degree_rate_answers_at_a_degree_past_int64(tmp_path):
+    # numpy holds 2**64 as an object, which gammaln refused; the value is from math.lgamma
+    cfg = _write(tmp_path, "deg.json", {"degrees": {"0": 0.5, str(2 ** 64): 0.5}, "c": 1.0})
+    code, doc = _run_json(tmp_path, ["degree-rate", "--config", cfg])
+    assert code == 0
+    assert doc["value"] == pytest.approx(2.0316582946611577e+20, rel=1e-9)
+
+
 def test_degree_rate_answers_at_large_c(tmp_path):
     # x = 4766.1 here, where one float step (9e-13) exceeds an absolute 1e-12
     # residual: a bisection with that stop reported non-convergence and exit 4
@@ -216,6 +225,17 @@ def test_edge_rate_zeta_matches_closed_form(tmp_path):
     assert code == 0
     assert doc["er_closed_form"] == pytest.approx(rate_zeta_er(1.5, 2.0), abs=1e-15)
     assert abs(doc["value"] - doc["er_closed_form"]) <= 1e-8
+
+
+def test_edge_rate_zeta_past_32_colors(tmp_path):
+    # mu uniform on m colors and C = 1 + I give the symmetric answer, q = omega'C omega
+    # = 1 + 1/m at omega = mu, in the ER closed form with c = q
+    m, x = 40, 1.5
+    C = [[1.0 + (a == b) for b in range(m)] for a in range(m)]
+    cfg = _write(tmp_path, "m40.json", {"mu": [1 / m] * m, "C": C, "x": x})
+    code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg])
+    assert code == 0
+    assert doc["value"] == pytest.approx(rate_zeta_er(x, 1 + 1 / m), abs=1e-9)
 
 
 def test_edge_rate_zeta_two_colors(tmp_path):
@@ -577,12 +597,36 @@ def _rate_config(one_color_key):
     ("generate", dict(BENCH, n=100, seed=2.5), "seed must be an integer in [0, 2**64), got 2.5"),
     ("approximate", dict(BENCH, eps=0.1, n=100, seed="7"),
      "seed must be an integer in [0, 2**64), got '7'"),
+    # a degree near the float limit leaves the rate's terms as inf - inf
+    ("degree-rate", {"degrees": {"0": 0.5, str(10 ** 308): 0.5}, "c": 1.0},
+     "a degree is too large for a float"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_out_of_range_seed_flag_exit_2(tmp_path, capsys, seed):
+    cfg = _write(tmp_path, "gen.json", dict(BENCH, n=10, seed=1))
+    assert main(["generate", "--config", cfg, "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: seed must be an integer in [0, 2**64), got {seed}\n"
+
+
+def test_approximate_refuses_a_limit_law_past_the_atom_limit(tmp_path, capsys, monkeypatch):
+    # 8 colors give about 1.2e10 atoms; the refusal must come before any grid exists
+    def no_grid(*args, **kwargs):
+        raise AssertionError("np.indices called")
+
+    monkeypatch.setattr(np, "indices", no_grid)
+    m = 8
+    cfg = _write(tmp_path, "m8.json", {"mu": [1 / m] * m, "C": [[2.0] * m] * m, "eps": 0.01})
+    assert main(["approximate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "atoms, more than 1000000" in err
 
 
 @pytest.mark.parametrize("make, huge, plain, code", [
@@ -703,6 +747,19 @@ def test_validate_failing_criterion_exits_1(tmp_path, capsys, monkeypatch):
     assert "FAIL criterion 3" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert [rec["passed"] for rec in doc["records"]] == [False, True]
+
+
+def test_validate_a_violated_counting_bound_fails(capsys, monkeypatch):
+    # the oracles report their bound flags and criterion 10 judges them: a FAIL
+    # line and exit 1, not a traceback
+    monkeypatch.setattr(oracles, "_SCALAR_BOUND_CONST", 1.0)
+    rec = acceptance.criterion_10()
+    assert not rec["passed"] and not rec["details"]["scalar_ok"]
+    for cid in (7, 8, 9):  # passing stand-ins for the suite's slower criteria
+        monkeypatch.setitem(acceptance.CRITERIA, cid,
+                            lambda cid=cid: dict(rec, id=cid, passed=True))
+    assert main(["validate", "--suite", "bounds"]) == 1
+    assert "FAIL criterion 10 (combinatorial-bounds)" in capsys.readouterr().out
 
 
 def test_validate_takes_no_config_or_seed(tmp_path, capsys):

@@ -111,8 +111,10 @@ def test_composition_count_small_cases():
 
 
 def test_composition_count_sandwich_at_scale():
-    # the internal assertion runs on every call; exercise the stated domain edge
-    assert composition_count(50, 6) > 0
+    # j^(parts-1) <= count (parts-1)! <= (j+parts)^(parts-1), on criterion 10's domain
+    for j, parts in itertools.product(range(51), range(1, 7)):
+        scaled = composition_count(j, parts) * math.factorial(parts - 1)
+        assert j ** (parts - 1) <= scaled <= (j + parts) ** (parts - 1)
     assert composition_count(50, 1) == 1
 
 
@@ -160,9 +162,11 @@ def test_vector_partition_count_permutation_symmetry():
 
 
 def test_vector_partition_count_budget():
-    assert vector_partition_count((7, 7)) > 0
+    assert vector_partition_count((7, 7)) == 2998
     with pytest.raises(BudgetError):
         vector_partition_count((8, 7))
+    with pytest.raises(BudgetError):
+        partition_bound_check(1, [3, 15])
 
 
 def test_scalar_partition_counts_known_prefix():
@@ -172,6 +176,7 @@ def test_scalar_partition_counts_known_prefix():
 
 def test_scalar_partition_bound_to_60():
     p = scalar_partition_counts(60)
+    assert p[60] == 966467
     for S in range(1, 61):
         assert p[S] <= math.exp(2.57 * math.sqrt(S))
 
@@ -188,6 +193,17 @@ def test_partition_bound_check_two_colors():
 def test_partition_bound_check_single_color():
     out = partition_bound_check(1, range(1, 15))
     assert out["theta_ok"]
+
+
+@pytest.mark.parametrize("m, counts", [
+    (1, [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]),
+    (2, [1, 2, 4, 9, 16, 31, 57, 109, 189, 339, 589, 1043]),
+    (3, [1, 2, 5, 11, 26, 66, 137, 300]),
+])
+def test_partition_bound_check_max_counts(m, counts):
+    # the largest vector partition count at each magnitude S = 1, 2, ...
+    out = partition_bound_check(m, range(1, len(counts) + 1))
+    assert [int(row["max_count"]) for row in out["per_magnitude"]] == counts
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from scipy.special import rel_entr
 
 from graphrates import (Alphabet, ColorMeasure, Kernel, SolveReport,
                         ising_annealed, legendre_i_omega, product_kernel_measure)
-from graphrates.varsolve import zeta_inner
+from graphrates.varsolve import _simplex_starts, zeta_inner
 
 A1 = Alphabet(1)
 A2 = Alphabet(2)
@@ -37,6 +37,18 @@ def test_zeta_inner_er_closed_form():
     for x in (0.4, 1.25, 2.0):
         val = zeta_inner(x, mu1, Kernel.constant(c)).value
         assert val == pytest.approx(-x * math.log(c / 2.0) + c / 2.0, abs=1e-8)
+
+
+def test_simplex_starts_kronecker_alphas_are_prime_roots():
+    # after mu, uniform and 8 vertices, start 9 + i is frac(i alphas) + 0.02, normalised
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+              59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131]
+    alphas = np.sqrt(np.array(primes, dtype=float))
+    starts = _simplex_starts(32, np.full(32, 1 / 32))
+    assert len(starts) == 32
+    for i, start in enumerate(starts[10:], start=1):
+        v = np.mod(i * alphas, 1.0) + 0.02
+        assert np.array_equal(start, v / v.sum())
 
 
 def test_zeta_inner_x_zero():
