@@ -294,6 +294,7 @@ def _cmd_ising(cfg, args):
                             "value": report.value,
                             "oracle": oracles.ising_oracle(beta, c),
                             "iterations": report.iterations,
+                            "residual": report.residual,
                             "converged": report.converged})
     return {"records": records}, None
 

@@ -365,7 +365,10 @@ class NeighborhoodCounts:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["n"], _atom_records(d["atoms"], "count"))
+        nc = cls(d["n"], _atom_records(d["atoms"], "count"))
+        if nc.alphabet != Alphabet(d["m"]):
+            raise ValueError(f"degree vectors have length {nc.alphabet.m}, but m={d['m']}")
+        return nc
 
 
 def _phi_sums(atoms, m, dtype):

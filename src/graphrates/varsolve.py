@@ -4,11 +4,12 @@ Covers the numerical searches behind the rates: the minimization over color
 laws omega on supp mu, the annealed Ising free energy, and the numeric
 Legendre dual of the conditional pair rate. One face solver, multi-start
 SLSQP in softmax coordinates, does the minimization over color laws behind
-the edge rate's inner infimum. The Ising free energy is one maximization
-over the spin fraction x along the profile where the pair variables are
-stationary, a grid seed refined by a bounded Brent search. All solvers are
-deterministic: multi-starts come from a fixed low-discrepancy set, never
-from an RNG.
+the edge rate's inner infimum. The Ising free energy is one closed-form
+function of the spin fraction x, the functional along the profile where the
+pair variables are stationary. It is symmetric about 1/2 and unimodal on
+[0, 1/2], so one bounded Brent search there maximizes it, with no grid. All
+solvers are deterministic: multi-starts come from a fixed low-discrepancy
+set, never from an RNG.
 """
 
 import math
@@ -151,29 +152,18 @@ def zeta_inner(x, mu, C):
 # annealed Ising free energy
 
 
-def _ising_objective(x, wpp, wmm, wpm, beta, c):
-    """Four-variable free-energy functional at x in [0, 1] and w >= 0, each w
-    vanishing where its reference c x x, c (1-x) (1-x) or c x (1-x) does."""
-    refs = (c * x * x, c * (1.0 - x) * (1.0 - x), c * x * (1.0 - x))
-    ent = 0.0
-    for w, r, mult in ((wpp, refs[0], 1.0), (wmm, refs[1], 1.0), (wpm, refs[2], 2.0)):
-        if w > 0.0:
-            ent += mult * w * math.log(w / r)
-    mass = wpp + wmm + 2.0 * wpm
-    mix = -x * math.log(x) - (1.0 - x) * math.log(1.0 - x) if 0.0 < x < 1.0 else 0.0
-    return (0.5 * beta * (wpp + wmm - 2.0 * wpm) + mix
-            - 0.5 * (ent + c - mass))
-
-
 def ising_annealed(beta, c):
     """Limiting annealed free energy, the maximum of the pair-measure functional.
 
-    At fixed x the functional is strictly concave in (w++, w--, w+-) with its
-    maximum at w = ref * e^{+-beta}, so this maximizes over x in [0, 1] along
-    that profile: the best of 401 grid points seeds a bounded Brent search in
-    the cells beside it. iterations counts the search's objective evaluations;
-    residual is the gap between the evaluated x nearest the result on either
-    side, which bracket the maximizer."""
+    At fixed x the functional peaks at w = ref * e^{+-beta}, where the entropy
+    cancels the energy: F(x) = H(x) + (||w(x)|| - c)/2, or with y = x(1-x),
+    H(x) + c/2 [(1-2y) expm1(beta) + 2y expm1(-beta)], where nothing cancels.
+    F is symmetric about 1/2 with slope 2 artanh(t) - 2c sinh(beta) t at
+    t = 1-2x; artanh(t)/t rises from 1 to inf, so on [0, 1/2] F rises then
+    falls (or only rises). One bounded Brent search there finds the maximum;
+    both ends, which it never evaluates, are evaluated too. argmin is the
+    profile (x, w++, w--, w+-) at the best x; iterations counts evaluations;
+    residual is the gap between the evaluated x nearest it on either side."""
     if c <= 0:
         raise ValueError(f"c must be positive, got {c!r}")
     if beta < 0:
@@ -182,26 +172,25 @@ def ising_annealed(beta, c):
         eb, emb = math.exp(beta), math.exp(-beta)
     except OverflowError:
         raise ValueError(f"beta {beta!r} is too large: e^beta overflows a float") from None
+    if math.isinf(c * eb):
+        raise ValueError(f"beta {beta!r} is too large for c {c!r}: c e^beta overflows a float")
+    up, down = math.expm1(beta), math.expm1(-beta)
     seen = {}
 
-    def profile(x):
-        return x, c * x * x * eb, c * (1.0 - x) * (1.0 - x) * eb, c * x * (1.0 - x) * emb
-
     def neg(x):
-        seen[x] = _ising_objective(*profile(x), beta, c)
+        y = x * (1.0 - x)
+        mix = -x * math.log(x) - (1.0 - x) * math.log1p(-x) if x > 0.0 else 0.0
+        seen[x] = mix + 0.5 * c * ((1.0 - 2.0 * y) * up + 2.0 * y * down)
         return -seen[x]
 
-    grid = np.linspace(0.0, 1.0, 401).tolist()
-    i = int(np.argmin([neg(x) for x in grid]))
-    if not all(map(math.isfinite, seen.values())):  # finite everywhere in exact arithmetic
-        raise ValueError(f"beta {beta!r} is too large for c {c!r}: "
-                         "the functional overflows a float")
-    res = minimize_scalar(neg, bounds=(grid[max(i - 1, 0)], grid[min(i + 1, 400)]),
-                          method="bounded", options={"xatol": 1e-12})
-    x = float(res.x) if res.fun <= -seen[grid[i]] else grid[i]
+    res = minimize_scalar(neg, bounds=(0.0, 0.5), method="bounded", options={"xatol": 1e-12})
+    neg(0.0)
+    neg(0.5)
+    x = max((float(res.x), 0.0, 0.5), key=seen.get)  # ties go to the search's own x
     residual = (min((t for t in seen if t > x), default=x)
                 - max((t for t in seen if t < x), default=x))
-    return SolveReport(profile(x), seen[x], residual, res.nfev, residual <= ARGMAX_TOL)
+    profile = (x, c * x * x * eb, c * (1.0 - x) * (1.0 - x) * eb, c * x * (1.0 - x) * emb)
+    return SolveReport(profile, seen[x], residual, res.nfev + 2, residual <= ARGMAX_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +201,15 @@ def legendre_i_omega(pair, omega, C):
     """(1/2) sup_g { <pair, g> + <C omega x omega, 1 - e^g> } over symmetric g.
 
     The objective is separable per entry, so this evaluates it at the
-    closed-form optimum g(a,b) = ln(pair/(C omega x omega)), clipped to
-    [-40, 40]. +inf when pair charges a zero of the reference product.
+    closed-form optimum g(a,b) = ln(pair/(C omega x omega)) on the entries
+    where pair > 0. An entry where pair = 0 adds its reference mass, the
+    limit as g -> -inf. +inf when pair charges a zero of the reference product.
     """
     _check_same_alphabet(pair, omega, C)
-    m = pair.alphabet.m
-    if m > 3:
-        raise ValueError(f"dual check is limited to m <= 3, got m={m}")
-    clip = 40.0
     ref = C.values * np.outer(omega.weights, omega.weights)
     p = pair.weights
     if np.any((ref == 0.0) & (p > 0.0)):
         return math.inf
-
-    g = np.full((m, m), -clip)
-    for a in range(m):
-        for b in range(m):
-            if p[a, b] > 0.0:
-                g[a, b] = min(max(math.log(p[a, b] / ref[a, b]), -clip), clip)
-    value = float(np.sum(p * g) + np.sum(ref * (1.0 - np.exp(g))))
-    return 0.5 * value
+    pos = p > 0.0
+    g = np.log(p[pos] / ref[pos])
+    return 0.5 * float(np.sum(p[pos] * g + ref[pos] * (1.0 - np.exp(g))) + np.sum(ref[~pos]))

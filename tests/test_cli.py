@@ -346,6 +346,29 @@ def test_ising_table(tmp_path):
     assert vals == sorted(vals)
 
 
+def test_ising_reports_a_residual(tmp_path):
+    # README's config
+    cfg = _write(tmp_path, "ising.json", {"beta": [0.0, 0.5, 1.0], "c": 2.0})
+    code, doc = _run_json(tmp_path, ["ising", "--config", cfg])
+    assert code == 0
+    assert all(row["residual"] <= 1e-6 for row in doc["records"])
+
+
+@pytest.mark.parametrize("payload", [
+    # a large c leaves ||w|| - c to cancel in the pair functional
+    {"beta": [0.0, 1e-08], "c": [1e20, 1e9]},
+    # the functional's terms overflow at the ends of [0, 1] before the answer does
+    {"beta": 705, "c": 0.5},
+    {"beta": 709, "c": 2.0},
+], ids=["large-c", "beta-705", "beta-709"])
+def test_ising_matches_the_oracle_at_extreme_configs(tmp_path, payload):
+    cfg = _write(tmp_path, "ising.json", payload)
+    code, doc = _run_json(tmp_path, ["ising", "--config", cfg])
+    assert code == 0
+    for row in doc["records"]:
+        assert row["value"] == pytest.approx(row["oracle"], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # conditional sampling
 
@@ -583,7 +606,7 @@ def _rate_config(one_color_key):
     # a beta whose e^beta, or a degree whose first moment, overflows a float is out
     # of range too
     ("ising", {"beta": 1000, "c": 2.0}, "beta 1000.0 is too large: e^beta overflows a float"),
-    ("ising", {"beta": 709, "c": 2.0}, "the functional overflows a float"),
+    ("ising", {"beta": 709, "c": 3.0}, "for c 3.0: c e^beta overflows a float"),
     ("degree-rate", {"degrees": {str(10 ** 400): 1.0}, "c": 1.0},
      "a degree is too large for a float"),
     # "1" and "01" name one degree, which is refused, not read as the last mass given

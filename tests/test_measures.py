@@ -140,6 +140,13 @@ def test_neighborhood_counts_from_dict_refuses_a_repeated_atom():
         NeighborhoodCounts.from_dict({"n": 4, "atoms": atoms})
 
 
+def test_neighborhood_counts_from_dict_refuses_a_wrong_m():
+    # the atoms' degree vectors fix m = 2; the document's m = 3 is not dropped
+    doc = {"n": 2, "m": 3, "atoms": [{"color": 0, "ell": [1, 0], "count": 2}]}
+    with pytest.raises(ValueError, match="degree vectors have length 2, but m=3"):
+        NeighborhoodCounts.from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # relative entropy
 

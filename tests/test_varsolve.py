@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import rel_entr
 
 from graphrates import (Alphabet, ColorMeasure, Kernel, SolveReport,
@@ -178,6 +180,45 @@ def test_ising_monotone_in_beta_and_c():
         assert all(row[j + 1] >= row[j] - 1e-9 for j in range(len(row) - 1))
 
 
+def _ising_grid_max(beta, c):
+    # the spin-fraction objective H(x) + c/2 [(1-2y) expm1(beta) + 2y expm1(-beta)],
+    # y = x(1-x), on 20,001 points of [0, 1]
+    x = np.linspace(0.0, 1.0, 20001)
+    y = x * (1.0 - x)
+    h = -(rel_entr(x, 1.0) + rel_entr(1.0 - x, 1.0))
+    return float(np.max(h + 0.5 * c * ((1.0 - 2.0 * y) * math.expm1(beta)
+                                       + 2.0 * y * math.expm1(-beta))))
+
+
+@given(st.floats(0.0, 8.0), st.floats(0.05, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_ising_search_beats_a_fine_grid(beta, c):
+    # one bounded search over [0, 1/2] needs no seed grid: no grid point beats it
+    rep = ising_annealed(beta, c)
+    grid_max = _ising_grid_max(beta, c)
+    assert rep.value >= grid_max * (1.0 - 1e-13)
+    assert rep.argmin[0] <= 0.5
+    assert rep.converged
+
+
+def _pair_functional(x, wpp, wmm, wpm, beta, c):
+    # the paper's four-variable functional, written out term by term
+    refs = (c * x * x, c * (1.0 - x) ** 2, c * x * (1.0 - x))
+    ent = sum(mult * w * math.log(w / r)
+              for w, r, mult in ((wpp, refs[0], 1.0), (wmm, refs[1], 1.0), (wpm, refs[2], 2.0))
+              if w > 0.0)
+    mix = -x * math.log(x) - (1.0 - x) * math.log(1.0 - x) if 0.0 < x < 1.0 else 0.0
+    return (0.5 * beta * (wpp + wmm - 2.0 * wpm) + mix
+            - 0.5 * (ent + c - (wpp + wmm + 2.0 * wpm)))
+
+
+@pytest.mark.parametrize("beta,c", [(b, c) for b in (0.0, 0.25, 0.5, 1.0)
+                                    for c in (0.5, 1.0, 2.0)] + [(2.0, 3.0), (3.0, 1.0)])
+def test_ising_value_is_the_pair_functional_at_the_reported_profile(beta, c):
+    rep = ising_annealed(beta, c)
+    assert _pair_functional(*rep.argmin, beta, c) == pytest.approx(rep.value, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Legendre dual of I_omega
 
@@ -207,11 +248,17 @@ def test_legendre_matches_primal_on_random_instances():
         assert dual == pytest.approx(primal, abs=1e-4)
 
 
-def test_legendre_rejects_large_alphabet():
+def test_legendre_matches_primal_past_three_colors():
+    # the closed-form optimum holds for every m; at the product point both vanish
+    from graphrates import PairMeasure, rate_I_omega
     A4 = Alphabet(4)
     mu = ColorMeasure(A4, [0.25] * 4, probability=True)
     C = Kernel(A4, np.ones((4, 4)))
-    from graphrates import PairMeasure
-    pair = product_kernel_measure(C, mu)
-    with pytest.raises(ValueError):
-        legendre_i_omega(pair, mu, C)
+    assert legendre_i_omega(product_kernel_measure(C, mu), mu, C) == 0.0
+    rng = np.random.default_rng(4)
+    mu = ColorMeasure(A4, [0.1, 0.2, 0.3, 0.4], probability=True)
+    f = rng.uniform(0.2, 0.8, (4, 4))
+    f = f + f.T
+    f[0, 3] = f[3, 0] = 0.0  # an entry where pair vanishes adds its reference mass
+    pair = PairMeasure(A4, product_kernel_measure(C, mu).weights * f)
+    assert legendre_i_omega(pair, mu, C) == pytest.approx(rate_I_omega(pair, mu, C), rel=1e-12)
