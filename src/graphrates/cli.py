@@ -322,10 +322,10 @@ def _cmd_approximate(cfg, args):
     seed = _resolve_seed(cfg, args) if "n" in cfg else None
     nu = _from_config(rates.poisson_limit_law, mu, C)
     pair = product_kernel_measure(C, mu)
-    pair_hat, nu_hat = consistify(pair, nu, eps)
+    pair_hat, nu_hat = _from_config(consistify, pair, nu, eps)
     _, phi2 = phi(nu_hat)
     body = {"consistify": {
-        "pair": pair_hat.to_dict(), "nu_atoms": len(nu_hat.support),
+        "pair": pair_hat.to_dict(), "nu_atoms": nu_hat.weights.size,
         "consistency_residual": float(np.abs(phi2 - pair_hat.weights).max()),
         "pair_moved": float(np.abs(pair_hat.weights - pair.weights).max()),
         "nu_tv": total_variation(nu, nu_hat)}}

@@ -8,9 +8,9 @@ geometric gaps between successes (Batagelj & Brandes 2005). The conditional
 sampler instead fixes the exact color counts and per-color-pair edge counts
 and draws uniformly from the graphs realizing them: a seeded shuffle of the
 fixed color multiset, then for every unordered color pair exactly n(a, b)
-distinct edge slots drawn without replacement. sample_colored_batch and
-sample_conditional_batch draw many seeds, each with its own stream, and
-decode all their slots at once with the one decoder every sampler shares.
+distinct edge slots drawn without replacement. sample_conditional_batch
+draws many seeds, each with its own stream, and decodes all their slots at
+once with the one decoder every sampler shares.
 """
 
 import math
@@ -234,14 +234,6 @@ def sample_colored_graph(params, seed):
     return ColoredGraph(params.n, params.mu.alphabet.m, colors[0], np.column_stack((u, v)))
 
 
-def sample_colored_batch(params, seeds):
-    """colors (R, n) and sorted edges (replica, u, v) of sample_colored_graph for R seeds;
-    each seed keeps its own stream, and ColoredGraph's checks run once for the batch."""
-    colors, rep, u, v = _free_edges(params, seeds)
-    keep = _edge_order(rep, u, v, params.n)
-    return colors, rep[keep], u[keep], v[keep]
-
-
 def empirical_measures(graph):
     """Exact integer-backed (L1, L2, M) of a colored graph.
 
@@ -260,18 +252,8 @@ def empirical_measures(graph):
     edge_counts = tally + tally.T
     edge_counts[np.diag_indices(m)] = np.diag(tally)
 
-    # count equal (color, degree vector) rows; the stable sort puts each
-    # atom's first vertex first, so atoms keep first-appearance order
-    rows = np.concatenate((colors[:, None], deg), axis=1)
-    order = np.lexsort(rows.T)
-    rows = rows[order]
-    new = (rows[1:] != rows[:-1]).any(axis=1)
-    bounds = np.concatenate(([True], new, [True])).nonzero()[0]
-    keep = order[bounds[:-1]].argsort()
-    atom_counts = {(row[0], tuple(row[1:])): c for row, c in
-                   zip(rows[bounds[keep]].tolist(), (bounds[1:] - bounds[:-1])[keep].tolist())}
     return (ColorCounts(n, color_counts), PairCounts(n, edge_counts),
-            NeighborhoodCounts(n, atom_counts))
+            NeighborhoodCounts.tally(colors, deg))
 
 
 def _conditional_plan(omega_n, pair_n):

@@ -11,6 +11,13 @@ Empirical variants (ColorCounts, PairCounts, NeighborhoodCounts) carry the
 exact integer counts behind an n-empirical measure, so structural identities
 can be checked in integer arithmetic instead of floating point.
 
+NeighborhoodMeasure and NeighborhoodCounts hold one atom table: int64 colors
+(K,) and degree vectors (K, m) sorted in (color, ell) tuple order, with a
+float mass or an int count per atom. _atom_table checks it once, in numpy;
+phi, phi_counts, degree_distribution, relative_entropy and total_variation
+are numpy expressions over it, and _find matches atoms against a table.
+relative_entropy is sum w (ln w - ln q) for every type: no ratio w/q forms.
+
 The phi map sends a neighborhood measure to (color marginal, induced pair
 matrix); a pair measure dominating the induced matrix entrywise is called
 sub-consistent with the neighborhood measure, with equality called consistent.
@@ -21,10 +28,8 @@ relevant structure exactly.
 """
 
 import math
-from collections import Counter
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .errors import InfeasibleError
 
@@ -53,32 +58,121 @@ def _whole(x, what):
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
-def _as_degree_vector(ell, m):
-    t = tuple(x if type(x) is int else _whole(x, "degree vector entry") for x in ell)
-    if len(t) != m:
-        raise ValueError(f"degree vector has length {len(t)}, alphabet has m={m}")
-    if min(t) < 0:
-        raise ValueError(f"degree vector has negative entries: {t}")
-    return t
+def _int64(values, what):
+    """values as an int64 array; an integer past the int64 range is an error, never wrapped."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} does not fit in int64") from None
 
 
-def _atom_key(a, ell, m):
-    """(color, degree vector) as checked ints; a color outside 0..m-1 is an error."""
-    a = _whole(a, "color")
-    if not 0 <= a < m:
-        raise ValueError(f"color {a} outside alphabet of size {m}")
-    return a, _as_degree_vector(ell, m)
+def _check_atoms(m, colors, ells):
+    """Refuse a negative degree vector entry, and unless m is None a color outside 0..m-1."""
+    if ells.min(initial=0) < 0:
+        ell = ells[(ells < 0).any(axis=1)][0]
+        raise ValueError(f"degree vector has negative entries: {tuple(ell.tolist())}")
+    if m is not None and (colors.min(initial=0) < 0 or colors.max(initial=0) >= m):
+        raise ValueError(f"color {colors[(colors < 0) | (colors >= m)][0]} outside alphabet "
+                         f"of size {m}")
 
 
-def _atom_records(records, field):
-    """{(color, ell): rec[field]} of atom records; a repeated (color, ell) is an error."""
-    support = {}
-    for rec in records:
-        key = (rec["color"], tuple(rec["ell"]))
-        if key in support:
-            raise ValueError(f"duplicate atom {key}")
-        support[key] = rec[field]
-    return support
+def _read_keys(keys, m=None):
+    """int64 colors (K,) and degree vectors (K, m) of (color, ell) keys, each entry read
+    by _whole; m defaults to the vectors' common length, 1 when there are none."""
+    colors = [_whole(a, "color") for a, _ in keys]
+    ells = [[x if type(x) is int else _whole(x, "degree vector entry") for x in ell]
+            for _, ell in keys]
+    lengths = {len(ell) for ell in ells}
+    if m is None and len(lengths) > 1:
+        raise ValueError("inconsistent degree-vector lengths")
+    m = (lengths.pop() if lengths else 1) if m is None else m
+    if lengths - {m}:
+        raise ValueError(f"degree vector has length {min(lengths - {m})}, alphabet has m={m}")
+    colors, ells = _int64(colors, "color"), _int64(ells, "degree vector entry").reshape(-1, m)
+    _check_atoms(None, colors, ells)
+    return colors, ells
+
+
+def _first_steps(rows):
+    """First nonzero difference of each pair of adjacent rows: > 0 where the pair is in
+    tuple order, 0 where the rows are equal."""
+    step = np.diff(rows, axis=0)
+    return step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+
+
+def _atom_table(m, colors, ells, values, n=None):
+    """(colors, ells, values) checked, sorted in (color, ell) tuple order and read-only.
+
+    colors (K,) in 0..m-1 and ells (K, m) >= 0 are integer arrays, and no atom
+    appears twice; values are finite positive masses or, when n is given,
+    positive counts summing to n. Every degree sum fits in int64: each |ell|,
+    and for counts the adjacency total sum count * |ell|.
+    """
+    colors, ells, values = np.asarray(colors), np.asarray(ells), np.asarray(values)
+    if {colors.dtype.kind, ells.dtype.kind, values.dtype.kind if n else "i"} != {"i"}:
+        raise ValueError("colors, degree vectors and counts must be integer arrays")
+    if colors.ndim != 1 or values.shape != colors.shape or ells.shape != (colors.size, m):
+        raise ValueError(f"atom table shapes {colors.shape}, {ells.shape}, {values.shape} "
+                         f"do not match m={m}")
+    _check_atoms(m, colors, ells)
+    rows = np.column_stack((colors, ells)).astype(np.int64)
+    values = values.astype(np.int64 if n else float)
+    steps = _first_steps(rows)
+    if (steps < 0).any():  # sort only a table not yet in tuple order
+        order = np.lexsort(rows.T[::-1])
+        rows, values = rows[order], values[order]
+        steps = _first_steps(rows)
+    colors, ells = rows[:, 0], rows[:, 1:]
+    dup = np.flatnonzero(steps == 0)
+    if dup.size:
+        raise ValueError(f"duplicate atom {(int(colors[dup[0]]), tuple(ells[dup[0]].tolist()))}")
+    bad = np.flatnonzero(~np.isfinite(values) | (values <= 0))[:1]
+    if bad.size and n:
+        raise ValueError(f"atom count must be positive, got {values[bad[0]]}")
+    if bad.size:
+        key = (int(colors[bad[0]]), tuple(ells[bad[0]].tolist()))
+        raise ValueError(f"atom {key} has non-positive mass {float(values[bad[0]])!r}")
+    if n and sum(values.tolist()) != n:
+        raise ValueError(f"atom counts sum to {sum(values.tolist())}, expected n={n}")
+    if int(ells.max(initial=0)) * m * (n or 1) >= 2 ** 63:  # near the limit, add exactly
+        sums = ells.astype(object).sum(axis=1)
+        total = int((sums * values).sum()) if n else max(sums)
+        if total >= 2 ** 63:
+            raise ValueError(f"degree sum {total} does not fit in int64")
+    for x in (colors, ells, values):
+        x.setflags(write=False)
+    return colors, ells, values
+
+
+def _keys(colors, ells):
+    # entries are >= 0, so big-endian bytes compare as (color, ell) tuples do
+    rows = np.column_stack((colors, ells)).astype(">i8")
+    return rows.view(f"V{8 * rows.shape[1]}").ravel()
+
+
+def _find(table, colors, ells):
+    """Index in the sorted table of each atom (colors[k], ells[k]); len(table) where it
+    is absent, so the table's values with one 0 appended align with the atoms."""
+    keys, wanted = _keys(table.colors, table.ells), _keys(colors, ells)
+    at = np.searchsorted(keys, wanted)
+    hit = at < keys.size
+    hit[hit] = keys[at[hit]] == wanted[hit]
+    at[~hit] = keys.size
+    return at
+
+
+def _merged(colors, ells, values):
+    """Atoms sorted in (color, ell) order, the values of equal atoms added in their order."""
+    rows = np.column_stack((colors, ells))
+    order = np.lexsort(rows.T[::-1])
+    rows, values = rows[order], values[order]
+    starts = np.flatnonzero(np.concatenate(([True], _first_steps(rows) != 0)))
+    return rows[starts, 0], rows[starts, 1:], np.add.reduceat(values, starts)
+
+
+def _atom_list(colors, ells, values):
+    return [((a, tuple(ell)), v)
+            for a, ell, v in zip(colors.tolist(), ells.tolist(), values.tolist())]
 
 
 class Alphabet:
@@ -174,51 +268,54 @@ class PairMeasure:
 
 
 class NeighborhoodMeasure:
-    """Sparse measure on (color, degree vector) atoms with positive masses."""
+    """Sparse measure on (color, degree vector) atoms with positive masses, held as
+    the atom table colors (K,), ells (K, m) and weights (K,)."""
 
     def __init__(self, alphabet, support, probability=False):
-        m = alphabet.m
-        clean = {}
-        total = 0.0
-        for (a, ell), mass in support.items():
-            key = _atom_key(a, ell, m)
-            mass = float(mass)
-            if not math.isfinite(mass) or mass <= 0:
-                raise ValueError(f"atom {key} has non-positive mass {mass!r}")
-            if key in clean:
-                raise ValueError(f"duplicate atom {key}")
-            clean[key] = mass
-            total += mass
-        if probability and abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"probability measure has total mass {total!r}")
+        self._fill(alphabet, *_read_keys(support, alphabet.m), list(support.values()),
+                   probability)
+
+    @classmethod
+    def from_arrays(cls, alphabet, colors, ells, masses, probability=False):
+        """The measure of mass masses[k] on each atom (colors[k], ells[k])."""
+        nu = cls.__new__(cls)
+        nu._fill(alphabet, colors, ells, masses, probability)
+        return nu
+
+    def _fill(self, alphabet, colors, ells, masses, probability):
+        self.colors, self.ells, self.weights = _atom_table(alphabet.m, colors, ells, masses)
+        if probability and abs(self.total_mass - 1.0) > MASS_TOL:
+            raise ValueError(f"probability measure has total mass {self.total_mass!r}")
         self.alphabet = alphabet
-        self.support = clean
         self.probability = bool(probability)
 
     @property
     def total_mass(self):
-        return float(sum(self.support.values()))
+        return float(self.weights.sum())
 
     def mass(self, a, ell):
         """Mass of the atom (a, ell); 0 when absent from the support."""
-        return self.support.get((_whole(a, "color"), _as_degree_vector(ell, self.alphabet.m)), 0.0)
+        at = _find(self, *_read_keys([(a, ell)], self.alphabet.m))
+        return float(np.append(self.weights, 0.0)[at[0]])
 
     def atoms(self):
-        """Atoms in a deterministic (color, degree vector) sort order."""
-        return sorted(self.support.items())
+        """[((color, ell), mass)] in (color, degree vector) sort order."""
+        return _atom_list(self.colors, self.ells, self.weights)
 
     def to_dict(self):
         return {"m": self.alphabet.m, "probability": self.probability,
-                "atoms": [{"color": a, "ell": list(ell), "mass": mass}
-                          for (a, ell), mass in self.atoms()]}
+                "atoms": [{"color": a, "ell": list(ell), "mass": w}
+                          for (a, ell), w in self.atoms()]}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(Alphabet(d["m"]), _atom_records(d["atoms"], "mass"),
-                   d.get("probability", False))
+        alphabet = Alphabet(d["m"])
+        keys = _read_keys([(rec["color"], rec["ell"]) for rec in d["atoms"]], alphabet.m)
+        return cls.from_arrays(alphabet, *keys, [rec["mass"] for rec in d["atoms"]],
+                               d.get("probability", False))
 
     def __repr__(self):
-        return f"NeighborhoodMeasure({len(self.support)} atoms, mass={self.total_mass:g})"
+        return f"NeighborhoodMeasure({self.weights.size} atoms, mass={self.total_mass:g})"
 
 
 class Kernel:
@@ -322,41 +419,45 @@ class PairCounts:
 
 
 class NeighborhoodCounts:
-    """n and integer atom counts; counts/n is the empirical neighborhood law."""
+    """n and integer atom counts; counts/n is the empirical neighborhood law. The atom
+    table is colors (K,), ells (K, m) and int64 counts (K,) summing to n."""
 
     def __init__(self, n, counts):
+        self._fill(n, *_read_keys(counts),
+                   _int64([_whole(c, "atom count") for c in counts.values()], "atom count"))
+
+    @classmethod
+    def from_arrays(cls, n, colors, ells, counts):
+        """n vertices, counts[k] of them at the atom (colors[k], ells[k])."""
+        nc = cls.__new__(cls)
+        nc._fill(n, colors, ells, counts)
+        return nc
+
+    @classmethod
+    def tally(cls, colors, ells):
+        """Counts of the vertices with colors (n,) and degree vectors (n, m)."""
+        return cls.from_arrays(len(colors), *_merged(colors, ells, np.ones(len(colors), int)))
+
+    def _fill(self, n, colors, ells, counts):
         n = _whole(n, "n")
         if n < 1:
             raise ValueError("n must be >= 1")
-        ms = {len(ell) for (_, ell) in counts}
-        if len(ms) > 1:
-            raise ValueError("inconsistent degree-vector lengths")
-        m = ms.pop() if ms else 1
-        clean = {}
-        total = 0
-        for (a, ell), c in counts.items():
-            c = _whole(c, "atom count")
-            if c <= 0:
-                raise ValueError(f"atom count must be positive, got {c}")
-            clean[_atom_key(a, ell, m)] = c
-            total += c
-        if total != n:
-            raise ValueError(f"atom counts sum to {total}, expected n={n}")
+        self.alphabet = Alphabet(np.shape(ells)[-1])
+        self.colors, self.ells, self.counts = _atom_table(self.alphabet.m, colors, ells,
+                                                          counts, n)
         self.n = n
-        self.counts = clean
-        self.alphabet = Alphabet(m)
 
     @property
     def measure(self):
-        return NeighborhoodMeasure(
-            self.alphabet, {k: c / self.n for k, c in self.counts.items()},
-            probability=True)
+        return NeighborhoodMeasure.from_arrays(self.alphabet, self.colors, self.ells,
+                                               self.counts / self.n, probability=True)
 
     def atoms(self):
-        return sorted(self.counts.items())
+        """[((color, ell), count)] in (color, degree vector) sort order."""
+        return _atom_list(self.colors, self.ells, self.counts)
 
     def max_magnitude(self):
-        return max((magnitude(ell) for (_, ell) in self.counts), default=0)
+        return int(self.ells.sum(axis=1).max(initial=0))
 
     def to_dict(self):
         return {"n": self.n, "m": self.alphabet.m,
@@ -365,20 +466,22 @@ class NeighborhoodCounts:
 
     @classmethod
     def from_dict(cls, d):
-        nc = cls(d["n"], _atom_records(d["atoms"], "count"))
+        atoms = d["atoms"]
+        nc = cls.from_arrays(d["n"], *_read_keys([(rec["color"], rec["ell"]) for rec in atoms]),
+                             _int64([_whole(rec["count"], "atom count") for rec in atoms],
+                                    "atom count"))
         if nc.alphabet != Alphabet(d["m"]):
             raise ValueError(f"degree vectors have length {nc.alphabet.m}, but m={d['m']}")
         return nc
 
 
-def _phi_sums(atoms, m, dtype):
-    """Per-color mass and mass-weighted degree vector sums of (a, ell) -> mass atoms."""
-    color = np.zeros(m, dtype=dtype)
-    adj = np.zeros((m, m), dtype=dtype)
-    for (a, ell), w in atoms.items():
-        color[a] += w
-        adj[a] += w * np.asarray(ell, dtype=dtype)
-    return color, adj
+def _color_sums(colors, rows, m):
+    """Sums per color of one value or row per atom, added atom by atom in table order."""
+    flat = rows.reshape(len(colors), -1)
+    k = flat.shape[1]
+    out = np.zeros(m * k, dtype=rows.dtype)
+    np.add.at(out, (colors[:, None] * k + np.arange(k)).ravel(), flat.ravel())
+    return out.reshape(m, *rows.shape[1:])
 
 
 def phi_counts(nc):
@@ -387,37 +490,41 @@ def phi_counts(nc):
     Returns (color counts array, adjacency array T) with
     T[a, b] = sum over color-a atoms of count * ell[b], both plain int64.
     """
-    return _phi_sums(nc.counts, nc.alphabet.m, np.int64)
+    m = nc.alphabet.m
+    return (_color_sums(nc.colors, nc.counts, m),
+            _color_sums(nc.colors, nc.counts[:, None] * nc.ells, m))
 
 
 # ---------------------------------------------------------------------------
 # entropy, distance, phi
 
 
+def _log_relative_entropy(w, log_q):
+    """sum w (ln w - log_q) over the entries with w > 0; no ratio w/q forms to overflow."""
+    w, log_q = w[w > 0], log_q[w > 0]
+    return float(np.sum(w * (np.log(w) - log_q)))
+
+
 def relative_entropy(nu, mu):
     """Relative entropy sum nu*log(nu/mu) over nu's support.
 
     Conventions: 0*log 0 = 0 and mass where mu vanishes gives +inf. Works on
-    matched ColorMeasure, PairMeasure, or NeighborhoodMeasure pairs. When both
-    carry the probability flag the value is clamped at 0, which the true value
-    cannot go below.
+    matched ColorMeasure, PairMeasure, or NeighborhoodMeasure pairs, as
+    sum w (ln w - ln q) with q mu's mass at each of nu's entries or atoms.
+    When both carry the probability flag the value is clamped at 0, which
+    the true value cannot go below.
     """
     if type(nu) is not type(mu):
         raise ValueError(f"measure types differ: {type(nu).__name__} vs {type(mu).__name__}")
     _check_same_alphabet(nu, mu)
+    q = mu.weights
     if isinstance(nu, NeighborhoodMeasure):
-        total = 0.0
-        for key, w in nu.support.items():
-            q = mu.support.get(key, 0.0)
-            if q == 0.0:
-                return math.inf
-            total += w * math.log(w / q)
-        both_prob = nu.probability and mu.probability
-    else:
-        total = float(np.sum(rel_entr(nu.weights, mu.weights)))
-        both_prob = getattr(nu, "probability", False) and getattr(mu, "probability", False)
+        q = np.append(q, 0.0)[_find(mu, nu.colors, nu.ells)]
+    with np.errstate(divide="ignore"):
+        total = _log_relative_entropy(nu.weights.ravel(), np.log(q).ravel())
     if math.isinf(total):
         return math.inf
+    both_prob = getattr(nu, "probability", False) and getattr(mu, "probability", False)
     return max(total, 0.0) if both_prob else total
 
 
@@ -429,9 +536,11 @@ def total_variation(nu, nu_tilde):
     require_probability(nu, "nu")
     require_probability(nu_tilde, "nu_tilde")
     if isinstance(nu, NeighborhoodMeasure):
-        keys = set(nu.support) | set(nu_tilde.support)
-        return 0.5 * sum(abs(nu.support.get(k, 0.0) - nu_tilde.support.get(k, 0.0))
-                         for k in keys)
+        at = _find(nu_tilde, nu.colors, nu.ells)
+        other = np.append(nu_tilde.weights, 0.0)
+        shared = np.abs(nu.weights - other[at]).sum()
+        other[at] = 0.0  # what is left sits on atoms nu does not charge
+        return 0.5 * float(shared + other.sum())
     return 0.5 * float(np.abs(nu.weights - nu_tilde.weights).sum())
 
 
@@ -450,8 +559,10 @@ def phi(nu):
     symmetric for graph-derived measures but need not be in general, so
     symmetrization is left to the caller.
     """
-    nu1, phi2 = _phi_sums(nu.support, nu.alphabet.m, float)
-    return ColorMeasure(nu.alphabet, nu1, probability=nu.probability), phi2
+    m = nu.alphabet.m
+    nu1 = ColorMeasure(nu.alphabet, _color_sums(nu.colors, nu.weights, m),
+                       probability=nu.probability)
+    return nu1, _color_sums(nu.colors, nu.weights[:, None] * nu.ells, m)
 
 
 def is_sub_consistent(pair, nu):
@@ -464,11 +575,8 @@ def is_sub_consistent(pair, nu):
 def degree_distribution(nu):
     """Distribution of the degree |ell| under a neighborhood probability law."""
     require_probability(nu, "nu")
-    d = {}
-    for (_, ell), w in nu.support.items():
-        k = magnitude(ell)
-        d[k] = d.get(k, 0.0) + w
-    return d
+    degrees, at = np.unique(nu.ells.sum(axis=1), return_inverse=True)
+    return dict(zip(degrees.tolist(), np.bincount(at, weights=nu.weights).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +592,13 @@ def consistify(pair, nu, eps):
     large enough that both |pair - pair_hat| <= eps entrywise and
     total_variation(nu, nu_hat) <= eps.
 
+    The output is no approximation in rate: Q[pair_hat, nu1] gives the atom
+    n*e_b a mass of order e^(-n ln n), so H(nu_hat || Q) grows like
+    Delta ln(1/eps) as eps falls, and rate_J diverges along the output.
+
     Requires the induced pair matrix of nu to be symmetric within 1e-12 (the
     construction lives in the symmetric space); already-consistent inputs are
-    returned unchanged.
+    returned unchanged. An eps that needs n past the int64 range is refused.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -512,17 +624,19 @@ def consistify(pair, nu, eps):
             math.ceil(delta) + 1, 1)
     while delta / n >= 1.0 or (sym.max() > 0 and delta * float(sym.max()) / n > eps):
         n *= 2
+    if n >= 2 ** 63:
+        raise ValueError(f"eps {eps!r} needs degree vectors of magnitude {n}, past int64")
 
     scale = 1.0 - delta / n
-    m = pair.alphabet.m
-    support = {key: w * scale for key, w in nu.support.items() if w * scale > 0}
-    for a in range(m):
-        for b in range(m):
-            if deficit[a, b] > 0:
-                ell = tuple(n if j == b else 0 for j in range(m))
-                key = (a, ell)
-                support[key] = support.get(key, 0.0) + deficit[a, b] / n
-    nu_hat = NeighborhoodMeasure(nu.alphabet, support, probability=True)
+    a, b = np.nonzero(deficit > 0)
+    heavy = np.zeros((a.size, pair.alphabet.m), dtype=np.int64)
+    heavy[np.arange(a.size), b] = n
+    # a heavy atom nu already charges takes the sum of the two masses
+    colors, ells, weights = _merged(
+        np.concatenate((nu.colors, a)), np.concatenate((nu.ells, heavy)),
+        np.concatenate((nu.weights * scale, deficit[a, b] / n)))
+    nu_hat = NeighborhoodMeasure.from_arrays(nu.alphabet, colors[weights > 0], ells[weights > 0],
+                                             weights[weights > 0], probability=True)
     pair_hat = PairMeasure(pair.alphabet, scale * sym + deficit)
     return pair_hat, nu_hat
 
@@ -540,7 +654,7 @@ def quantize(omega_n, pair_n, nu, seed):
     if omega_n.n != pair_n.n:
         raise ValueError(f"size mismatch: omega_n.n={omega_n.n}, pair_n.n={pair_n.n}")
     _check_same_alphabet(omega_n, pair_n, nu)
-    n, m = omega_n.n, omega_n.alphabet.m
+    m = omega_n.alphabet.m
     adjacency = pair_n.adjacency
 
     for a in range(m):
@@ -548,24 +662,17 @@ def quantize(omega_n, pair_n, nu, seed):
             raise InfeasibleError(
                 f"color {a} has zero vertices but positive adjacency target")
 
-    by_color = {a: [] for a in range(m)}
-    for (a, ell), w in sorted(nu.support.items()):
-        by_color[a].append((ell, w))
-
     rng = np.random.default_rng(seed)
-    counts = Counter()
+    drawn = []
     for a in range(m):
         k_a = int(omega_n.counts[a])
         if k_a == 0:
             continue
-        atoms = by_color[a]
-        weight = sum(w for _, w in atoms)
+        mine = nu.colors == a
         vecs = np.zeros((k_a, m), dtype=np.int64)
-        if atoms and weight > 0:
-            probs = np.array([w for _, w in atoms]) / weight
-            idx = rng.choice(len(atoms), size=k_a, p=probs)
-            ells = np.array([ell for ell, _ in atoms], dtype=np.int64)
-            vecs = ells[idx].copy()
+        if mine.any():
+            w = nu.weights[mine]
+            vecs = nu.ells[mine][rng.choice(w.size, size=k_a, p=w / w.sum())]
         for b in range(m):
             target = int(adjacency[a, b])
             have = int(vecs[:, b].sum())
@@ -576,9 +683,9 @@ def quantize(omega_n, pair_n, nu, seed):
                 take = min(have - target, nz.size)
                 vecs[nz[:take], b] -= 1
                 have -= take
-        for row in vecs:
-            counts[(a, tuple(int(x) for x in row))] += 1
-    return NeighborhoodCounts(n, counts)
+        drawn.append(vecs)
+    return NeighborhoodCounts.tally(np.repeat(np.arange(m), omega_n.counts),
+                                    np.concatenate(drawn))
 
 
 def _int_root(n, k):
@@ -605,46 +712,31 @@ def cap_degrees(nu_n):
     if nu_n.max_magnitude() <= cap:
         return nu_n
 
-    vertices = []
-    for (a, ell), c in nu_n.atoms():
-        vertices.extend([a, list(ell)] for _ in range(c))
-
+    colors = np.repeat(nu_n.colors, nu_n.counts)
+    ells = np.repeat(nu_n.ells, nu_n.counts, axis=0)
+    # a vertex sheds its excess from its entries in decreasing order, the lower
+    # coordinate first among equal ones: all of each entry until what is left fits
+    order = np.argsort(-ells, axis=1, kind="stable")
+    desc = np.take_along_axis(ells, order, axis=1)
+    excess = np.maximum(ells.sum(axis=1) - cap, 0)[:, None]
+    shed = np.zeros_like(ells)
+    np.put_along_axis(shed, order, np.clip(excess - desc.cumsum(axis=1) + desc, 0, desc), 1)
+    ells -= shed
     for a in range(m):
-        removed = [0] * m
-        for va, ell in vertices:
-            if va != a:
-                continue
-            excess = sum(ell) - cap
-            while excess > 0:
-                b = max(range(m), key=lambda j: (ell[j], -j))
-                take = min(excess, ell[b])
-                if take == 0:
-                    break
-                ell[b] -= take
-                removed[b] += take
-                excess -= take
-        pool = sum(removed)
-        if pool == 0:
+        pool = shed[colors == a].sum(axis=0)
+        if not pool.any():
             continue
-        for va, ell in vertices:
-            if pool == 0:
-                break
-            if va != a or sum(ell) > low:
-                continue
-            room = cap - sum(ell)
-            for b in range(m):
-                if room == 0:
-                    break
-                take = min(room, removed[b])
-                ell[b] += take
-                removed[b] -= take
-                room -= take
-                pool -= take
-        if pool > 0:
+        # the receivers, in vertex order, fill up to the cap from one stream of
+        # the shed units, coordinate 0's first; receiver i takes the units in
+        # [filled[i] - room[i], filled[i]) of it
+        takers = np.flatnonzero((colors == a) & (ells.sum(axis=1) <= low))
+        room = cap - ells[takers].sum(axis=1)
+        filled, units = room.cumsum(), pool.cumsum()
+        left = int(units[-1]) - int(filled[-1] if filled.size else 0)
+        if left > 0:
             raise InfeasibleError(
-                f"cannot cap degrees at {cap}: color {a} has {pool} units of "
-                "adjacency with no receiving vertex of magnitude <= "
-                f"{low}")
-
-    counts = Counter((a, tuple(ell)) for a, ell in vertices)
-    return NeighborhoodCounts(n, counts)
+                f"cannot cap degrees at {cap}: color {a} has {left} units of "
+                f"adjacency with no receiving vertex of magnitude <= {low}")
+        ells[takers] += np.maximum(np.minimum(filled[:, None], units)
+                                   - np.maximum((filled - room)[:, None], units - pool), 0)
+    return NeighborhoodCounts.tally(colors, ells)

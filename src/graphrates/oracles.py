@@ -189,11 +189,11 @@ def support_bound_check(nu_n):
     sum of count * |ell| over its atoms.
     """
     m = nu_n.alphabet.m
-    n_pair_mass = sum(count * sum(ell) for (_, ell), count in nu_n.counts.items())
+    n_pair_mass = int((nu_n.counts[:, None] * nu_n.ells).sum())
     exponent = m / (m + 1)
     c_const = 2 ** m * math.gamma(m + 2) ** exponent / math.gamma(m)
     d_const = 2 ** m * (m + 1) ** m / math.gamma(m)
-    return len(nu_n.counts) <= c_const * n_pair_mass ** exponent + d_const
+    return nu_n.counts.size <= c_const * n_pair_mass ** exponent + d_const
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ Everything here is a pure formula layer: relative entropies, the pair cost
 h_c, the product-Poisson reference law Q, and the assembled rate functions
 for neighborhood measures (rate_J, rate_J_tilde), color/pair measures
 (rate_I, rate_I_omega), degree distributions (rate_delta), and the edge
-count (rate_zeta and its closed Erdos-Renyi form). One function evaluates Q,
-for q_measure and for its zero point poisson_limit_law, and one computes
-H(nu || Q) for rate_J and rate_J_tilde. The degree rate's fixed point has a
-closed form in the Lambert W function; the edge rate's inner infimum is
-delegated to varsolve.
+count (rate_zeta and its closed Erdos-Renyi form). One function evaluates
+ln Q: q_measure and its zero point poisson_limit_law exponentiate it, and the
+one computation of H(nu || Q), behind rate_J and rate_J_tilde, uses the logs
+directly. The degree rate's fixed point has a closed form in the Lambert W
+function; the edge rate's inner infimum is delegated to varsolve.
 """
 
 import math
@@ -19,9 +19,10 @@ from scipy.special import gammaln, lambertw, pdtr, pdtrik, xlogy
 
 from . import varsolve
 from .errors import NonConvergenceError
-from .measures import (PROB_TOL, SUB_CONSISTENCY_TOL, NeighborhoodMeasure, _atom_key,
-                       _check_same_alphabet, is_sub_consistent, phi,
-                       product_kernel_measure, relative_entropy, require_probability)
+from .measures import (PROB_TOL, SUB_CONSISTENCY_TOL, NeighborhoodMeasure, _check_atoms,
+                       _check_same_alphabet, _log_relative_entropy, _read_keys,
+                       is_sub_consistent, phi, product_kernel_measure, relative_entropy,
+                       require_probability)
 
 LIMIT_TAIL_MASS = 1e-14
 LIMIT_ATOMS = 10 ** 6  # the limit law's grid grows exponentially in m; past this it fills memory
@@ -81,9 +82,9 @@ def _poisson_ppf(q, lam):
 
 
 def _q_masses(base, lam, ells):
-    """Q masses base * prod_b Poisson(lam[b]) pmf at ell(b), one row of ells per atom, from
+    """ln Q = ln base + sum_b ln Poisson(lam[b]) pmf at ell(b), one row of ells per atom, from
     one pmf call; base > 0 and lam broadcast against the rows."""
-    return np.exp(np.log(base) + _poisson_log_pmf(ells, lam).sum(axis=1))
+    return np.log(base) + _poisson_log_pmf(ells, lam).sum(axis=1)
 
 
 def q_measure(pair, nu1, support):
@@ -91,18 +92,18 @@ def q_measure(pair, nu1, support):
 
     Q(a, ell) = nu1(a) * prod_b Poisson(pair(a,b)/nu1(a)) pmf at ell(b); each
     atom is checked as NeighborhoodMeasure checks it. Atoms whose mass is 0 (a
-    color with nu1(a) = 0, or ell charging a zero intensity) are omitted, so
-    mass(a, ell) reads as 0 there.
+    color with nu1(a) = 0, ell charging a zero intensity, or a mass below the
+    float range) are omitted, so mass(a, ell) reads as 0 there.
     """
     _check_same_alphabet(pair, nu1)
-    m = pair.alphabet.m
-    keys = [_atom_key(a, ell, m) for a, ell in support]
-    keys = [(a, ell) for a, ell in keys if nu1.weights[a] > 0.0]
-    colors = [a for a, _ in keys]
+    colors, ells = _read_keys(support, pair.alphabet.m)
+    _check_atoms(pair.alphabet.m, colors, ells)
+    keep = nu1.weights[colors] > 0.0
+    colors, ells = colors[keep], ells[keep]
     base = nu1.weights[colors]
-    lam = pair.weights[colors] / base[:, None]
-    masses = _q_masses(base, lam, np.reshape([ell for _, ell in keys], (-1, m))).tolist()
-    return NeighborhoodMeasure(pair.alphabet, {k: q for k, q in zip(keys, masses) if q > 0.0})
+    masses = np.exp(_q_masses(base, pair.weights[colors] / base[:, None], ells))
+    keep = masses > 0.0
+    return NeighborhoodMeasure.from_arrays(pair.alphabet, colors[keep], ells[keep], masses[keep])
 
 
 def poisson_limit_law(mu, C):
@@ -122,22 +123,29 @@ def poisson_limit_law(mu, C):
     size = sum(math.prod(shape) for shape in shapes.values())
     if size > LIMIT_ATOMS:
         raise ValueError(f"the limit law's grid has {size} atoms, more than {LIMIT_ATOMS}")
-    atoms = {}
+    parts = []
     for a, shape in shapes.items():
-        ells = np.indices(shape).reshape(len(shape), -1).T  # C order, degree zero first
-        masses = _q_masses(mu.weights[a], lams[a], ells)
-        masses[0] += mu.weights[a] - masses.sum()
-        atoms.update(((a, tuple(ell)), q) for ell, q in zip(ells.tolist(), masses.tolist())
-                     if q > 0.0)
-    return NeighborhoodMeasure(mu.alphabet, atoms, probability=True)
+        grid = np.indices(shape).reshape(len(shape), -1).T  # C order, degree zero first
+        q = np.exp(_q_masses(mu.weights[a], lams[a], grid))
+        q[0] += mu.weights[a] - q.sum()
+        parts.append((np.full(len(q), a), grid, q))
+    colors, ells, masses = (np.concatenate(x) for x in zip(*parts))
+    keep = masses > 0.0
+    return NeighborhoodMeasure.from_arrays(mu.alphabet, colors[keep], ells[keep], masses[keep],
+                                           probability=True)
 
 
 def _neighborhood_entropy(pair, nu):
-    """(nu1, H(nu || Q[pair, nu1])), nu1 the color marginal; (None, inf) unless sub-consistent."""
+    """(nu1, H(nu || Q[pair, nu1])), nu1 the color marginal; (None, inf) unless sub-consistent.
+    ln Q is never exponentiated, so a Q below the float range leaves H finite."""
     if not is_sub_consistent(pair, nu):
         return None, math.inf
     nu1, _ = phi(nu)
-    return nu1, max(relative_entropy(nu, q_measure(pair, nu1, nu.support)), 0.0)
+    base = nu1.weights[nu.colors]
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_q = _q_masses(base, pair.weights[nu.colors] / base[:, None], nu.ells)
+    log_q[np.isnan(log_q)] = -np.inf  # an intensity past the float range: Q reads as 0
+    return nu1, max(_log_relative_entropy(nu.weights, log_q), 0.0)
 
 
 def rate_J(pair, nu, mu, C):

@@ -195,6 +195,28 @@ def test_rate_zero_point(tmp_path):
     assert doc["J_tilde"] <= 1e-9
 
 
+@pytest.mark.parametrize("heavy, mass, printed", [
+    (200, 0.01, "9.383171157"),  # Q at degree 200 is a subnormal float
+    (400, 0.005, "10.777877243"),  # Q at degree 400 underflows to 0
+])
+def test_rate_prints_a_finite_j_for_a_heavy_atom(tmp_path, heavy, mass, printed):
+    # one color, C = 1, pi = 2 and nu = (1 - w) delta_0 + w delta_k: consistent, so J is
+    # H(nu || Poisson(2)) + h_c/2 with nu1 = mu = 1; ln Q(k) = -2 + k ln 2 - ln k!
+    atoms = [{"color": 0, "ell": [0], "mass": 1.0 - mass},
+             {"color": 0, "ell": [heavy], "mass": mass}]
+    cfg = _write(tmp_path, "heavy.json", {
+        "mu": [1.0], "C": 1.0, "pair": {"m": 1, "weights": [[2.0]]},
+        "nu": {"m": 1, "probability": True, "atoms": atoms}})
+    code, doc = _run_json(tmp_path, ["rate", "--config", cfg])
+    assert code == 0
+    neighborhood = sum(w * (math.log(w) + 2.0 - k * math.log(2.0) + math.lgamma(k + 1))
+                       for k, w in ((0, 1.0 - mass), (heavy, mass)))
+    pair = 0.5 * (2.0 * math.log(2.0) - 2.0 + 1.0)
+    assert doc["J"]["breakdown"]["neighborhood"] == pytest.approx(neighborhood, rel=1e-12)
+    assert doc["J"]["value"] == pytest.approx(neighborhood + pair, rel=1e-12)
+    assert f"{doc['J']['value']:.9f}" == printed
+
+
 def test_degree_rate_known_value(tmp_path):
     cfg = _write(tmp_path, "deg.json", {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0})
     code, doc = _run_json(tmp_path, ["degree-rate", "--config", cfg])
@@ -623,6 +645,13 @@ def _rate_config(one_color_key):
     # a degree near the float limit leaves the rate's terms as inf - inf
     ("degree-rate", {"degrees": {"0": 0.5, str(10 ** 308): 0.5}, "c": 1.0},
      "a degree is too large for a float"),
+    # a degree vector entry past int64 is refused, not wrapped or answered
+    ("rate", {"mu": [1.0], "C": 2.0, "pair": {"m": 1, "weights": [[1.0]]},
+              "nu": {"m": 1, "atoms": [{"color": 0, "ell": [2 ** 63], "mass": 1.0}]}},
+     "degree vector entry does not fit in int64"),
+    # consistify's heavy atom would need a degree past int64
+    ("approximate", dict(BENCH, eps=1e-20),
+     "eps 1e-20 needs degree vectors of magnitude 275000000000000000000, past int64"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)

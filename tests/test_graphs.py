@@ -13,12 +13,21 @@ from graphrates import (Alphabet, ColorCounts, ColoredGraph, ColorMeasure,
                         sample_conditional_batch)
 from graphrates import graphs
 from graphrates.errors import InfeasibleError
-from graphrates.graphs import _slot_pairs, sample_colored_batch
+from graphrates.graphs import _edge_order, _free_edges, _slot_pairs
 from graphrates.seeds import derive_child_seed
 
 A1 = Alphabet(1)
 A2 = Alphabet(2)
 MU2 = ColorMeasure(A2, [0.5, 0.5], probability=True)
+
+
+def sample_colored_batch(params, seeds):
+    """colors (R, n) and sorted edges (replica, u, v) of sample_colored_graph for R seeds;
+    each seed keeps its own stream, and ColoredGraph's checks run once for the batch.
+    A fast way to draw many graphs for the statistical checks below."""
+    colors, rep, u, v = _free_edges(params, seeds)
+    keep = _edge_order(rep, u, v, params.n)
+    return colors, rep[keep], u[keep], v[keep]
 
 
 def test_colored_graph_validation():
@@ -270,7 +279,7 @@ def test_empirical_measures_two_vertex_edge():
     g = ColoredGraph(2, 1, [0, 0], [(0, 1)])
     cc, pc, nc = empirical_measures(g)
     assert pc.measure.weights[0, 0] == pytest.approx(1.0)  # L2(a,a) = 2E/n = 1
-    assert nc.counts == {(0, (1,)): 2}
+    assert nc.atoms() == [((0, (1,)), 2)]
 
 
 def test_empirical_measures_three_vertex_path():

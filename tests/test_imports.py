@@ -74,3 +74,12 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out == "False\n"
+
+
+def test_measures_imports_no_scipy():
+    # the measure layer is numpy alone, so a command that needs no rate need not load scipy
+    tree = ast.parse((SRC / "measures.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in modules if name.split(".")[0] == "scipy"]

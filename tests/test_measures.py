@@ -78,7 +78,7 @@ def test_sizes_are_never_truncated(build):
 
 def test_neighborhood_counts_reject_fractional_and_bool_entries():
     # a whole float is an integer; a fraction or a bool is never truncated
-    assert NeighborhoodCounts(4.0, {(0, (1.0, 0)): 4.0}).counts == {(0, (1, 0)): 4}
+    assert NeighborhoodCounts(4.0, {(0, (1.0, 0)): 4.0}).atoms() == [((0, (1, 0)), 4)]
     for bad in ({(0, (1.5, 0)): 4}, {(0, (True, 0)): 4}, {(0, (1, 0)): 3.5},
                 {(0, (1, 0)): True, (0, (0, 0)): 3}, {(0.5, (1, 0)): 4},
                 {(0, (math.inf, 0)): 4}):
@@ -123,7 +123,7 @@ def test_counts_round_trip_dicts():
     pc = PairCounts(5, [[2, 1], [1, 0]])
     assert PairCounts.from_dict(pc.to_dict()).edge_counts.tolist() == [[2, 1], [1, 0]]
     nc = NeighborhoodCounts(5, {(0, (1, 0)): 2, (1, (2, 0)): 3})
-    assert NeighborhoodCounts.from_dict(nc.to_dict()).counts == nc.counts
+    assert NeighborhoodCounts.from_dict(nc.to_dict()).atoms() == nc.atoms()
 
 
 def test_neighborhood_from_dict_refuses_a_repeated_atom():
@@ -145,6 +145,42 @@ def test_neighborhood_counts_from_dict_refuses_a_wrong_m():
     doc = {"n": 2, "m": 3, "atoms": [{"color": 0, "ell": [1, 0], "count": 2}]}
     with pytest.raises(ValueError, match="degree vectors have length 2, but m=3"):
         NeighborhoodCounts.from_dict(doc)
+
+
+def test_neighborhood_table_is_sorted_and_checked():
+    # the dict constructor and from_arrays build one checked table in (color, ell) tuple order
+    support = {(1, (0, 2)): 0.25, (0, (3, 0)): 0.25, (0, (0, 10)): 0.5}
+    nu = NeighborhoodMeasure(A2, support, probability=True)
+    expect = sorted(support.items())
+    assert nu.atoms() == expect
+    assert nu.ells.dtype == np.int64 and not nu.weights.flags.writeable
+    colors, ells, masses = [1, 0, 0], [[0, 2], [3, 0], [0, 10]], [0.25, 0.25, 0.5]
+    assert NeighborhoodMeasure.from_arrays(A2, colors, ells, masses).atoms() == expect
+    for args, message in (
+            (([0, 2], [[0, 0], [1, 0]], [0.5, 0.5]), "color 2 outside alphabet of size 2"),
+            (([0, 0], [[0, 0], [0, -1]], [0.5, 0.5]), "negative entries: \\(0, -1\\)"),
+            (([0, 0], [[1, 0], [1, 0]], [0.5, 0.5]), "duplicate atom \\(0, \\(1, 0\\)\\)"),
+            (([0, 0], [[1, 0], [0, 0]], [0.5, math.nan]), "non-positive mass nan"),
+            (([0, 0], [[1, 0], [0, 0]], [0.5, 0.6]), "total mass"),
+            (([0, 0], [[1.0, 0], [0, 0]], [0.5, 0.5]), "integer arrays"),
+            (([0], [[1, 0], [0, 0]], [0.5, 0.5]), "shapes")):
+        with pytest.raises(ValueError, match=message):
+            NeighborhoodMeasure.from_arrays(A2, *args, probability=True)
+    with pytest.raises(ValueError, match="atom counts sum to 3, expected n=4"):
+        NeighborhoodCounts.from_arrays(4, [0, 0], [[1], [0]], [2, 1])
+
+
+def test_neighborhood_counts_refuse_degree_sums_past_int64():
+    # 2 * 2**62 adjacencies once wrapped to -2**63 in phi_counts; 2**64 raised OverflowError
+    with pytest.raises(ValueError, match="degree sum 9223372036854775808 does not fit in int64"):
+        NeighborhoodCounts(2, {(0, (2 ** 62,)): 2})
+    with pytest.raises(ValueError, match="degree vector entry does not fit in int64"):
+        NeighborhoodCounts(2, {(0, (2 ** 64,)): 2})
+    with pytest.raises(ValueError, match="degree sum 9223372036854775808 does not fit"):
+        NeighborhoodMeasure(A2, {(0, (2 ** 62, 2 ** 62)): 1.0})
+    # a sum just inside the range is exact
+    nc = NeighborhoodCounts(2, {(0, (2 ** 62,)): 1, (0, (2 ** 62 - 1,)): 1})
+    assert phi_counts(nc)[1].tolist() == [[2 ** 63 - 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +210,17 @@ def test_relative_entropy_neighborhood_atomwise():
     ref = NeighborhoodMeasure(A1, {(0, (0,)): 1.0}, probability=True)
     assert relative_entropy(nu, ref) == math.inf
     assert relative_entropy(nu, nu) == 0.0
+
+
+def test_relative_entropy_is_finite_against_a_subnormal_mass():
+    # w/q = 0.5/1e-310 overflows a float; sum w (ln w - ln q) does not
+    nu = ColorMeasure(A2, [0.5, 0.5], probability=True)
+    mu = ColorMeasure(A2, [1.0, 1e-310], probability=True)
+    expect = 0.5 * math.log(0.5) + 0.5 * (math.log(0.5) - math.log(1e-310))
+    assert relative_entropy(nu, mu) == pytest.approx(expect, rel=1e-14)
+    heavy = NeighborhoodMeasure(A1, {(0, (0,)): 0.5, (0, (1,)): 0.5}, probability=True)
+    tiny = NeighborhoodMeasure(A1, {(0, (0,)): 1.0, (0, (1,)): 1e-310}, probability=True)
+    assert relative_entropy(heavy, tiny) == pytest.approx(expect, rel=1e-14)
 
 
 @settings(max_examples=200, deadline=None)
@@ -374,7 +421,7 @@ def test_quantize_hits_targets_exactly():
         color, adj = phi_counts(nu_n)
         assert np.array_equal(color, cc.counts)
         assert np.array_equal(adj, pc.adjacency)
-        assert sum(nu_n.counts.values()) == cc.n
+        assert sum(c for _, c in nu_n.atoms()) == cc.n
 
 
 def test_quantize_distance_shrinks_with_n():
@@ -418,7 +465,7 @@ def test_cap_degrees_redistributes_heavy_vertex():
     assert out.max_magnitude() <= 10
     assert all(np.array_equal(x, y)
                for x, y in zip(phi_counts(nc), phi_counts(out)))
-    assert sum(out.counts.values()) == n
+    assert sum(c for _, c in out.atoms()) == n
 
 
 def test_cap_degrees_infeasible_when_no_receivers():

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from scipy.stats import poisson
 
 from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
-                        NeighborhoodMeasure, PairMeasure, RateValue,
+                        NeighborhoodMeasure, PairMeasure, RateValue, consistify,
                         empirical_measures, h_c, phi, poisson_limit_law,
                         product_kernel_measure, q_measure, rate_I,
                         rate_I_omega, rate_J, rate_J_tilde, rate_delta,
@@ -61,14 +61,14 @@ def test_q_measure_zero_intensity_atom():
 
 def test_q_measure_empty_support_is_empty():
     q = q_measure(PairMeasure(A2, [[1.0, 0.5], [0.5, 1.0]]), MU2, [])
-    assert q.support == {} and q.total_mass == 0.0
+    assert q.atoms() == [] and q.total_mass == 0.0
 
 
 def test_q_measure_omits_a_color_of_no_mass():
     nu1 = ColorMeasure(A2, [1.0, 0.0], probability=True)
     pair = PairMeasure(A2, [[1.0, 0.0], [0.0, 0.0]])
     q = q_measure(pair, nu1, [(0, (1, 0)), (1, (0, 0)), (1, (1, 0))])
-    assert list(q.support) == [(0, (1, 0))]
+    assert [key for key, _ in q.atoms()] == [(0, (1, 0))]
     assert q.mass(0, (1, 0)) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
@@ -76,7 +76,7 @@ def test_q_measure_refuses_fractional_keys():
     # (0.5, (1.7,)) was once truncated and answered as the atom (0, (1,))
     pair = PairMeasure(A1, [[2.0]])
     q = q_measure(pair, MU1, [(0.0, (1.0,))])
-    assert list(q.support) == [(0, (1,))]
+    assert [key for key, _ in q.atoms()] == [(0, (1,))]
     assert q.mass(0, (1,)) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-15)
     for key in ((0.5, (1.7,)), (0, (1.7,)), (0.5, (1,)), (True, (1,)), (0, (True,)), (1, (0,))):
         with pytest.raises(ValueError, match="must be an integer|outside alphabet"):
@@ -94,6 +94,31 @@ def test_rate_j_zero_point():
     assert rv.finite
     assert rv.value <= 1e-9
     assert set(rv.breakdown) == {"neighborhood", "color", "pair"}
+
+
+@pytest.mark.parametrize("eps, printed", [(0.01, 4.3200003), (1e-3, 6.1731476),
+                                          (1e-4, 8.0167852)])
+def test_rate_j_is_finite_and_diverging_along_consistify(eps, printed):
+    # consistify parks pi = 0.8 on one atom of degree n ~ 1.8/eps, where Q is far below
+    # the float range; H(nu_hat || Poisson(lam)) grows like 0.8 ln(1/eps)
+    pair_hat, nu_hat = consistify(PairMeasure(A1, [[0.8]]),
+                                  NeighborhoodMeasure(A1, {(0, (0,)): 1.0}, probability=True),
+                                  eps)
+    rv = rate_J(pair_hat, nu_hat, MU1, Kernel.constant(0.8))
+    assert rv.finite
+    nu1 = sum(w for _, w in nu_hat.atoms())
+    lam = pair_hat.weights[0, 0] / nu1
+    expect = sum(w * (math.log(w / nu1) + lam - k * math.log(lam) + math.lgamma(k + 1))
+                 for (_, (k,)), w in nu_hat.atoms())
+    assert rv.breakdown["neighborhood"] == pytest.approx(expect, rel=1e-12)
+    assert round(rv.breakdown["neighborhood"], 7) == printed
+
+
+def test_rate_j_is_infinite_where_an_intensity_overflows():
+    # nu1(1) = 1e-310 makes pi(1, 0) / nu1(1) overflow, and ln Q(1, (1, 0)) reads inf - inf
+    nu = NeighborhoodMeasure(A2, {(0, (0, 0)): 1.0, (1, (1, 0)): 1e-310}, probability=True)
+    rv = rate_J(PairMeasure(A2, [[0.0, 1.0], [1.0, 0.0]]), nu, MU2, C2)
+    assert rv.value == math.inf and rv.reason == "neighborhood-cost-infinite"
 
 
 def test_rate_j_not_sub_consistent_is_inf():
@@ -376,8 +401,8 @@ def test_poisson_limit_law_masses_are_the_poisson_product(mu, C):
     m = len(mu)
     qstar = poisson_limit_law(ColorMeasure(Alphabet(m), mu, probability=True),
                               Kernel(Alphabet(m), C))
-    assert {a for a, _ in qstar.support} == {a for a in range(m) if mu[a] > 0}
-    for (a, ell), mass in qstar.support.items():
+    assert {a for (a, _), _ in qstar.atoms()} == {a for a in range(m) if mu[a] > 0}
+    for (a, ell), mass in qstar.atoms():
         if not any(ell):
             continue  # the degree-zero atom also holds the truncated tail
         expect = mu[a]
