@@ -137,19 +137,30 @@ def _resolve_seed(cfg, args):
 
 def _emit(doc, args, flat=None):
     """Write the JSON document as one line; when flat = (suffix, text) and --out
-    ends in suffix, write text() instead, with the manifest in a sidecar file."""
+    ends in suffix, write text() instead, with the manifest in a sidecar file.
+
+    A ColoredGraph value in the document is written as its to_json() text, the
+    bytes json.dumps gives its to_dict(); every other value goes through json.dumps.
+    """
     path = args.out
     if flat is not None and path and path.endswith(flat[0]):
         with open(path, "w") as fh:
             fh.write(flat[1]())
         path, doc = path + ".manifest.json", doc["manifest"]
     # without an indent json runs its C encoder, several times faster
-    payload = json.dumps(doc, default=_jsonable) + "\n"
+    payload = "{" + ", ".join(f"{json.dumps(key)}: {_encode(value)}"
+                              for key, value in doc.items()) + "}\n"
     if path:
         with open(path, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+
+
+def _encode(value):
+    if isinstance(value, ColoredGraph):
+        return value.to_json()
+    return json.dumps(value, default=_jsonable)
 
 
 def _jsonable(obj):
@@ -180,7 +191,7 @@ def _sample_model_graph(cfg, args):
 def _cmd_generate(cfg, args):
     graph = _sample_model_graph(cfg, args)
     cc, pc, nc = empirical_measures(graph)
-    return {"graph": graph.to_dict(),
+    return {"graph": graph,
             "color_counts": cc.to_dict(), "pair_counts": pc.to_dict(),
             "neighborhood_counts": nc.to_dict()}, (".txt", graph.to_text)
 
@@ -307,7 +318,7 @@ def _cmd_sample_conditional(cfg, args):
     except ValueError as exc:
         raise ConfigError(f"bad counts: {exc}") from exc
     graph = sample_conditional(omega_n, pair_n, _resolve_seed(cfg, args))
-    return {"graph": graph.to_dict()}, (".txt", graph.to_text)
+    return {"graph": graph}, (".txt", graph.to_text)
 
 
 def _cmd_approximate(cfg, args):

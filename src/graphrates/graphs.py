@@ -13,13 +13,14 @@ draws many seeds, each with its own stream, and decodes all their slots at
 once with the one decoder every sampler shares.
 """
 
+import io
 import math
 
 import numpy as np
 
 from .errors import InfeasibleError
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
-                       NeighborhoodCounts, PairCounts, _check_same_alphabet, _whole)
+                       NeighborhoodCounts, PairCounts, _check_same_alphabet, _int64, _whole)
 
 
 def _edge_order(rep, u, v, n):
@@ -33,17 +34,56 @@ def _edge_order(rep, u, v, n):
     return order
 
 
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _format_ints(table, seps):
+    """The decimal digits of a non-negative int64 table's entries, row after row, with
+    every entry but the last followed by the ASCII separator of its column.
+
+    An entry's digit count is 1 plus the powers of ten it reaches, which places every
+    entry and separator in one uint8 buffer; each digit place is then one scatter, the
+    entries without that place writing to a spare byte past the end.
+    """
+    values, seps = table.ravel(), [sep.encode() for sep in seps]
+    if not values.size:
+        return ""
+    digits = np.ones(values.size, dtype=np.int64)
+    for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= values.max()]:
+        digits += values >= power
+    sep_lens = np.array([len(sep) for sep in seps])
+    # stops[i, j] is one past the last digit of entry (i, j)
+    stops = (digits.reshape(-1, len(seps)) + sep_lens).cumsum().reshape(-1, len(seps)) - sep_lens
+    size = int(stops[-1, -1])
+    # past size: the last entry's separator, written and cut off, then the spare byte
+    buf = np.empty(size + len(seps[-1]) + 1, dtype=np.uint8)
+    for column, sep in enumerate(seps):
+        for offset, char in enumerate(sep):
+            buf[stops[:, column] + offset] = char
+    last, spare, rest = stops.ravel() - 1, buf.size - 1, values
+    for place in range(int(digits.max())):
+        quot = rest // 10
+        buf[np.where(digits > place, last - place, spare)] = rest - 10 * quot + ord("0")
+        rest = quot
+    return buf[:size].tobytes().decode()
+
+
+def _read_ints(lines, ndmin):
+    """Whitespace-separated base-10 integers of lines, a file or list of str, in int64."""
+    return np.loadtxt(lines, dtype=np.int64, ndmin=ndmin, comments=None)
+
+
 class ColoredGraph:
     """Simple graph with vertex colors; edges stored as sorted (u, v), u < v."""
 
     def __init__(self, n, m, colors, edges):
         n, m = _whole(n, "n"), _whole(m, "m")
-        colors = np.asarray(colors, dtype=np.int64)
+        colors = _int64(colors, "a color index")
         if colors.shape != (n,):
             raise ValueError(f"colors shape {colors.shape} != ({n},)")
         if n and (colors.min() < 0 or colors.max() >= m):
             raise ValueError("color index outside alphabet")
-        edges = np.asarray(edges, dtype=np.int64)
+        edges = _int64(edges, "a vertex index")
         if edges.shape == (0,):  # an empty list is no edges
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -78,24 +118,39 @@ class ColoredGraph:
     # -- serialization ------------------------------------------------------
 
     def to_text(self):
-        # tolist() hands Python ints to the f-strings, which format them faster
-        lines = [f"{self.n} {self.m}", " ".join(map(str, self.colors.tolist()))]
-        lines.extend(f"{u} {v}" for u, v in self.edges.tolist())
+        """The flat format: a header "n m", a line of the n colors, then one "u v"
+        line per edge, each line ending in a newline."""
+        lines = [f"{self.n} {self.m}", _format_ints(self.colors[:, None], [" "])]
+        if self.edge_count:
+            lines.append(_format_ints(self.edges, [" ", "\n"]))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2:
+        """Parse to_text's format; lines end in \\n, \\r\\n or \\r, blank lines are
+        skipped and every token must be a base-10 integer."""
+        fh = io.StringIO(text, newline=None)
+        lines = (ln for ln in fh if ln.strip())
+        header, color_line = next(lines, None), next(lines, None)
+        if color_line is None:
             raise ValueError("graph text needs a header line and a color line")
-        n, m = (int(x) for x in lines[0].split())
-        colors = [int(x) for x in lines[1].split()]
-        edges = [[int(x) for x in ln.split()] for ln in lines[2:]]
-        return cls(n, m, colors, edges)
+        header = _read_ints([header], 1)
+        if header.shape != (2,):
+            raise ValueError(f"the header line must be 'n m', got {header.size} numbers")
+        edge_lines = fh.read()
+        edges = _read_ints(io.StringIO(edge_lines), 2) if edge_lines.strip() else []
+        return cls(int(header[0]), int(header[1]), _read_ints([color_line], 1), edges)
 
     def to_dict(self):
         return {"n": self.n, "m": self.m, "colors": self.colors.tolist(),
                 "edges": self.edges.tolist()}
+
+    def to_json(self):
+        """json.dumps(self.to_dict()), with its default separators, written without
+        building a Python int per entry."""
+        colors = _format_ints(self.colors[:, None], [", "])
+        edges = f"[[{_format_ints(self.edges, [', ', '], ['])}]]" if self.edge_count else "[]"
+        return f'{{"n": {self.n}, "m": {self.m}, "colors": [{colors}], "edges": {edges}}}'
 
     @classmethod
     def from_dict(cls, d):

@@ -61,7 +61,7 @@ def _whole(x, what):
 def _int64(values, what):
     """values as an int64 array; an integer past the int64 range is an error, never wrapped."""
     try:
-        return np.array(values, dtype=np.int64)
+        return np.asarray(values, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{what} does not fit in int64") from None
 
@@ -505,14 +505,32 @@ def _log_relative_entropy(w, log_q):
     return float(np.sum(w * (np.log(w) - log_q)))
 
 
+def _log_ratios(w, q):
+    """ln(w/q) for w > 0 and q >= 0, to the relative accuracy of the ratio's own log.
+
+    Where w/q >= 1/2 it is log1p((w - q)/q), whose numerator is exact where w is
+    near q, so a tiny ln(w/q) keeps its digits; where w/q is a smaller normal float
+    it is ln(w/q); where w/q underflows, overflows or q is 0 it is ln w - ln q, so
+    a subnormal q still gives a finite value and q = 0 gives +inf.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = w / q
+        out = np.log(w) - np.log(q)
+    normal = (ratio >= np.finfo(float).tiny) & (ratio < np.inf)
+    near, far = normal & (ratio >= 0.5), normal & (ratio < 0.5)
+    out[near] = np.log1p((w[near] - q[near]) / q[near])
+    out[far] = np.log(ratio[far])
+    return out
+
+
 def relative_entropy(nu, mu):
     """Relative entropy sum nu*log(nu/mu) over nu's support.
 
     Conventions: 0*log 0 = 0 and mass where mu vanishes gives +inf. Works on
     matched ColorMeasure, PairMeasure, or NeighborhoodMeasure pairs, as
-    sum w (ln w - ln q) with q mu's mass at each of nu's entries or atoms.
-    When both carry the probability flag the value is clamped at 0, which
-    the true value cannot go below.
+    sum w ln(w/q) with q mu's mass at each of nu's entries or atoms, each
+    log taken by _log_ratios. When both carry the probability flag the value
+    is clamped at 0, which the true value cannot go below.
     """
     if type(nu) is not type(mu):
         raise ValueError(f"measure types differ: {type(nu).__name__} vs {type(mu).__name__}")
@@ -520,8 +538,9 @@ def relative_entropy(nu, mu):
     q = mu.weights
     if isinstance(nu, NeighborhoodMeasure):
         q = np.append(q, 0.0)[_find(mu, nu.colors, nu.ells)]
-    with np.errstate(divide="ignore"):
-        total = _log_relative_entropy(nu.weights.ravel(), np.log(q).ravel())
+    w, q = nu.weights.ravel(), q.ravel()
+    w, q = w[w > 0], q[w > 0]
+    total = float(np.sum(w * _log_ratios(w, q)))
     if math.isinf(total):
         return math.inf
     both_prob = getattr(nu, "probability", False) and getattr(mu, "probability", False)

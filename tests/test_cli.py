@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphrates import (Alphabet, ColorMeasure, ColoredGraph, Kernel,
-                        poisson_limit_law, product_kernel_measure, rate_zeta,
-                        rate_zeta_er)
+from graphrates import (Alphabet, ColorCounts, ColorMeasure, ColoredGraph, Kernel,
+                        ModelParams, PairCounts, empirical_measures, poisson_limit_law,
+                        product_kernel_measure, rate_zeta, rate_zeta_er,
+                        sample_colored_graph, sample_conditional)
 from graphrates import acceptance, oracles
 from graphrates.cli import main
 
@@ -110,6 +111,43 @@ def test_json_output_is_one_line(tmp_path, command, make_cfg, out_name, written)
     if written == "out.json" and command == "generate":
         digest = hashlib.sha256(json.dumps(json.loads(text), sort_keys=True).encode())
         assert digest.hexdigest() == GENERATE_DOC_SHA256
+
+
+THREE_COLORS = {"mu": [0.3, 0.3, 0.4], "C": [[2, 1, 0.5], [1, 3, 1], [0.5, 1, 1.5]]}
+
+
+def _graph_doc(graph):
+    return {"n": graph.n, "m": graph.m, "colors": graph.colors.tolist(),
+            "edges": graph.edges.tolist()}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("generate", dict(BENCH, n=200, seed=7)),
+    ("generate", dict(BENCH, n=1, seed=7)),
+    ("generate", dict(THREE_COLORS, n=300, seed=11)),
+    ("sample-conditional", {"n": 5, "color_counts": [5], "edge_counts": [[0]], "seed": 1}),
+    ("sample-conditional", {"n": 30, "color_counts": [10, 8, 12],
+                            "edge_counts": [[6, 4, 2], [4, 3, 5], [2, 5, 9]], "seed": 2}),
+], ids=["bench-200", "bench-1", "three-colors", "conditional-edgeless",
+        "conditional-three-colors"])
+def test_graph_documents_are_json_dumps_bytes(tmp_path, command, cfg):
+    # the raw --out bytes, key order and separators included, are json.dumps of the
+    # document built from plain lists
+    out = tmp_path / "out.json"
+    assert main([command, "--config", _write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 0
+    if command == "generate":
+        mu = ColorMeasure(Alphabet(len(cfg["mu"])), cfg["mu"], probability=True)
+        params = ModelParams(mu, Kernel(mu.alphabet, cfg["C"]), cfg["n"])
+        graph = sample_colored_graph(params, cfg["seed"])
+        cc, pc, nc = empirical_measures(graph)
+        body = {"graph": _graph_doc(graph), "color_counts": cc.to_dict(),
+                "pair_counts": pc.to_dict(), "neighborhood_counts": nc.to_dict()}
+    else:
+        graph = sample_conditional(ColorCounts(cfg["n"], cfg["color_counts"]),
+                                   PairCounts(cfg["n"], cfg["edge_counts"]), cfg["seed"])
+        body = {"graph": _graph_doc(graph)}
+    doc = {"manifest": {"command": command, "config": cfg}, **body}
+    assert out.read_text() == json.dumps(doc) + "\n"
 
 
 def test_measure_manifest_records_the_seed_it_drew_with(tmp_path):
@@ -479,6 +517,36 @@ def test_measure_refuses_an_edge_that_is_not_a_pair(tmp_path, capsys, source):
     assert err.count("\n") == 1 and "edges must have shape (E, 2)" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n0 1 1\n0 1\n1 2 0\n", "the number of columns changed from 2 to 3"),
+    ("3 2\n0 1 1\n0 1\n1\n", "the number of columns changed from 2 to 1"),
+    ("3 2\n0 1 1\n0 1.5\n", "could not convert string '1.5' to int64"),
+    ("3 2\n0 1 1.0\n", "could not convert string '1.0' to int64"),
+    ("3 2 1\n0 1 1\n0 1\n", "the header line must be 'n m', got 3 numbers"),
+    ("4 2\n0 1 1\n0 1\n", "colors shape (3,) != (4,)"),
+    ("3 2\n", "graph text needs a header line and a color line"),
+    # an index past int64 was once an OverflowError and a traceback
+    ("3 2\n0 1 1\n0 99999999999999999999\n", "could not convert string '99999999999999999999'"),
+    ("3 2\n0 1 99999999999999999999\n", "could not convert string '99999999999999999999'"),
+], ids=["ragged-long", "ragged-short", "fraction", "color-fraction", "header-three",
+        "header-n", "no-color-line", "edge-past-int64", "color-past-int64"])
+def test_measure_refuses_a_malformed_graph_file(tmp_path, capsys, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["measure", "--config", _write(tmp_path, "m.json", {"graph_path": str(path)})]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"bad graph file {path}" in err and message in err
+
+
+def test_measure_reads_an_edgeless_graph_file(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("\n3 2\n\n0 1 1\n\n  \n")
+    code, doc = _run_json(tmp_path, ["measure", "--config",
+                                     _write(tmp_path, "m.json", {"graph_path": str(path)})])
+    assert code == 0 and doc["n"] == 3 and doc["edge_count"] == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("graph", [
     {"n": 4.7, "m": 2, "colors": [0, 1, 0, 1], "edges": [[0, 1]]},
     {"n": 4, "m": 2.9, "colors": [0, 1, 0, 1], "edges": [[0, 1]]},
@@ -645,6 +713,11 @@ def _rate_config(one_color_key):
     # a degree near the float limit leaves the rate's terms as inf - inf
     ("degree-rate", {"degrees": {"0": 0.5, str(10 ** 308): 0.5}, "c": 1.0},
      "a degree is too large for a float"),
+    # so is a vertex or color index of an inline graph
+    ("measure", {"graph": {"n": 2, "m": 1, "colors": [0, 0], "edges": [[0, 10 ** 20]]}},
+     "bad inline graph: a vertex index does not fit in int64"),
+    ("measure", {"graph": {"n": 2, "m": 1, "colors": [0, 10 ** 20], "edges": []}},
+     "bad inline graph: a color index does not fit in int64"),
     # a degree vector entry past int64 is refused, not wrapped or answered
     ("rate", {"mu": [1.0], "C": 2.0, "pair": {"m": 1, "weights": [[1.0]]},
               "nu": {"m": 1, "atoms": [{"color": 0, "ell": [2 ** 63], "mass": 1.0}]}},

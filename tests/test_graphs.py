@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from collections import Counter
 
@@ -13,7 +14,7 @@ from graphrates import (Alphabet, ColorCounts, ColoredGraph, ColorMeasure,
                         sample_conditional_batch)
 from graphrates import graphs
 from graphrates.errors import InfeasibleError
-from graphrates.graphs import _edge_order, _free_edges, _slot_pairs
+from graphrates.graphs import _edge_order, _format_ints, _free_edges, _slot_pairs
 from graphrates.seeds import derive_child_seed
 
 A1 = Alphabet(1)
@@ -76,6 +77,47 @@ def test_graph_text_bytes_pinned():
     assert sample_colored_graph(params, 5).to_text() == (
         "12 2\n1 1 1 0 0 0 0 0 0 1 1 0\n1 2\n2 5\n2 10\n3 7\n3 9\n4 7\n4 8\n"
         "6 11\n8 9\n10 11\n")
+
+
+def _per_edge_text(g):
+    """The flat format as it was written one f-string per edge; the reference for to_text."""
+    lines = [f"{g.n} {g.m}", " ".join(map(str, g.colors.tolist()))]
+    lines.extend(f"{u} {v}" for u, v in g.edges.tolist())
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=12, deadline=None)
+@given(digits=st.integers(1, 7), m=st.integers(1, 12), edges=st.sampled_from([0, 1, 2, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_graph_text_and_json_match_the_per_entry_writers(digits, m, edges, seed):
+    # n just past a power of ten, so vertex indices run from 1 to `digits` digits
+    rng = np.random.default_rng(seed)
+    n = 10 ** (digits - 1) + int(rng.integers(1, 10))
+    pairs = np.sort(rng.integers(0, n, (edges, 2)), axis=1)
+    pairs[:1] = [0, n - 1]
+    pairs = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
+    g = ColoredGraph(n, m, rng.integers(0, m, n), pairs)
+    assert g.to_text() == _per_edge_text(g)
+    assert ColoredGraph.from_text(g.to_text()) == g
+    assert g.to_json() == json.dumps(g.to_dict())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_format_ints_matches_str(data):
+    seps = data.draw(st.lists(st.text("[], \n", max_size=4), min_size=1, max_size=3))
+    row = st.lists(st.integers(0, 2 ** 63 - 1), min_size=len(seps), max_size=len(seps))
+    rows = data.draw(st.lists(row, max_size=20))
+    text = "".join(str(v) + sep for r in rows for v, sep in zip(r, seps))
+    expect = text[:len(text) - len(seps[-1])] if rows else ""
+    assert _format_ints(np.array(rows, dtype=np.int64).reshape(-1, len(seps)), seps) == expect
+
+
+def test_graph_text_edge_block_may_be_empty(recwarn):
+    # blank lines after the colors are no edges, read without a warning
+    g = ColoredGraph.from_text("\n3 2\n\n0 1 1\n\n  \n")
+    assert g.edges.shape == (0, 2) and g.colors.tolist() == [0, 1, 1]
+    assert ColoredGraph.from_text(g.to_text()) == g and not recwarn.list
 
 
 def test_graph_degrees():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,6 +222,17 @@ def test_relative_entropy_is_finite_against_a_subnormal_mass():
     heavy = NeighborhoodMeasure(A1, {(0, (0,)): 0.5, (0, (1,)): 0.5}, probability=True)
     tiny = NeighborhoodMeasure(A1, {(0, (0,)): 1.0, (0, (1,)): 1e-310}, probability=True)
     assert relative_entropy(heavy, tiny) == pytest.approx(expect, rel=1e-14)
+
+
+def test_relative_entropy_keeps_relative_accuracy_where_nu_is_near_mu():
+    # w = q (1 + 1e-9): H is about 1e-9, which w (ln w - ln q) gets to about 7e-10
+    # relative and w ln(w/q) to about 2e-8
+    q = np.array([0.001, 0.01, 0.989])
+    w = q * (1 + 1e-9)
+    expect = sum(a * math.log1p(float((Fraction(a) - Fraction(b)) / Fraction(b)))
+                 for a, b in zip(w.tolist(), q.tolist()))
+    h = relative_entropy(ColorMeasure(Alphabet(3), w), ColorMeasure(Alphabet(3), q))
+    assert h == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 @settings(max_examples=200, deadline=None)
