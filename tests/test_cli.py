@@ -713,11 +713,6 @@ def _rate_config(one_color_key):
     # a degree near the float limit leaves the rate's terms as inf - inf
     ("degree-rate", {"degrees": {"0": 0.5, str(10 ** 308): 0.5}, "c": 1.0},
      "a degree is too large for a float"),
-    # so is a vertex or color index of an inline graph
-    ("measure", {"graph": {"n": 2, "m": 1, "colors": [0, 0], "edges": [[0, 10 ** 20]]}},
-     "bad inline graph: a vertex index does not fit in int64"),
-    ("measure", {"graph": {"n": 2, "m": 1, "colors": [0, 10 ** 20], "edges": []}},
-     "bad inline graph: a color index does not fit in int64"),
     # a degree vector entry past int64 is refused, not wrapped or answered
     ("rate", {"mu": [1.0], "C": 2.0, "pair": {"m": 1, "weights": [[1.0]]},
               "nu": {"m": 1, "atoms": [{"color": 0, "ell": [2 ** 63], "mass": 1.0}]}},
@@ -725,6 +720,11 @@ def _rate_config(one_color_key):
     # consistify's heavy atom would need a degree past int64
     ("approximate", dict(BENCH, eps=1e-20),
      "eps 1e-20 needs degree vectors of magnitude 275000000000000000000, past int64"),
+    # a vertex or color index of an inline graph past int64
+    ("measure", {"graph": {"n": 2, "m": 1, "colors": [0, 0], "edges": [[0, 10 ** 20]]}},
+     "bad inline graph: a vertex index does not fit in int64"),
+    ("measure", {"graph": {"n": 2, "m": 1, "colors": [0, 10 ** 20], "edges": []}},
+     "bad inline graph: a color index does not fit in int64"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)
