@@ -135,17 +135,22 @@ def _resolve_seed(cfg, args):
     return seed
 
 
+def _flat(args, suffix, text):
+    """text, the writer of a command's flat format, when --out ends in suffix, else None."""
+    return text if args.out and args.out.endswith(suffix) else None
+
+
 def _emit(doc, args, flat=None):
-    """Write the JSON document as one line; when flat = (suffix, text) and --out
-    ends in suffix, write text() instead, with the manifest in a sidecar file.
+    """Write the JSON document as one line; when flat is a writer from _flat, write
+    flat() to --out instead, with the manifest in a sidecar file.
 
     A ColoredGraph value in the document is written as its to_json() text, the
     bytes json.dumps gives its to_dict(); every other value goes through json.dumps.
     """
     path = args.out
-    if flat is not None and path and path.endswith(flat[0]):
+    if flat is not None:
         with open(path, "w") as fh:
-            fh.write(flat[1]())
+            fh.write(flat())
         path, doc = path + ".manifest.json", doc["manifest"]
     # without an indent json runs its C encoder, several times faster
     payload = "{" + ", ".join(f"{json.dumps(key)}: {_encode(value)}"
@@ -177,7 +182,7 @@ def _jsonable(obj):
 
 # ---------------------------------------------------------------------------
 # commands: each takes the loaded config and the parsed arguments and returns
-# (body, flat), the document's keys after "manifest" and the flat output for _emit
+# (body, flat), the document's keys after "manifest" and _flat's writer for _emit
 
 
 def _sample_model_graph(cfg, args):
@@ -190,10 +195,13 @@ def _sample_model_graph(cfg, args):
 
 def _cmd_generate(cfg, args):
     graph = _sample_model_graph(cfg, args)
+    flat = _flat(args, ".txt", graph.to_text)
+    if flat is not None:  # the flat format holds the graph alone: nothing to measure
+        return {}, flat
     cc, pc, nc = empirical_measures(graph)
     return {"graph": graph,
             "color_counts": cc.to_dict(), "pair_counts": pc.to_dict(),
-            "neighborhood_counts": nc.to_dict()}, (".txt", graph.to_text)
+            "neighborhood_counts": nc.to_dict()}, None
 
 
 def _load_graph(cfg, args):
@@ -289,7 +297,7 @@ def _cmd_edge_rate(cfg, args):
                   if event["kind"] == "edges" else None)
     est = estimate_tail_exponent(exp)
     return ({"estimate": est.to_dict(), "rate_prediction": prediction},
-            (".csv", lambda: est.to_csv(rate_prediction=prediction)))
+            _flat(args, ".csv", lambda: est.to_csv(rate_prediction=prediction)))
 
 
 def _cmd_ising(cfg, args):
@@ -318,7 +326,7 @@ def _cmd_sample_conditional(cfg, args):
     except ValueError as exc:
         raise ConfigError(f"bad counts: {exc}") from exc
     graph = sample_conditional(omega_n, pair_n, _resolve_seed(cfg, args))
-    return {"graph": graph}, (".txt", graph.to_text)
+    return {"graph": graph}, _flat(args, ".txt", graph.to_text)
 
 
 def _cmd_approximate(cfg, args):

@@ -59,9 +59,14 @@ def _whole(x, what):
 
 
 def _int64(values, what):
-    """values as an int64 array; an integer past the int64 range is an error, never wrapped."""
+    """values as an int64 array. An int64 array passes as it is; other input goes entry by
+    entry through _whole: a fraction, a bool or an integer past int64 is refused, never cast."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
+    values = np.asarray(values, dtype=object)
     try:
-        return np.asarray(values, dtype=np.int64)
+        return np.array([_whole(x, what) for x in values.ravel().tolist()],
+                        dtype=np.int64).reshape(values.shape)
     except OverflowError:
         raise ValueError(f"{what} does not fit in int64") from None
 

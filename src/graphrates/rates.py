@@ -7,15 +7,15 @@ for neighborhood measures (rate_J, rate_J_tilde), color/pair measures
 count (rate_zeta and its closed Erdos-Renyi form). One function evaluates
 ln Q: q_measure and its zero point poisson_limit_law exponentiate it, and the
 one computation of H(nu || Q), behind rate_J and rate_J_tilde, uses the logs
-directly. The degree rate's fixed point has a closed form in the Lambert W
-function; the edge rate's inner infimum is delegated to varsolve.
+directly. The degree rate is rate_J at its one-color consistent point; the
+edge rate's inner infimum is delegated to varsolve.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, lambertw, pdtr, pdtrik, xlogy
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from . import varsolve
 from .errors import NonConvergenceError
@@ -199,63 +199,41 @@ def rate_J_tilde(nu, omega, pair):
     return ent
 
 
-def _delta_given_x(d, c, x):
-    # rate value at a prescribed tilt parameter x > 0; shared by both branches. Degrees
-    # enter as floats, as numpy holds an int of 2**64 or more as an object
-    k, p = np.array([(k, p) for k, p in d.items() if p > 0], dtype=float).T
-    with np.errstate(invalid="ignore"):  # inf - inf near the float limit, refused below
-        value = (0.5 * x * math.log(x / c) - 0.5 * x + 0.5 * c
-                 + sum((p * (np.log(p) - _poisson_log_pmf(k, x))).tolist()))
-    if math.isnan(value):
-        raise ValueError("a degree is too large for a float")
-    return value
-
-
-def _degree_tilt(mean, c):
-    """The x in [max(mean, c e^-2), c] with x = c exp(-2(1 - mean/x)), for 0 <= mean <= c.
-
-    With y = 2 mean/x the equation reads y e^y = 2 mean e^2/c, so x =
-    c exp(W0(2 mean e^2/c) - 2), W0 the principal Lambert W. The argument lies
-    in [0, 2e^2]: mean = 0 gives c e^-2, and W0(2e^2) = 2 gives x = c at mean = c.
-    Dividing by c first keeps 2 mean e^2 from overflowing near the float limit.
-    """
-    return c * math.exp(lambertw(2.0 * math.e ** 2 * (mean / c)).real - 2.0)
-
-
 def rate_delta(d, c, mean=None):
-    """Rate for the degree distribution of the graph.
+    """Rate for the degree distribution: H(d || Poisson(mean)) + (mean ln(mean/c) - mean + c)/2.
 
-    d maps degree k to probability mass. A finite mean must agree with the
-    first moment of d within PROB_TOL, relative above 1; pass math.inf to flag
-    an infinite-mean distribution (value +inf). The rate is
-    H(d || Poisson(x)) + (x ln(x/c) - x + c)/2 at x = mean above c and at
-    x = _degree_tilt(mean, c) for mean <= c.
+    rate_J on one color at its consistent point pi = mean, one formula for every mean. d maps
+    degree k to probability mass; a finite mean must match its first moment within PROB_TOL,
+    relative above 1, and math.inf flags an infinite-mean law, whose rate is +inf.
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c!r}")
-    total = 0.0
     for k, p in d.items():
         if int(k) != k or k < 0:
             raise ValueError(f"degree {k!r} is not a nonnegative integer")
         if p < 0:
             raise ValueError(f"degree {k} has negative mass {p!r}")
-        total += p
+    total = sum(d.values())
     if abs(total - 1.0) > PROB_TOL:
         raise ValueError(f"degree distribution has total mass {total!r}")
-    if mean is None or not math.isinf(mean):
-        try:
-            moment = sum(int(k) * p for k, p in d.items())
-        except OverflowError:
-            raise ValueError("a degree is too large for a float") from None
-        mean = moment if mean is None else mean
-    if math.isinf(mean):
+    if mean is not None and math.isinf(mean):
         return math.inf
+    try:  # degrees enter as floats, as numpy holds an int of 2**64 or more as an object
+        k, p = np.array([(k, p) for k, p in d.items() if p > 0], dtype=float).T
+    except OverflowError:
+        raise ValueError("a degree is too large for a float") from None
+    moment = sum((k * p).tolist())
+    mean = moment if mean is None else mean
     if mean < 0:
         raise ValueError(f"mean must be nonnegative, got {mean!r}")
     if not abs(mean - moment) <= PROB_TOL * max(1.0, moment):
         raise ValueError(f"mean {mean!r} differs from the degrees' mean {moment!r}")
-    x = mean if mean > c else _degree_tilt(mean, c)
-    return max(_delta_given_x(d, c, x), 0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf near the float limit, refused below
+        value = (sum((p * (np.log(p) - _poisson_log_pmf(k, mean))).tolist())
+                 + rate_zeta_er(mean / 2, c))
+    if math.isnan(value):
+        raise ValueError("a degree is too large for a float")
+    return max(value, 0.0)
 
 
 def rate_zeta(x, mu, C):
@@ -273,8 +251,7 @@ def rate_zeta(x, mu, C):
     if not report.converged:
         raise NonConvergenceError(
             f"inner edge-rate infimum did not converge, residual {report.residual:g}")
-    poisson_part = x * math.log(x) - x if x > 0 else 0.0
-    return max(poisson_part + report.value, 0.0)
+    return max(float(xlogy(x, x)) - x + report.value, 0.0)
 
 
 def rate_zeta_er(x, c):

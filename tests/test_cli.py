@@ -80,6 +80,23 @@ def test_generate_json_output_skips_text(tmp_path, monkeypatch):
     assert code == 0 and len(doc["graph"]["edges"]) == 2
 
 
+def test_generate_txt_output_measures_nothing(tmp_path, monkeypatch):
+    # the flat format holds the graph alone, so a .txt run must not compute measures
+    def no_measures(graph):
+        raise AssertionError("empirical_measures called for .txt output")
+
+    cfg = _write(tmp_path, "gen.json", dict(BENCH, n=60, seed=3))
+    model = ModelParams(ColorMeasure(Alphabet(2), BENCH["mu"], probability=True),
+                        Kernel(Alphabet(2), BENCH["C"]), 60)
+    want = sample_colored_graph(model, 3)
+    monkeypatch.setattr("graphrates.cli.empirical_measures", no_measures)
+    out = tmp_path / "graph.txt"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text() == want.to_text()
+    sidecar = json.loads((tmp_path / "graph.txt.manifest.json").read_text())
+    assert sidecar == {"command": "generate", "config": dict(BENCH, n=60, seed=3)}
+
+
 def test_generate_deterministic_output(tmp_path):
     cfg = _write(tmp_path, "gen.json", dict(BENCH, n=100, seed=42))
     _, doc_a = _run_json(tmp_path, ["generate", "--config", cfg], name="a.json")
@@ -271,12 +288,16 @@ def test_degree_rate_answers_at_a_degree_past_int64(tmp_path):
 
 
 def test_degree_rate_answers_at_large_c(tmp_path):
-    # x = 4766.1 here, where one float step (9e-13) exceeds an absolute 1e-12
-    # residual: a bisection with that stop reported non-convergence and exit 4
+    # H(d || Poisson(3000)) + (3000 ln(3000/c) - 3000 + c)/2, from math.lgamma
     cfg = _write(tmp_path, "deg.json", {"degrees": {"0": 0.5, "6000": 0.5}, "c": 10000})
     code, doc = _run_json(tmp_path, ["degree-rate", "--config", cfg])
     assert code == 0
-    assert doc["value"] == pytest.approx(3309.70928614, abs=1e-8)
+    mean, c = 3000.0, 10000.0
+    log_q = (-mean, 6000 * math.log(mean) - mean - math.lgamma(6001))
+    expect = (sum(0.5 * (math.log(0.5) - q) for q in log_q)
+              + 0.5 * (mean * math.log(mean / c) - mean + c))
+    assert expect == pytest.approx(3775.42354291, abs=1e-8)
+    assert doc["value"] == pytest.approx(expect, abs=1e-8)
 
 
 def test_edge_rate_zeta_matches_closed_form(tmp_path):
@@ -725,6 +746,17 @@ def _rate_config(one_color_key):
      "bad inline graph: a vertex index does not fit in int64"),
     ("measure", {"graph": {"n": 2, "m": 1, "colors": [0, 10 ** 20], "edges": []}},
      "bad inline graph: a color index does not fit in int64"),
+    # an inline graph's fraction or bool index is refused, not truncated
+    ("measure", {"graph": {"n": 2, "m": 2, "colors": [0.5, 1.9], "edges": [[0, 1.7]]}},
+     "bad inline graph: a color index must be an integer, got 0.5"),
+    ("measure", {"graph": {"n": 2, "m": 2, "colors": [True, False], "edges": []}},
+     "bad inline graph: a color index must be an integer, got True"),
+    ("measure", {"graph": {"n": 2, "m": 2, "colors": [0, True], "edges": []}},
+     "bad inline graph: a color index must be an integer, got True"),
+    ("measure", {"graph": {"n": 2, "m": 2, "colors": [0, 1], "edges": [[0, 1.7]]}},
+     "bad inline graph: a vertex index must be an integer, got 1.7"),
+    ("measure", {"graph": {"n": 2, "m": 2, "colors": [0, 1], "edges": [[False, True]]}},
+     "bad inline graph: a vertex index must be an integer, got False"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)

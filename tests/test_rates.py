@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import minimize_scalar
 from scipy.stats import poisson
 
 from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
@@ -13,7 +13,8 @@ from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
                         product_kernel_measure, q_measure, rate_I,
                         rate_I_omega, rate_J, rate_J_tilde, rate_delta,
                         rate_zeta, rate_zeta_er, sample_colored_graph)
-from graphrates.rates import LIMIT_TAIL_MASS, _degree_tilt, _delta_given_x, _poisson_ppf
+from graphrates.oracles import isolated_log_tail
+from graphrates.rates import LIMIT_TAIL_MASS, _poisson_ppf
 from graphrates.seeds import derive_child_seed
 
 A1 = Alphabet(1)
@@ -227,59 +228,78 @@ def test_rate_delta_zero_at_poisson(c):
 
 @pytest.mark.parametrize("c", [1.0, 2.0, 4.0])
 def test_rate_delta_point_mass_closed_form(c):
-    expect = 0.5 * c * (1.0 - math.exp(-2.0))
-    assert rate_delta({0: 1.0}, c) == pytest.approx(expect, abs=1e-10)
-
-
-def test_rate_delta_branch_continuity():
-    # mean exactly c: both branch formulas must agree
-    for c, d in ((1.0, {0: 0.5, 2: 0.5}), (2.0, {1: 0.5, 3: 0.5}),
-                 (4.0, {0: 0.5, 8: 0.5})):
-        x_fp = _degree_tilt(float(c), c)
-        assert abs(_delta_given_x(d, c, x_fp) - _delta_given_x(d, c, float(c))) <= 1e-10
-
-
-# degree tilt: the x with x = c exp(-2(1 - mean/x)), for mean <= c
-
-
-def _tilt_residual(mean, c, x):
-    return abs(x - c * math.exp(-2.0 * (1.0 - mean / x)))
-
-
-def test_fixed_point_boundary_cases():
-    for c in (1.0, 2.0, 4.0):
-        assert _degree_tilt(c, c) == pytest.approx(c, abs=1e-12)
-        assert _degree_tilt(0.0, c) == pytest.approx(c * math.exp(-2.0), abs=1e-12)
-
-
-def test_fixed_point_interior_residual_and_bracket():
-    c = 2.0
-    for mean in (0.25, 1.0, 1.75):
-        x = _degree_tilt(mean, c)
-        assert _tilt_residual(mean, c, x) <= 1e-12
-        assert max(mean, c * math.exp(-2.0)) - 1e-12 <= x <= c + 1e-12
-
-
-def test_fixed_point_vs_independent_root_finder():
-    c, mean = 2.0, 1.0
-    root = brentq(lambda x: x - c * math.exp(-2.0 * (1.0 - mean / x)),
-                  max(mean, c * math.exp(-2.0)) * 0.999, c, xtol=1e-14)
-    assert _degree_tilt(mean, c) == pytest.approx(root, abs=1e-9)
+    # delta_0 is the empty graph, of probability (1 - c/n)^(n(n-1)/2): -ln P / n is
+    # c/2 + O(c^2/n), so the rate is c/2
+    n = 10 ** 8
+    exact = -0.5 * (n - 1) * math.log1p(-c / n)
+    assert rate_delta({0: 1.0}, c) == pytest.approx(0.5 * c, abs=1e-10)
+    assert rate_delta({0: 1.0}, c) == pytest.approx(exact, abs=c * c / n)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(-6.0, 8.0), st.floats(0.0, 1.0))
-def test_degree_tilt_solves_the_fixed_point_at_every_scale(log10_c, ratio):
+@given(st.dictionaries(st.integers(0, 30), st.integers(1, 9), min_size=1, max_size=5),
+       st.floats(-3.0, 3.0))
+def test_rate_delta_is_rate_j_at_the_consistent_point(weights, log10_c):
+    # one color at pi = <d>: rate_J = H(d || Poisson(<d>)) + 0 + h_c(<d> || 1)/2, which is
+    # the degree rate, so the two may differ by rounding alone. Budget: both sides take
+    # ln Poisson(<d>) from _poisson_log_pmf and add at most six terms, in other orders and
+    # with the pair term in two forms. On 20,000 such draws the values were 5e-4 and up
+    # and the largest gap 4.6e-15 relative, so 1e-12 leaves a factor of 200.
     c = 10.0 ** log10_c
-    mean = ratio * c
-    x = _degree_tilt(mean, c)
-    lo = max(mean, c * math.exp(-2.0))
-    assert lo * (1.0 - 1e-14) <= x <= c * (1.0 + 1e-14)
-    assert _tilt_residual(mean, c, x) <= 1e-13 * x
-    # the bracket, widened past rounding, has g < 0 at its left end and g > 0 at its right
-    root = brentq(lambda y: y - c * math.exp(-2.0 * (1.0 - mean / y)),
-                  lo * (1.0 - 1e-9), c * (1.0 + 1e-9), xtol=1e-16 * c)
-    assert x == pytest.approx(root, rel=1e-12)
+    total = sum(weights.values())
+    d = {k: w / total for k, w in weights.items()}
+    mean = sum(k * p for k, p in d.items())
+    nu = NeighborhoodMeasure(A1, {(0, (k,)): p for k, p in d.items()}, probability=True)
+    expect = rate_J(PairMeasure(A1, [[mean]]), nu, MU1, Kernel.constant(c)).value
+    assert rate_delta(d, c) == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def _isolated_family(t, lam):
+    """t delta_0 + (1 - t) ZTPoisson(lam), cut where the pmf falls below 1e-17 past lam."""
+    d, k = {0: t}, 1
+    while True:
+        p = math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) / -math.expm1(-lam)
+        if k > lam and p < 1e-17:
+            total = sum(d.values())
+            return {k: w / total for k, w in d.items()}
+        d[k] = (1.0 - t) * p
+        k += 1
+
+
+@pytest.mark.parametrize("c, t", [(1.0, 0.5), (2.0, 0.3)])
+def test_rate_delta_contracts_to_the_exact_isolated_vertex_exponent(c, t):
+    # The event {d(0) >= t}: at a fixed mean and d(0) = t, H(d || Poisson(mean)) is least
+    # on t delta_0 + (1 - t) ZTPoisson(lam), so the contraction is a search over lam.
+    # The exact exponent is isolated_log_tail at n = 100, 200, 400, less (1/2) ln n / n,
+    # fitted on [1, 1/n, 1/n^2]. Budget: a fit up to n = 1600 moves that value by about
+    # 1e-4, 0.5% at (1, 1/2); the search and the cut add under 1e-9. The bound is 1%.
+    contraction = minimize_scalar(lambda s: rate_delta(_isolated_family(t, math.exp(s)), c),
+                                  bounds=(-6.0, 4.0), method="bounded",
+                                  options={"xatol": 1e-10}).fun
+    sizes = (100, 200, 400)
+    exponents = [-isolated_log_tail(n, c, t) / n - 0.5 * math.log(n) / n for n in sizes]
+    exact = np.linalg.solve([[1.0, 1.0 / n, 1.0 / n ** 2] for n in sizes], exponents)[0]
+    assert contraction == pytest.approx(exact, rel=1e-2)
+
+
+def test_rate_delta_matches_the_exact_matching_face():
+    # c = 1 and d = (delta_0 + delta_1)/2: the graph is a perfect matching on sn of the
+    # n vertices, s = 1/2, so P = C(n, sn) (sn - 1)!! p^(sn/2) (1 - p)^(N - sn/2) with
+    # p = c/n and N = C(n, 2). Budget: -ln P / n less (1/2) ln n / n, fitted on
+    # [1, 1/n, 1/n^2] at n = 1000 to 8000, carries an O(1/n^3) bias near 1e-11 and
+    # rounding near 1e-14; the bound is 1e-8.
+    c = 1.0
+    sizes = (1000, 2000, 4000, 8000)
+    exponents = []
+    for n in sizes:
+        k, p = n // 2, c / n
+        log_p = (math.lgamma(n + 1) - math.lgamma(n - k + 1)  # C(n, k) (k - 1)!!
+                 - k // 2 * math.log(2.0) - math.lgamma(k // 2 + 1)
+                 + k // 2 * math.log(p) + (n * (n - 1) // 2 - k // 2) * math.log1p(-p))
+        exponents.append(-log_p / n - 0.5 * math.log(n) / n)
+    basis = [[1.0, 1.0 / n, 1.0 / n ** 2] for n in sizes]
+    exact = np.linalg.lstsq(basis, exponents, rcond=None)[0][0]
+    assert rate_delta({0: 0.5, 1: 0.5}, c) == pytest.approx(exact, abs=1e-8)
 
 
 def test_rate_delta_infinite_mean():
