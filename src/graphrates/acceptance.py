@@ -20,7 +20,8 @@ from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodCounts, NeighborhoodMeasure, PairCounts,
                        PairMeasure, cap_degrees, consistify, degree_distribution, phi,
                        phi_counts, product_kernel_measure, quantize, total_variation)
-from .mcharness import TailExperiment, estimate_tail_exponent, exact_er_edge_exponent, lln_check
+from .mcharness import TailExperiment, estimate_tail_exponent, lln_check
+from .oracles import exact_er_edge_exponent
 from .seeds import derive_child_seed
 
 # the 2-color benchmark model used across criteria, and the color law of

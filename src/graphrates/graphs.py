@@ -15,8 +15,10 @@ once with the one decoder every sampler shares.
 
 import io
 import math
+import re
 
 import numpy as np
+from numpy.random import default_rng  # numpy 2 loads numpy.random on first use, not on import
 
 from .errors import InfeasibleError
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
@@ -68,9 +70,36 @@ def _format_ints(table, seps):
     return buf[:size].tobytes().decode()
 
 
-def _read_ints(lines, ndmin):
-    """Whitespace-separated base-10 integers of lines, a file or list of str, in int64."""
-    return np.loadtxt(lines, dtype=np.int64, ndmin=ndmin, comments=None)
+_INT_TOKEN = re.compile(r"([+-]?)0*([0-9]{1,19})")  # in range, an int64 in base 10
+
+
+def _read_ints(text, ndmin, first):
+    """The whitespace-separated base-10 integers of text in int64. Its lines are lines
+    first, first + 1, ... of a file, and a refusal names the file line at fault."""
+    try:
+        return np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=ndmin, comments=None)
+    except ValueError as exc:
+        raise ValueError(_first_fault(text, first) or str(exc)) from None
+
+
+def _first_fault(text, first):
+    """np.loadtxt's refusal of text, found again line by line to name the file line
+    (numbered from first) and column; None if no line is at fault."""
+    width = None
+    for line_no, line in enumerate(text.split("\n"), first):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != (width or len(tokens)):
+            return (f"the number of columns changed from {width} to {len(tokens)} "
+                    f"at line {line_no}")
+        width = len(tokens)
+        for column, token in enumerate(tokens, 1):
+            match = _INT_TOKEN.fullmatch(token)
+            if not (match and -2 ** 63 <= int(match[1] + match[2]) < 2 ** 63):
+                return (f"could not convert string {token!r} to int64 "
+                        f"at line {line_no}, column {column}")
+    return None
 
 
 class ColoredGraph:
@@ -130,16 +159,18 @@ class ColoredGraph:
         """Parse to_text's format; lines end in \\n, \\r\\n or \\r, blank lines are
         skipped and every token must be a base-10 integer."""
         fh = io.StringIO(text, newline=None)
-        lines = (ln for ln in fh if ln.strip())
-        header, color_line = next(lines, None), next(lines, None)
+        lines = ((line_no, ln) for line_no, ln in enumerate(fh, 1) if ln.strip())
+        missing = (0, None)
+        (header_no, header), (color_no, color_line) = next(lines, missing), next(lines, missing)
         if color_line is None:
             raise ValueError("graph text needs a header line and a color line")
-        header = _read_ints([header], 1)
+        header = _read_ints(header, 1, header_no)
         if header.shape != (2,):
-            raise ValueError(f"the header line must be 'n m', got {header.size} numbers")
+            raise ValueError(f"the header line must be 'n m', got {header.size} numbers "
+                             f"at line {header_no}")
         edge_lines = fh.read()
-        edges = _read_ints(io.StringIO(edge_lines), 2) if edge_lines.strip() else []
-        return cls(int(header[0]), int(header[1]), _read_ints([color_line], 1), edges)
+        edges = _read_ints(edge_lines, 2, color_no + 1) if edge_lines.strip() else []
+        return cls(int(header[0]), int(header[1]), _read_ints(color_line, 1, color_no), edges)
 
     def to_dict(self):
         return {"n": self.n, "m": self.m, "colors": self.colors.tolist(),
@@ -274,7 +305,7 @@ def _free_edges(params, seeds):
     probs = params.edge_probabilities.tolist()
     colors, parts = np.empty((len(seeds), n), dtype=np.int64), []
     for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         colors[r] = cdf.searchsorted(rng.random(n), side="right")
         sizes = np.bincount(colors[r], minlength=m).tolist()
         parts += [_bernoulli_slots(_slot_count(sizes[a], sizes[b], a == b), probs[a][b], rng)[0]
@@ -351,7 +382,7 @@ def sample_conditional_batch(omega_n, pair_n, seeds):
     colors = np.tile(np.repeat(np.arange(m, dtype=np.int64), omega_n.counts), (len(seeds), 1))
     slots, ends = np.empty((len(seeds), sum(ks)), dtype=np.int64), np.cumsum(ks).tolist()
     for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         rng.shuffle(colors[r])
         for (_, _, S, k), end in zip(plan, ends):
             slots[r, end - k:end] = rng.choice(S, k, replace=False, shuffle=False)

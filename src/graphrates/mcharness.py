@@ -1,8 +1,7 @@
 """Monte Carlo validation of the rate functions and limit laws.
 
 Estimates rare-event exponents -ln P / n over increasing graph sizes and
-extrapolates them against the closed-form rates, with an exact binomial
-oracle for the Erdos-Renyi edge-count event, plus a law-of-large-numbers
+extrapolates them against the closed-form rates, plus a law-of-large-numbers
 check of the limiting neighborhood law at fixed n. The edges and pair
 events depend on a graph only through its color counts and its edge counts
 per class pair, so they are drawn from those counts (a multinomial, then
@@ -40,8 +39,6 @@ import numpy as np
 from .graphs import (_NO_SLOTS, ModelParams, _bernoulli_slots, _slot_count, _slot_pairs,
                      empirical_measures, sample_colored_graph)
 from .measures import _whole, degree_distribution, product_kernel_measure, total_variation
-from .oracles import binomial_log_tail
-from .rates import poisson_limit_law
 from .seeds import derive_child_seed
 
 # replicas are drawn in blocks of this size, each block only up to the last
@@ -175,7 +172,8 @@ class ExponentEstimate:
 
 def _edge_threshold(x, n):
     # the event is certain for x n <= 0 and impossible past n(n-1)/2, so x n
-    # saturates at 0 and n^2, and an overflowing product still has a ceiling
+    # saturates at 0 and n^2, and an overflowing product still has a ceiling;
+    # oracles.exact_er_edge_exponent takes the same threshold
     return math.ceil(min(max(x * n, 0.0), n * n))
 
 
@@ -372,19 +370,6 @@ def extrapolate(sizes, exponents, se=None):
     return coef, cov, y - (coef[0] + coef[1] * u)
 
 
-def exact_er_edge_exponent(n, c, x):
-    """Exact finite-n exponent -(1/n) ln P(|E| >= ceil(x n)) for the ER model."""
-    n = _whole(n, "n")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    N = n * (n - 1) // 2
-    p = min(c / n, 1.0)
-    k = max(_edge_threshold(x, n), 0)
-    if k > N:  # no graph on n vertices has k edges
-        return math.inf
-    return -binomial_log_tail(N, p, k) / n
-
-
 def lln_check(params, seeds):
     """Distance of sampled empirical measures from the limiting law at size params.n.
 
@@ -395,6 +380,7 @@ def lln_check(params, seeds):
     the largest degree-vector magnitude. Nothing is asserted here; callers
     apply their own thresholds.
     """
+    from .rates import poisson_limit_law  # the rate layer loads scipy.special
     qstar = poisson_limit_law(params.mu, params.C)
     d_pred = degree_distribution(qstar)
     ref_pair = product_kernel_measure(params.C, params.mu)

@@ -64,9 +64,15 @@ def _int64(values, what):
     if isinstance(values, np.ndarray) and values.dtype == np.int64:
         return values
     values = np.asarray(values, dtype=object)
+    return _ints64([_whole(x, what) for x in values.ravel().tolist()],
+                   what).reshape(values.shape)
+
+
+def _ints64(ints, what):
+    """A list of Python ints, or of equal-length lists of them, as an int64 array; an
+    integer past int64 is refused."""
     try:
-        return np.array([_whole(x, what) for x in values.ravel().tolist()],
-                        dtype=np.int64).reshape(values.shape)
+        return np.array(ints, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{what} does not fit in int64") from None
 
@@ -93,7 +99,7 @@ def _read_keys(keys, m=None):
     m = (lengths.pop() if lengths else 1) if m is None else m
     if lengths - {m}:
         raise ValueError(f"degree vector has length {min(lengths - {m})}, alphabet has m={m}")
-    colors, ells = _int64(colors, "color"), _int64(ells, "degree vector entry").reshape(-1, m)
+    colors, ells = _ints64(colors, "color"), _ints64(ells, "degree vector entry").reshape(-1, m)
     _check_atoms(None, colors, ells)
     return colors, ells
 
@@ -429,7 +435,7 @@ class NeighborhoodCounts:
 
     def __init__(self, n, counts):
         self._fill(n, *_read_keys(counts),
-                   _int64([_whole(c, "atom count") for c in counts.values()], "atom count"))
+                   _ints64([_whole(c, "atom count") for c in counts.values()], "atom count"))
 
     @classmethod
     def from_arrays(cls, n, colors, ells, counts):
@@ -473,8 +479,8 @@ class NeighborhoodCounts:
     def from_dict(cls, d):
         atoms = d["atoms"]
         nc = cls.from_arrays(d["n"], *_read_keys([(rec["color"], rec["ell"]) for rec in atoms]),
-                             _int64([_whole(rec["count"], "atom count") for rec in atoms],
-                                    "atom count"))
+                             _ints64([_whole(rec["count"], "atom count") for rec in atoms],
+                                     "atom count"))
         if nc.alphabet != Alphabet(d["m"]):
             raise ValueError(f"degree vectors have length {nc.alphabet.m}, but m={d['m']}")
         return nc

@@ -1,7 +1,9 @@
 """Exact ground-truth computations used to validate the main code paths.
 
 Everything here is coded independently of the modules under test: binomial
-tails in log space, the isolated-vertex law of G(n, p) in fixed point, every
+tails in log space and the exact Erdos-Renyi edge exponent over them (which
+takes its threshold ceil(x n) from mcharness, so it asks the Monte Carlo
+event's question), the isolated-vertex law of G(n, p) in fixed point, every
 partition count from one table of the generating function prod 1 / (1 - x^v),
 the counting and support-size bounds, reported as flags for criterion 10 to
 judge, and the spin-count Ising free energy. Counts are exact integers.
@@ -15,6 +17,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import BudgetError
+from .mcharness import _edge_threshold
 from .measures import _whole
 
 VECTOR_PARTITION_BUDGET = 14
@@ -47,6 +50,19 @@ def binomial_log_tail(N, p, k):
     log_terms = (gammaln(N + 1) - gammaln(j + 1) - gammaln(N - j + 1)
                  + j * math.log(p) + (N - j) * math.log1p(-p))
     return float(min(logsumexp(log_terms), 0.0))
+
+
+def exact_er_edge_exponent(n, c, x):
+    """Exact finite-n exponent -(1/n) ln P(|E| >= ceil(x n)) for the ER model."""
+    n = _whole(n, "n")
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    N = n * (n - 1) // 2
+    p = min(c / n, 1.0)
+    k = max(_edge_threshold(x, n), 0)
+    if k > N:  # no graph on n vertices has k edges
+        return math.inf
+    return -binomial_log_tail(N, p, k) / n
 
 
 def _isolated_law(n, p, bits):

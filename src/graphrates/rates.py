@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
-from . import varsolve
 from .errors import NonConvergenceError
 from .measures import (PROB_TOL, SUB_CONSISTENCY_TOL, NeighborhoodMeasure, _check_atoms,
                        _check_same_alphabet, _log_relative_entropy, _read_keys,
@@ -247,6 +246,7 @@ def rate_zeta(x, mu, C):
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x!r}")
     require_probability(mu, "mu")
+    from . import varsolve  # scipy.optimize, loaded only by the commands that solve
     report = varsolve.zeta_inner(x, mu, C)
     if not report.converged:
         raise NonConvergenceError(

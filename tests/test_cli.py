@@ -919,6 +919,14 @@ def test_validate_a_violated_counting_bound_fails(capsys, monkeypatch):
     assert "FAIL criterion 10 (combinatorial-bounds)" in capsys.readouterr().out
 
 
+def test_validate_unknown_suite_exits_2(capsys):
+    # the suite is checked when validate runs, so the parser need not load the criteria
+    assert main(["validate", "--suite", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown suite 'nope'" in err
+    assert all(repr(name) in err for name in acceptance.SUITES)
+
+
 def test_validate_takes_no_config_or_seed(tmp_path, capsys):
     # the criteria run only with their published tolerances and seeds
     cfg = _write(tmp_path, "settings.json", {"overrides": {"5": {"instances": 0}}})

@@ -120,6 +120,27 @@ def test_graph_text_edge_block_may_be_empty(recwarn):
     assert ColoredGraph.from_text(g.to_text()) == g and not recwarn.list
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n0 1 1\n0 1\n1 2\n0 1 2\n", "the number of columns changed from 2 to 3 at line 5"),
+    ("3 2\n0 1 1\n0 1\n\n1 x\n", "could not convert string 'x' to int64 at line 5, column 2"),
+    ("3 2\r\n\r\n0 1 1\r\n0 1\r\n\r\n1 2\r\n0\r\n",
+     "the number of columns changed from 2 to 1 at line 7"),
+    ("3 2\r\n0 1 1\r\n\r\n0 1\r\n1 x\r\n",
+     "could not convert string 'x' to int64 at line 5, column 2"),
+    ("\n3 2\r\n\r\n0 1 99999999999999999999\r\n",
+     "could not convert string '99999999999999999999' to int64 at line 4, column 3"),
+    ("\n3 x\n0 1 1\n", "could not convert string 'x' to int64 at line 2, column 2"),
+    ("\n\n3 2 1\n0 1 1\n", "the header line must be 'n m', got 3 numbers at line 3"),
+], ids=["columns", "token", "columns-crlf", "token-crlf", "color-past-int64", "header-token",
+        "header-three"])
+def test_graph_text_refusal_names_the_file_line(text, message):
+    # lines count from 1 at the top of the file, blank ones included, whatever
+    # the line ending; numpy's own row count starts at the first edge line
+    with pytest.raises(ValueError) as info:
+        ColoredGraph.from_text(text)
+    assert str(info.value) == message
+
+
 def test_graph_degrees():
     g = ColoredGraph(4, 1, [0, 0, 0, 0], [(0, 1), (0, 2), (0, 3)])
     assert g.degrees().tolist() == [3, 1, 1, 1]

@@ -8,7 +8,7 @@ from scipy.stats import binom
 from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
                         TailExperiment, estimate_tail_exponent,
                         exact_er_edge_exponent, lln_check)
-from graphrates import mcharness
+from graphrates import mcharness, oracles
 from graphrates.mcharness import REPLICA_BLOCK
 from graphrates.oracles import isolated_log_tail
 from graphrates.seeds import derive_child_seed
@@ -56,7 +56,7 @@ def test_exact_er_edge_exponent_of_an_impossible_event_is_inf(monkeypatch):
         raise AssertionError("binomial_log_tail called for an impossible event")
 
     assert exact_er_edge_exponent(50, 2.0, 1225 / 50) < math.inf  # the complete graph
-    monkeypatch.setattr(mcharness, "binomial_log_tail", no_tail)
+    monkeypatch.setattr(oracles, "binomial_log_tail", no_tail)
     assert exact_er_edge_exponent(50, 2.0, 50) == math.inf
     assert exact_er_edge_exponent(50, 2.0, 1226 / 50) == math.inf
 
