@@ -1,12 +1,15 @@
 """Command line front end.
 
-main frames every command except validate: it reads the JSON config, runs the
-command on it, and emits a one-line JSON document whose first key, "manifest",
-echoes the command and the resolved config, including the seed that took effect
-for a command that draws, so a run can be reproduced from its own output.
+One argparse parser reads a command name and --config, --seed, --out and --suite,
+which is for validate alone; --seed and degree keys are ASCII base-10 tokens, as
+in the .txt format. main frames every command except validate: it reads the JSON
+config, runs the command on it, and emits a one-line JSON document whose first
+key, "manifest", echoes the command and the resolved config, including the seed
+that took effect for a command that draws, so a run can be reproduced from its
+own output. validate takes no config and writes no manifest. One writer, _emit,
+writes every JSON document, each non-finite float as "inf", "-inf" or "nan".
 Tabular Monte Carlo output switches to CSV when --out ends in .csv; graphs switch
 to the plain text format when --out ends in .txt, with the manifest in a sidecar.
-validate takes no config and writes no manifest.
 
 Only the numpy layers (graphs, measures) are imported here. Each command
 imports the rate, solver, oracle, Monte Carlo and acceptance modules it runs,
@@ -19,6 +22,7 @@ to converge. A failed validate suite exits 1.
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -30,8 +34,6 @@ from .measures import (PROB_TOL, Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodMeasure, PairCounts, PairMeasure, _whole,
                        cap_degrees, consistify, phi, phi_counts,
                        product_kernel_measure, quantize, total_variation)
-
-_SEED_MAX = 2 ** 64
 
 
 def _json_constant(name):
@@ -80,21 +82,26 @@ def _real(value, key, finite=True):
     return value
 
 
-def _rate_json(value):
-    return value if math.isfinite(value) else "inf"
+def _decimal(text):
+    """text as an int when it is an optional sign and the ASCII digits 0-9, else as it is,
+    for _whole to refuse; int() alone also reads "1_0", " 2" and non-ASCII digits."""
+    try:
+        return int(text) if re.fullmatch(r"[+-]?[0-9]+", text) else text
+    except ValueError:  # past Python's limit on the digits of an int
+        return text
 
 
-def _parse_mu(raw):
+def _parse_mu(raw, key):
     try:
         w = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"mu must be a list of numbers: {exc}") from exc
+        raise ConfigError(f"{key} must be a list of numbers: {exc}") from exc
     if w.ndim != 1 or w.size == 0:
-        raise ConfigError("mu must be a non-empty flat list")
+        raise ConfigError(f"{key} must be a non-empty flat list")
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the check
         total = float(w.sum())
     if not abs(total - 1.0) <= PROB_TOL:
-        raise ConfigError(f"mu must sum to 1 (got {total!r})")
+        raise ConfigError(f"{key} must sum to 1 (got {total!r})")
     return _from_config(lambda: ColorMeasure(Alphabet(w.size), w / total, probability=True))
 
 
@@ -109,7 +116,7 @@ def _parse_kernel(raw, m):
 
 
 def _parse_model(cfg):
-    mu = _parse_mu(_require(cfg, "mu"))
+    mu = _parse_mu(_require(cfg, "mu"), "mu")
     C = _parse_kernel(_require(cfg, "C"), mu.alphabet.m)
     return mu, C
 
@@ -124,12 +131,12 @@ def _from_config(build, *args, **kwargs):
 
 def _resolve_seed(cfg, args):
     """The seed that takes effect, recorded in cfg so the manifest echoes it."""
-    raw = args.seed if args.seed is not None else cfg.get("seed")
+    raw = cfg.get("seed") if args.seed is None else _decimal(args.seed)
     if raw is None:
         raise ConfigError("a seed is required (config key \"seed\" or --seed)")
     try:
         seed = _whole(raw, "seed")
-        if not 0 <= seed < _SEED_MAX:
+        if not 0 <= seed < 2 ** 64:
             raise ValueError
     except ValueError:
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {raw!r}") from None
@@ -147,7 +154,7 @@ def _emit(doc, args, flat=None):
     flat() to --out instead, with the manifest in a sidecar file.
 
     A ColoredGraph value in the document is written as its to_json() text, the
-    bytes json.dumps gives its to_dict(); every other value goes through json.dumps.
+    bytes json.dumps gives its to_dict(); every other value goes through _plain.
     """
     path = args.out
     if flat is not None:
@@ -167,19 +174,23 @@ def _emit(doc, args, flat=None):
 def _encode(value):
     if isinstance(value, ColoredGraph):
         return value.to_json()
-    return json.dumps(value, default=_jsonable)
+    return json.dumps(_plain(value))
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _plain(value):
+    """value with numpy values as Python ones and non-finite floats as "inf", "-inf" or
+    "nan", which json.dumps would write as Infinity or NaN, not JSON."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +255,7 @@ def _cmd_rate(cfg, args):
         raise ConfigError(f"bad measure in config: {exc}") from exc
     body = {"J": _from_config(rates.rate_J, pair, nu, mu, C).to_dict()}
     if "omega" in cfg:
-        omega = _parse_mu(cfg["omega"])
+        omega = _parse_mu(cfg["omega"], "omega")
         body["I"] = _from_config(rates.rate_I, omega, pair, mu, C).to_dict()
         body["I_omega"] = rates.rate_I_omega(pair, omega, C)
         body["J_tilde"] = rates.rate_J_tilde(nu, omega, pair)
@@ -255,18 +266,18 @@ def _cmd_degree_rate(cfg, args):
     from . import rates
     raw = _require(cfg, "degrees", dict)
     try:
-        degrees = {int(k): float(v) for k, v in raw.items()}
+        degrees = {_whole(_decimal(k), "degree"): float(v) for k, v in raw.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"degrees must map integers to probabilities: {exc}") from exc
     if len(degrees) < len(raw):  # keys such as "1" and "01" name one degree
-        listed = [int(k) for k in raw]
+        listed = [_decimal(k) for k in raw]
         twice = next(k for k in listed if listed.count(k) > 1)
         raise ConfigError(f"degree {twice} is listed more than once")
     c = _real(_require(cfg, "c"), "c")
     mean = cfg.get("mean")
     value = _from_config(rates.rate_delta, degrees, c,
                          mean=None if mean is None else _real(mean, "mean", finite=False))
-    return {"value": _rate_json(value)}, None
+    return {"value": value}, None
 
 
 def _cmd_edge_rate(cfg, args):
@@ -275,7 +286,7 @@ def _cmd_edge_rate(cfg, args):
     x = None if mode == "mc" and "event" in cfg else _real(_require(cfg, "x"), "x")
     if mode == "zeta":
         from . import rates
-        body = {"value": _rate_json(_from_config(rates.rate_zeta, x, mu, C))}
+        body = {"value": _from_config(rates.rate_zeta, x, mu, C)}
         if mu.alphabet.m == 1:
             body["er_closed_form"] = rates.rate_zeta_er(x, float(C.values[0, 0]))
         return body, None
@@ -285,8 +296,7 @@ def _cmd_edge_rate(cfg, args):
         from .oracles import exact_er_edge_exponent
         sizes = _require(cfg, "sizes", list)
         c = float(C.values[0, 0])
-        return {"rows": [{"n": n, "exponent":
-                          _rate_json(_from_config(exact_er_edge_exponent, n, c, x))}
+        return {"rows": [{"n": n, "exponent": _from_config(exact_er_edge_exponent, n, c, x)}
                          for n in sizes]}, None
     if mode != "mc":
         raise ConfigError(f"unknown edge-rate mode {mode!r}")
@@ -302,7 +312,7 @@ def _cmd_edge_rate(cfg, args):
     prediction = None
     if event["kind"] == "edges":  # only the edge event has a rate here, at its own x
         from . import rates
-        prediction = _rate_json(_from_config(rates.rate_zeta, float(event["x"]), mu, C))
+        prediction = _from_config(rates.rate_zeta, float(event["x"]), mu, C)
     est = estimate_tail_exponent(exp)
     return ({"estimate": est.to_dict(), "rate_prediction": prediction},
             _flat(args, ".csv", lambda: est.to_csv(rate_prediction=prediction)))
@@ -379,14 +389,15 @@ def _cmd_validate(args):
         raise ConfigError("validate takes no --config or --seed: every criterion "
                           "runs with its published tolerances and seeds")
     from . import acceptance
-    if args.suite not in acceptance.SUITES:
-        raise ConfigError(f"unknown suite {args.suite!r}, expected one of "
+    suite = "all" if args.suite is None else args.suite
+    if suite not in acceptance.SUITES:
+        raise ConfigError(f"unknown suite {suite!r}, expected one of "
                           f"{sorted(acceptance.SUITES)}")
-    records = acceptance.run_suite(args.suite)
+    records = acceptance.run_suite(suite)
     for rec in records:
         print(acceptance.format_record(rec))
     if args.out:
-        _emit({"suite": args.suite, "records": records}, args)
+        _emit({"suite": suite, "records": records}, args)
     return 0 if all(rec["passed"] for rec in records) else 1
 
 
@@ -406,16 +417,11 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="graphrates",
         description="Rate functions and samplers for sparse colored graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*_COMMANDS, "validate"]:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int,
-                       help="override the config seed (unsigned 64-bit)")
-        p.add_argument("--out", help="output path; .csv/.txt pick the flat formats")
-        if name == "validate":
-            p.add_argument("--suite", default="all",
-                           help="acceptance suite to run (default: all)")
+    parser.add_argument("command", choices=[*_COMMANDS, "validate"])
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--seed", help="override the config seed (unsigned 64-bit)")
+    parser.add_argument("--out", help="output path; .csv/.txt pick the flat formats")
+    parser.add_argument("--suite", help="validate only: the suite to run (default: all)")
     return parser
 
 
@@ -424,6 +430,8 @@ def main(argv=None):
     try:
         if args.command == "validate":
             return _cmd_validate(args)
+        if args.suite is not None:
+            raise ConfigError(f"--suite is for validate only, not {args.command}")
         cfg = _load_config(args.config)
         body, flat = _COMMANDS[args.command](cfg, args)
         _emit({"manifest": {"command": args.command, "config": cfg}, **body}, args, flat)

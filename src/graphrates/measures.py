@@ -352,16 +352,6 @@ class Kernel:
 # exact integer-backed empirical measures
 
 
-def _int_counts(values, what):
-    """values as an int64 array; a fractional or bool entry is an error, never truncated."""
-    c = np.asarray(values)
-    whole = c.dtype.kind in "iu" or (  # floats above 2**53 are not exact integers
-        c.dtype.kind == "f" and np.all(np.abs(c) <= 2 ** 53) and np.array_equal(c, np.round(c)))
-    if not whole:
-        raise ValueError(f"{what} must be integers, got {c.tolist()!r}")
-    return c.astype(np.int64)
-
-
 class ColorCounts:
     """n and per-color vertex counts; counts/n is the empirical color measure."""
 
@@ -369,7 +359,7 @@ class ColorCounts:
         n = _whole(n, "n")
         if n < 1:
             raise ValueError("n must be >= 1")
-        c = _int_counts(counts, "counts")
+        c = _int64(counts, "a color count")
         if c.ndim != 1 or np.any(c < 0):
             raise ValueError("counts must be a 1-d nonnegative integer array")
         if int(c.sum()) != n:
@@ -402,7 +392,7 @@ class PairCounts:
         n = _whole(n, "n")
         if n < 1:
             raise ValueError("n must be >= 1")
-        e = _int_counts(edge_counts, "edge_counts")
+        e = _int64(edge_counts, "an edge count")
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("edge_counts must be a square matrix")
         if np.any(e < 0) or not np.array_equal(e, e.T):

@@ -39,7 +39,7 @@ class SolveReport:
     converged: bool
 
     def __post_init__(self):
-        # numpy scalars sneak in from grid searches; pin plain python types
+        # zeta_inner's argmin is tuple(omega), numpy scalars; pin plain python types
         object.__setattr__(self, "argmin", tuple(float(v) for v in self.argmin))
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "residual", float(self.residual))

@@ -594,21 +594,71 @@ def test_degree_rate_refuses_a_mean_the_degrees_contradict(tmp_path, capsys):
     assert values[0] == values[1] != "inf" and values[2] == "inf"
 
 
-def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
-    # every config the README echoes is written, and every command it shows exits 0
+def _readme_commands(tmp_path):
+    """The argv of each command in the README's CLI block, with every config it echoes
+    written to tmp_path."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    monkeypatch.chdir(tmp_path)
-    commands = 0
+    commands = []
     for line in block.splitlines():
         if line.startswith("echo "):
             payload, name = shlex.split(line[len("echo "):])[0::2]
             (tmp_path / name).write_text(payload)
         elif line.startswith("graphrates "):
-            assert main(shlex.split(line)[1:]) == 0, line
-            commands += 1
-    assert commands == 10
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every config the README echoes is written, and every command it shows exits 0
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert len(commands) == 10
     assert capsys.readouterr().err == ""
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _document(argv, capsys):
+    """Run argv and load the JSON document it wrote: its stdout, or its --out file or
+    that file's manifest sidecar."""
+    assert main(argv) == 0, argv
+    if "--out" not in argv:
+        return _strict_json(capsys.readouterr().out)
+    out = argv[argv.index("--out") + 1]
+    return _strict_json(Path(out if out.endswith(".json") else out + ".manifest.json")
+                        .read_text())
+
+
+def test_every_json_document_is_strict_json(tmp_path, monkeypatch, capsys):
+    # +inf is a value the rates take; it is written "inf", never as Infinity, which
+    # strict JSON readers refuse
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_commands(tmp_path):
+        assert _document(argv, capsys)
+    # pair charges a zero of C omega x omega, and nu's color marginal is not omega
+    cfg = dict(BENCH, C=[[2.0, 0.0], [0.0, 2.0]], omega=[0.3, 0.7],
+               **_zero_point_measures(BENCH["mu"], BENCH["C"]))
+    doc = _document(["rate", "--config", _write(tmp_path, "rate.json", cfg)], capsys)
+    assert doc["I_omega"] == doc["J_tilde"] == doc["I"]["value"] == "inf"
+    cfg = {"mu": [1.0], "C": 2.0, "x": 1e308}
+    doc = _document(["edge-rate", "--config", _write(tmp_path, "er.json", cfg)], capsys)
+    assert doc["value"] == doc["er_closed_form"] == "inf"
+    # the manifest echoes an infinite config value the same way
+    cfg = {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "mean": math.inf}
+    for out in ([], ["--out", "deg-out.json"]):
+        doc = _document(["degree-rate", "--config", _write(tmp_path, "deg.json", cfg), *out],
+                        capsys)
+        assert doc["value"] == doc["manifest"]["config"]["mean"] == "inf"
+    doc = _document(["validate", "--suite", "rates", "--out", "records.json"], capsys)
+    assert [rec["id"] for rec in doc["records"]] == [3, 6]
 
 
 @pytest.mark.parametrize("command,payload,key", [
@@ -678,7 +728,7 @@ def _rate_config(one_color_key):
     ("edge-rate", dict(ER_MC, replica_offset=2.5), "replica_offset must be an integer >= 0"),
     ("edge-rate", dict(ER_MC, seed=True), "seed must be an integer in [0, 2**64), got True"),
     ("sample-conditional", {"n": 4, "color_counts": [4.5], "edge_counts": [[2]], "seed": 1},
-     "counts must be integers, got [4.5]"),
+     "bad counts: a color count must be an integer, got 4.5"),
     # wrong JSON shapes
     ("measure", {"graph": 5}, "config key 'graph' has wrong type int"),
     ("rate", dict(BENCH, pair={"m": 2, "weights": [[1.0, 0.5], [0.5, 1.0]]},
@@ -757,6 +807,24 @@ def _rate_config(one_color_key):
      "bad inline graph: a vertex index must be an integer, got 1.7"),
     ("measure", {"graph": {"n": 2, "m": 2, "colors": [0, 1], "edges": [[False, True]]}},
      "bad inline graph: a vertex index must be an integer, got False"),
+    # a count past int64 says so, rather than wrapping into a failed sign or symmetry check
+    ("sample-conditional", {"n": 4, "color_counts": [2 ** 63], "edge_counts": [[2]],
+                            "seed": 1}, "bad counts: a color count does not fit in int64"),
+    ("sample-conditional", {"n": 4, "color_counts": [4], "edge_counts": [[2 ** 63]],
+                            "seed": 1}, "bad counts: an edge count does not fit in int64"),
+    ("sample-conditional", {"n": 4, "color_counts": [2, 2],
+                            "edge_counts": [[0, 2 ** 64], [2 ** 64, 0]], "seed": 1},
+     "bad counts: an edge count does not fit in int64"),
+    # the refusal names the key it read
+    ("rate", dict(BENCH, omega=[0.25, 0.5], **_zero_point_measures(BENCH["mu"], BENCH["C"])),
+     "omega must sum to 1 (got 0.75)"),
+    # a degree key is an ASCII base-10 token, as --seed is
+    ("degree-rate", {"degrees": {"0": 0.5, "1_0": 0.5}, "c": 1.0},
+     "degrees must map integers to probabilities: degree must be an integer, got '1_0'"),
+    ("degree-rate", {"degrees": {"0": 0.5, " 2": 0.5}, "c": 1.0},
+     "degree must be an integer, got ' 2'"),
+    ("degree-rate", {"degrees": {"0": 0.5, "\u0662": 0.5}, "c": 1.0},
+     "degree must be an integer, got '\u0662'"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)
@@ -771,6 +839,46 @@ def test_out_of_range_seed_flag_exit_2(tmp_path, capsys, seed):
     assert main(["generate", "--config", cfg, "--seed", seed]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: seed must be an integer in [0, 2**64), got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", ["1_0", " 7", "7 ", "\u0667", "7.0", "0x7", "1e1", "",
+                                  pytest.param("9" * 5000, id="5000-digits")])
+def test_seed_flag_is_an_ascii_base_10_token(tmp_path, capsys, seed):
+    # int() would read the first four as 10, 7, 7 and 7, and refuses the last one, past
+    # its limit on digits, with a ValueError
+    cfg = _write(tmp_path, "gen.json", dict(BENCH, n=10, seed=1))
+    assert main(["generate", "--config", cfg, "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: seed must be an integer in [0, 2**64), got {seed!r}\n"
+
+
+def test_seed_flag_takes_a_sign_and_leading_zeros(tmp_path):
+    cfg = _write(tmp_path, "gen.json", dict(BENCH, n=100, seed=1))
+    docs = [_run_json(tmp_path, ["generate", "--config", cfg, "--seed", seed],
+                      name=f"out{i}.json") for i, seed in enumerate(("7", "+7", "007"))]
+    assert all(code == 0 and doc == docs[0][1] for code, doc in docs)
+    assert docs[0][1]["manifest"]["config"]["seed"] == 7
+
+
+def test_degree_keys_are_ascii_base_10_tokens(tmp_path):
+    # "+2" and "02" name the degree 2; test_out_of_range_exit_2 refuses "1_0", " 2" and
+    # an Arabic-Indic two
+    values = []
+    for i, key in enumerate(("2", "+2", "02")):
+        cfg = _write(tmp_path, f"deg{i}.json", {"degrees": {"0": 0.5, key: 0.5}, "c": 1.0})
+        code, doc = _run_json(tmp_path, ["degree-rate", "--config", cfg], name=f"o{i}.json")
+        assert code == 0
+        values.append(doc["value"])
+    assert values[0] == values[1] == values[2] != "inf"
+
+
+def test_suite_is_for_validate_only(tmp_path, capsys):
+    cfg = _write(tmp_path, "gen.json", dict(BENCH, n=10, seed=1))
+    for argv in (["generate", "--config", cfg], ["rate"]):
+        assert main([*argv, "--suite", "all"]) == 2
+        command = argv[0]
+        assert capsys.readouterr().err == (f"config error: --suite is for validate only, "
+                                           f"not {command}\n")
 
 
 def test_approximate_refuses_a_limit_law_past_the_atom_limit(tmp_path, capsys, monkeypatch):

@@ -56,11 +56,17 @@ def test_kernel_rejects_identically_zero():
 def test_counts_reject_fractional_and_bool_entries():
     # whole floats are integers; 4.5 or true must not be truncated to 4 or 1
     assert ColorCounts(4, [4.0]).counts.tolist() == [4]
-    for bad in ([4.5], [True], ["4"], [1e30], [math.inf], [2 ** 70]):
-        with pytest.raises(ValueError, match="must be integers"):
+    for bad in ([4.5], [True], [0, True], ["4"], [math.inf]):
+        with pytest.raises(ValueError, match="a color count must be an integer"):
             ColorCounts(4, bad)
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="an edge count must be an integer, got 0.5"):
         PairCounts(4, [[0.5, 1], [1, 0]])
+    # a count past int64 says so, rather than failing a later sign or sum check
+    for bad in ([1e30], [2 ** 70], [2 ** 64, 4], [2 ** 63]):
+        with pytest.raises(ValueError, match="a color count does not fit in int64"):
+            ColorCounts(4, bad)
+    with pytest.raises(ValueError, match="an edge count does not fit in int64"):
+        PairCounts(4, [[0, 2 ** 63], [2 ** 63, 0]])
 
 
 @pytest.mark.parametrize("build", [
