@@ -20,7 +20,7 @@ _HOMES = {
     "oracles": ("exact_er_edge_exponent",),
     "rates": ("RateValue", "h_c", "poisson_limit_law", "q_measure", "rate_I", "rate_I_omega",
               "rate_J", "rate_J_tilde", "rate_delta", "rate_zeta", "rate_zeta_er"),
-    "varsolve": ("SolveReport", "ising_annealed", "legendre_i_omega", "zeta_inner"),
+    "varsolve": ("SolveReport", "ising_annealed", "zeta_inner"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -266,8 +266,9 @@ def _cmd_degree_rate(cfg, args):
     from . import rates
     raw = _require(cfg, "degrees", dict)
     try:
-        degrees = {_whole(_decimal(k), "degree"): float(v) for k, v in raw.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
+        degrees = {_whole(_decimal(k), "degree"): _real(v, f"degrees[{k}]")
+                   for k, v in raw.items()}
+    except ValueError as exc:  # ConfigError is a ValueError
         raise ConfigError(f"degrees must map integers to probabilities: {exc}") from exc
     if len(degrees) < len(raw):  # keys such as "1" and "01" name one degree
         listed = [_decimal(k) for k in raw]
@@ -319,7 +320,7 @@ def _cmd_edge_rate(cfg, args):
 
 
 def _cmd_ising(cfg, args):
-    from . import oracles, varsolve
+    from . import varsolve
     betas = cfg.get("beta", 0.0)
     cs = _require(cfg, "c", (int, float, list))
     betas = [_real(b, "beta") for b in (betas if isinstance(betas, list) else [betas])]
@@ -328,11 +329,8 @@ def _cmd_ising(cfg, args):
     for beta in betas:
         for c in cs:
             report = _from_config(varsolve.ising_annealed, beta, c)
-            records.append({"beta": beta, "c": c,
-                            "value": report.value,
-                            "oracle": oracles.ising_oracle(beta, c),
-                            "iterations": report.iterations,
-                            "residual": report.residual,
+            records.append({"beta": beta, "c": c, "value": report.value,
+                            "iterations": report.iterations, "residual": report.residual,
                             "converged": report.converged})
     return {"records": records}, None
 

@@ -1,12 +1,12 @@
 """Exact ground-truth computations used to validate the main code paths.
 
-Everything here is coded independently of the modules under test: binomial
-tails in log space and the exact Erdos-Renyi edge exponent over them (which
-takes its threshold ceil(x n) from mcharness, so it asks the Monte Carlo
-event's question), the isolated-vertex law of G(n, p) in fixed point, every
-partition count from one table of the generating function prod 1 / (1 - x^v),
-the counting and support-size bounds, reported as flags for criterion 10 to
-judge, and the spin-count Ising free energy. Counts are exact integers.
+Everything here is coded independently of the modules under test: the
+binomial law in log space and over it the exact Erdos-Renyi edge exponent
+(at mcharness's threshold ceil(x n)), the class-pair edge counts' law given
+the colors and the annealed Ising partition function E Z_n; the isolated-
+vertex law of G(n, p) in fixed point; every partition count from one table
+of prod 1 / (1 - x^v); the counting and support-size bounds, reported as
+flags for criterion 10 to judge. Counts are exact integers.
 """
 
 import itertools
@@ -14,18 +14,25 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .errors import BudgetError
-from .mcharness import _edge_threshold
-from .measures import _whole
+from .mcharness import _edge_threshold, extrapolate
+from .measures import _check_same_alphabet, _whole
 
 VECTOR_PARTITION_BUDGET = 14
 _SCALAR_BOUND_CONST = 2.57  # just above the Hardy-Ramanujan pi*sqrt(2/3)
 _SCALAR_LIMIT = 60
+ISING_SIZES = (80000, 160000)  # criterion 4 gives the error budget
 
 # ---------------------------------------------------------------------------
-# binomial tails
+# the binomial law
+
+
+def _binomial_log_pmf(N, p, k):
+    """ln P(Binomial(N, p) = k) for 0 <= k <= N, elementwise."""
+    return (gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1)
+            + xlogy(k, p) + xlog1py(N - k, -p))
 
 
 def binomial_log_tail(N, p, k):
@@ -46,10 +53,7 @@ def binomial_log_tail(N, p, k):
         return -math.inf
     if p == 1.0:
         return 0.0
-    j = np.arange(k, N + 1, dtype=float)
-    log_terms = (gammaln(N + 1) - gammaln(j + 1) - gammaln(N - j + 1)
-                 + j * math.log(p) + (N - j) * math.log1p(-p))
-    return float(min(logsumexp(log_terms), 0.0))
+    return float(min(logsumexp(_binomial_log_pmf(N, p, np.arange(k, N + 1, dtype=float))), 0.0))
 
 
 def exact_er_edge_exponent(n, c, x):
@@ -63,6 +67,24 @@ def exact_er_edge_exponent(n, c, x):
     if k > N:  # no graph on n vertices has k edges
         return math.inf
     return -binomial_log_tail(N, p, k) / n
+
+
+def conditional_pair_log_probability(color_counts, edge_counts, C):
+    """ln P(edge_counts | color_counts), a PairCounts given a ColorCounts, under kernel C.
+
+    Given the colors, the class pairs' edge counts are independent Binomial(S_ab,
+    min(C_ab / n, 1)), S_ab = k_a k_b and S_aa = C(k_a, 2); -inf past the slots S_ab."""
+    _check_same_alphabet(color_counts, edge_counts, C)
+    n, k = color_counts.n, color_counts.counts
+    if edge_counts.n != n:
+        raise ValueError(f"edge counts are for n = {edge_counts.n}, color counts for n = {n}")
+    slots = np.outer(k, k)
+    np.fill_diagonal(slots, k * (k - 1) // 2)
+    upper = np.triu_indices(k.size)
+    S, e = slots[upper], edge_counts.edge_counts[upper]
+    if np.any(e > S):
+        return -math.inf
+    return float(np.sum(_binomial_log_pmf(S, np.minimum(C.values[upper] / n, 1.0), e)))
 
 
 def _isolated_law(n, p, bits):
@@ -216,22 +238,27 @@ def support_bound_check(nu_n):
 # Ising
 
 
-def _spin_count_objective(alpha, beta, c):
-    ent = 0.0
-    if 0.0 < alpha < 1.0:
-        ent = -alpha * math.log(alpha) - (1.0 - alpha) * math.log(1.0 - alpha)
-    agree = alpha * alpha + (1.0 - alpha) * (1.0 - alpha)
-    cross = 2.0 * alpha * (1.0 - alpha)
-    return ent + 0.5 * c * (agree * math.expm1(beta) + cross * math.expm1(-beta))
+def ising_log_partition(n, beta, c):
+    """ln E Z_n of the Ising model at inverse temperature beta on G(n, p), p = min(c / n, 1).
+
+    The edges are independent, so with a = 1 + p expm1(beta), b = 1 + p expm1(-beta) and
+    k spins up, E Z_n = sum_k C(n, k) a^(C(k,2) + C(n-k,2)) b^(k (n-k)). That is
+    2^n a^C(n,2) E (b / a)^(K (n-K)), K ~ Binomial(n, 1/2), symmetric under K -> n - K."""
+    n = _whole(n, "n")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    p = min(c / n, 1.0)
+    agree, cross = math.log1p(p * math.expm1(beta)), math.log1p(p * math.expm1(-beta))
+    k = np.arange(n // 2 + 1, dtype=float)
+    terms = _binomial_log_pmf(n, 0.5, k) + k * (n - k) * (cross - agree)
+    return (n * math.log(2.0) + n * (n - 1) / 2 * agree
+            + float(logsumexp(terms, b=np.where(2 * k == n, 1.0, 2.0))))
 
 
 def ising_oracle(beta, c):
-    """Annealed Ising free energy by conditioning on the +1 spin fraction.
-
-    The objective is symmetric about alpha = 1/2 and unimodal on [0, 1/2],
-    so a golden-section search there (plus a coarse grid that contains 1/2
-    exactly) finds the global maximum. beta = 0 returns ln 2 exactly.
-    """
+    """Annealed Ising free energy on G(n, c/n): (1/n) ln E Z_n extrapolated in 1/n over
+    ISING_SIZES. E Z_n has no ln n / n term: the Laplace factor sqrt(n) cancels the
+    binomial's 1 / sqrt(n). beta = 0 gives ln 2 up to rounding."""
     if c <= 0:
         raise ValueError(f"c must be positive, got {c!r}")
     if beta < 0:
@@ -240,21 +267,5 @@ def ising_oracle(beta, c):
         math.expm1(beta)
     except OverflowError:
         raise ValueError(f"beta {beta!r} is too large: e^beta overflows a float") from None
-    f = lambda a: _spin_count_objective(a, beta, c)
-    grid = np.linspace(0.0, 0.5, 101)
-    best = max(float(f(a)) for a in grid)
-    lo, hi = 0.0, 0.5
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c1 = hi - inv * (hi - lo)
-    c2 = lo + inv * (hi - lo)
-    f1, f2 = f(c1), f(c2)
-    while hi - lo > 1e-12:
-        if f1 >= f2:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - inv * (hi - lo)
-            f1 = f(c1)
-        else:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + inv * (hi - lo)
-            f2 = f(c2)
-    return max(best, f1, f2)
+    exponents = [ising_log_partition(n, beta, c) / n for n in ISING_SIZES]
+    return float(extrapolate(ISING_SIZES, exponents)[0][0])

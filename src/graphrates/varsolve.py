@@ -1,15 +1,15 @@
 """Solvers for the model's low-dimensional variational problems.
 
 Covers the numerical searches behind the rates: the minimization over color
-laws omega on supp mu, the annealed Ising free energy, and the numeric
-Legendre dual of the conditional pair rate. One face solver, multi-start
-SLSQP in softmax coordinates, does the minimization over color laws behind
-the edge rate's inner infimum. The Ising free energy is one closed-form
-function of the spin fraction x, the functional along the profile where the
-pair variables are stationary. It is symmetric about 1/2 and unimodal on
-[0, 1/2], so one bounded Brent search there maximizes it, with no grid. All
-solvers are deterministic: multi-starts come from a fixed low-discrepancy
-set, never from an RNG.
+laws omega on supp mu and the annealed Ising free energy. One face solver,
+multi-start SLSQP in softmax coordinates, does the minimization over color
+laws behind the edge rate's inner infimum. The Ising free energy is one
+closed-form function of the spin fraction x, the functional along the
+profile where the pair variables are stationary. It is symmetric about 1/2
+and unimodal on [0, 1/2], so one bounded Brent search there maximizes it,
+with no grid; oracles checks it against the exact finite-n law. All solvers
+are deterministic: multi-starts come from a fixed low-discrepancy set, never
+from an RNG.
 """
 
 import math
@@ -192,24 +192,3 @@ def ising_annealed(beta, c):
     profile = (x, c * x * x * eb, c * (1.0 - x) * (1.0 - x) * eb, c * x * (1.0 - x) * emb)
     return SolveReport(profile, seen[x], residual, res.nfev + 2, residual <= ARGMAX_TOL)
 
-
-# ---------------------------------------------------------------------------
-# numeric Legendre dual of the conditional pair rate
-
-
-def legendre_i_omega(pair, omega, C):
-    """(1/2) sup_g { <pair, g> + <C omega x omega, 1 - e^g> } over symmetric g.
-
-    The objective is separable per entry, so this evaluates it at the
-    closed-form optimum g(a,b) = ln(pair/(C omega x omega)) on the entries
-    where pair > 0. An entry where pair = 0 adds its reference mass, the
-    limit as g -> -inf. +inf when pair charges a zero of the reference product.
-    """
-    _check_same_alphabet(pair, omega, C)
-    ref = C.values * np.outer(omega.weights, omega.weights)
-    p = pair.weights
-    if np.any((ref == 0.0) & (p > 0.0)):
-        return math.inf
-    pos = p > 0.0
-    g = np.log(p[pos] / ref[pos])
-    return 0.5 * float(np.sum(p[pos] * g + ref[pos] * (1.0 - np.exp(g))) + np.sum(ref[~pos]))

@@ -7,7 +7,13 @@ Erdos-Renyi edge count from the law tilted to the threshold and reweights;
 plain hit counting at its 10^7 replicas sees none at n = 200 and 400.
 """
 
-from graphrates import acceptance
+import math
+import types
+
+import pytest
+
+from graphrates import acceptance, oracles, rates, varsolve
+from graphrates.measures import product_kernel_measure, relative_entropy
 
 
 def _check(cid):
@@ -58,3 +64,39 @@ def test_criterion_10_combinatorial_bounds():
 
 def test_criterion_11_lln_at_scale():
     _check(11)
+
+
+# ---------------------------------------------------------------------------
+# mutations criteria 4 and 5 must catch. A check that compares two copies of one
+# formula passes when both carry the same mistake, so each mutation goes into every
+# copy the package holds: the solver's functional F and, where the module has one,
+# oracles._spin_count_objective; rates.h_c and, where the module has one,
+# varsolve.legendre_i_omega, a closed form of h_c / 2.
+
+
+def _with_math(func, **changes):
+    """func, run against a math module with the names in changes replaced."""
+    shim = types.SimpleNamespace(**{**vars(math), **changes})
+    return types.FunctionType(func.__code__, {**func.__globals__, "math": shim},
+                              func.__name__, func.__defaults__, func.__closure__)
+
+
+@pytest.mark.parametrize("changes", [
+    {"log": lambda x: 0.0, "log1p": lambda x: 0.0},
+    {"expm1": lambda x: math.expm1(-x)},
+], ids=["no-entropy", "swapped-expm1"])
+def test_criterion_04_fails_on_a_mutated_functional(monkeypatch, changes):
+    for module, name in ((varsolve, "ising_annealed"), (oracles, "_spin_count_objective")):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, _with_math(getattr(module, name), **changes))
+    assert not acceptance.criterion_4()["passed"]
+
+
+@pytest.mark.parametrize("h_c", [
+    lambda pair, omega, C, h_c=rates.h_c: 2.0 * h_c(pair, omega, C),
+    lambda pair, omega, C: relative_entropy(pair, product_kernel_measure(C, omega)),
+], ids=["no-half", "no-mass-term"])
+def test_criterion_05_fails_on_a_mutated_pair_cost(monkeypatch, h_c):
+    monkeypatch.setattr(rates, "h_c", h_c)
+    monkeypatch.setattr(varsolve, "legendre_i_omega", rates.rate_I_omega, raising=False)
+    assert not acceptance.criterion_5()["passed"]

@@ -414,15 +414,18 @@ def test_edge_rate_mc_two_color_prediction(tmp_path):
 
 
 def test_ising_table(tmp_path):
+    # the reference is the exact (1/n) ln E Z_n extrapolated by ising_oracle; error
+    # budget 1.2e-8 at (0.5, 2), next to the critical line c sinh(beta) = 1, 8e-10 at
+    # (1, 2) and 1e-15 at beta = 0 (criterion 4)
+    from graphrates.oracles import ising_oracle
     cfg = _write(tmp_path, "ising.json", {"beta": [0.0, 0.5, 1.0], "c": 2.0})
     code, doc = _run_json(tmp_path, ["ising", "--config", cfg])
     assert code == 0
     rows = doc["records"]
     assert rows[0]["value"] == pytest.approx(math.log(2.0), abs=1e-9)
-    assert rows[0]["oracle"] == pytest.approx(math.log(2.0), abs=1e-12)
     for row in rows:
-        assert abs(row["value"] - row["oracle"]) <= 1e-6
-        assert row["converged"] is True
+        assert abs(row["value"] - ising_oracle(row["beta"], row["c"])) <= 1e-6
+        assert row["converged"] is True and "oracle" not in row
     vals = [row["value"] for row in rows]
     assert vals == sorted(vals)
 
@@ -435,19 +438,31 @@ def test_ising_reports_a_residual(tmp_path):
     assert all(row["residual"] <= 1e-6 for row in doc["records"])
 
 
-@pytest.mark.parametrize("payload", [
+def _curie_weiss(beta, c):
+    """The annealed free energy in its mean-field form: with J = c sinh(beta) and t the
+    largest root of t = tanh(J t), c expm1(beta) / 2 - J / 2 + ln 2 cosh(J t) - J t^2 / 2."""
+    J = c * math.sinh(beta)
+    t = 1.0
+    for _ in range(200):
+        t = math.tanh(J * t)
+    return c * math.expm1(beta) / 2 - J / 2 + np.logaddexp(J * t, -J * t) - J * t * t / 2
+
+
+@pytest.mark.parametrize("payload, reference", [
     # a large c leaves ||w|| - c to cancel in the pair functional
-    {"beta": [0.0, 1e-08], "c": [1e20, 1e9]},
-    # the functional's terms overflow at the ends of [0, 1] before the answer does
-    {"beta": 705, "c": 0.5},
-    {"beta": 709, "c": 2.0},
+    ({"beta": [0.0, 1e-08], "c": [1e20, 1e9]},
+     lambda beta, c: math.log(2.0) if beta == 0.0 else _curie_weiss(beta, c)),
+    # the functional's terms overflow at the ends of [0, 1] before the answer does; x = 0
+    # wins, where the value is c expm1(beta) / 2, and the entropy near it adds e^(-2J)
+    ({"beta": 705, "c": 0.5}, lambda beta, c: c * math.expm1(beta) / 2),
+    ({"beta": 709, "c": 2.0}, lambda beta, c: c * math.expm1(beta) / 2),
 ], ids=["large-c", "beta-705", "beta-709"])
-def test_ising_matches_the_oracle_at_extreme_configs(tmp_path, payload):
+def test_ising_matches_the_oracle_at_extreme_configs(tmp_path, payload, reference):
     cfg = _write(tmp_path, "ising.json", payload)
     code, doc = _run_json(tmp_path, ["ising", "--config", cfg])
     assert code == 0
     for row in doc["records"]:
-        assert row["value"] == pytest.approx(row["oracle"], rel=1e-12)
+        assert row["value"] == pytest.approx(reference(row["beta"], row["c"]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +840,11 @@ def _rate_config(one_color_key):
      "degree must be an integer, got ' 2'"),
     ("degree-rate", {"degrees": {"0": 0.5, "\u0662": 0.5}, "c": 1.0},
      "degree must be an integer, got '\u0662'"),
+    # a mass is a JSON number, not a string or a bool
+    ("degree-rate", {"degrees": {"0": "0.5", "2": 0.5}, "c": 1.0},
+     "degrees must map integers to probabilities: config key 'degrees[0]' must be a number"),
+    ("degree-rate", {"degrees": {"1": True}, "c": 1.0},
+     "degrees must map integers to probabilities: config key 'degrees[1]' must be a number"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)

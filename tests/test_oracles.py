@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphrates import (Alphabet, BudgetError, ColorMeasure, Kernel,
-                        ModelParams, NeighborhoodCounts, ising_annealed,
+from graphrates import (Alphabet, BudgetError, ColorCounts, ColorMeasure, Kernel,
+                        ModelParams, NeighborhoodCounts, PairCounts, ising_annealed,
                         sample_colored_graph)
 from graphrates.oracles import (_isolated_law, binomial_log_tail, composition_count,
+                                conditional_pair_log_probability, ising_log_partition,
                                 ising_oracle, isolated_log_tail, partition_bound_check,
                                 scalar_partition_counts, support_bound_check,
                                 vector_partition_count)
@@ -52,6 +53,64 @@ def test_binomial_tail_rejects_bad_args():
         binomial_log_tail(5, 1.5, 2)
     with pytest.raises(ValueError):
         binomial_log_tail(5, 0.5, 7)
+
+
+# ---------------------------------------------------------------------------
+# class-pair edge counts given the colors
+
+
+def _every_graph(n):
+    """All 2^C(n,2) graphs on n vertices as rows of 0/1 entries over the vertex pairs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    masks = (np.arange(2 ** len(pairs))[:, None] >> np.arange(len(pairs))) & 1
+    return pairs, masks
+
+
+@pytest.mark.parametrize("colors, C", [
+    ([0, 0, 0, 1, 1, 1], [[3.0, 1.0], [1.0, 2.0]]),
+    ([0, 1, 1, 1, 1, 1], [[0.5, 2.5], [2.5, 4.0]]),
+    # C(1, 1) / n above 1: every edge inside class 1 is present
+    ([0, 0, 1, 1, 1], [[1.0, 2.0], [2.0, 7.0]]),
+    ([0, 0, 1, 1, 2, 2], [[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 1.5]]),
+    ([0, 1, 2, 2, 2], [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0], [2.0, 1.0, 3.0]]),
+], ids=["m2-even", "m2-lopsided", "m2-p-one", "m3-even", "m3-zero-kernel"])
+def test_conditional_pair_law_vs_every_graph(colors, C):
+    # sum the probability of every graph on the fixed coloring by its class-pair counts
+    n, m = len(colors), len(C)
+    kernel = Kernel(Alphabet(m), C)
+    pairs, masks = _every_graph(n)
+    p = np.array([min(C[colors[u]][colors[v]] / n, 1.0) for u, v in pairs])
+    prob = np.prod(np.where(masks == 1, p, 1.0 - p), axis=1)
+    edge_counts = np.zeros((len(masks), m, m), dtype=np.int64)
+    for i, (u, v) in enumerate(pairs):
+        a, b = sorted((colors[u], colors[v]))
+        edge_counts[:, a, b] += masks[:, i]
+    edge_counts = edge_counts + np.triu(edge_counts, 1).transpose(0, 2, 1)
+    found, inverse = np.unique(edge_counts.reshape(len(masks), -1), axis=0, return_inverse=True)
+    law = np.bincount(inverse.ravel(), weights=prob)
+    color_counts = ColorCounts(n, np.bincount(colors, minlength=m))
+    total = 0.0
+    for e, mass in zip(found, law):
+        got = conditional_pair_log_probability(color_counts, PairCounts(n, e.reshape(m, m)),
+                                               kernel)
+        if mass == 0.0:
+            assert got == -math.inf
+        else:
+            assert got == pytest.approx(math.log(mass), rel=1e-12, abs=1e-12)
+            total += math.exp(got)
+    assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_conditional_pair_law_refuses_counts_past_the_slots():
+    # two vertices of color 0 have one slot between them
+    color_counts = ColorCounts(4, [2, 2])
+    C = Kernel(Alphabet(2), [[1.0, 1.0], [1.0, 1.0]])
+    assert conditional_pair_log_probability(
+        color_counts, PairCounts(4, [[2, 0], [0, 0]]), C) == -math.inf
+    with pytest.raises(ValueError, match="edge counts are for n = 5"):
+        conditional_pair_log_probability(color_counts, PairCounts(5, [[0, 0], [0, 0]]), C)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        conditional_pair_log_probability(color_counts, PairCounts(4, [[0]]), C)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +368,28 @@ def test_tiny_partition_function_tracks_annealed_limit():
     finite = math.log(z) / n
     limit = ising_annealed(beta, c).value
     assert abs(finite - limit) <= 0.15
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ising_log_partition_vs_tiny_partition_function(n):
+    # c = 12 puts p = min(c / n, 1) at 1
+    for beta in (0.0, 0.3, 1.2, 4.0):
+        for c in (0.5, 2.0, 12.0):
+            exact = exact_tiny_partition_function(n, min(c / n, 1.0), beta)
+            assert ising_log_partition(n, beta, c) == pytest.approx(math.log(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_ising_log_partition_averages_z_over_every_graph(n):
+    # E Z_n = sum over the graphs G of P(G) sum over the spins s of exp(beta sum_{uv in G} s_u s_v)
+    pairs, masks = _every_graph(n)
+    spins = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
+    bonds = np.stack([spins[:, u] * spins[:, v] for u, v in pairs], axis=1)
+    for beta, c in ((0.4, 1.5), (1.1, 3.0)):
+        p = min(c / n, 1.0)
+        prob = p ** masks.sum(axis=1) * (1.0 - p) ** (len(pairs) - masks.sum(axis=1))
+        mean_z = prob @ np.exp(beta * masks @ bonds.T).sum(axis=1)
+        assert ising_log_partition(n, beta, c) == pytest.approx(math.log(mean_z), rel=1e-12)
 
 
 def test_tiny_partition_function_budget():
