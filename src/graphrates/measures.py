@@ -15,8 +15,9 @@ NeighborhoodMeasure and NeighborhoodCounts hold one atom table: int64 colors
 (K,) and degree vectors (K, m) sorted in (color, ell) tuple order, with a
 float mass or an int count per atom. _atom_table checks it once, in numpy;
 phi, phi_counts, degree_distribution, relative_entropy and total_variation
-are numpy expressions over it, and _find matches atoms against a table.
-relative_entropy is sum w (ln w - ln q) for every type: no ratio w/q forms.
+are numpy expressions over it. One int64 key per row, _order_key, sorts it,
+finds its duplicates, merges equal atoms (_merged) and matches atoms against it
+(_find). relative_entropy is sum w (ln w - ln q) for every type: no ratio w/q forms.
 
 The phi map sends a neighborhood measure to (color marginal, induced pair
 matrix); a pair measure dominating the induced matrix entrywise is called
@@ -104,11 +105,22 @@ def _read_keys(keys, m=None):
     return colors, ells
 
 
-def _first_steps(rows):
-    """First nonzero difference of each pair of adjacent rows: > 0 where the pair is in
-    tuple order, 0 where the rows are equal."""
-    step = np.diff(rows, axis=0)
-    return step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+def _order_key(rows):
+    """One int64 per row of a nonnegative integer table of fewer than 2**31 rows, equal
+    where the rows are and ordered as they are in tuple order: mixed-radix digits of
+    radix column max + 1. A column of max 2**31 or more is replaced by its dense rank,
+    and so is the key so far where the next digit would carry it past int64."""
+    key, bound = np.zeros(len(rows), dtype=np.int64), 1  # every key is below bound
+    for col in rows.T:
+        if col.max(initial=0) >= 2 ** 31:
+            col = np.unique(col, return_inverse=True)[1]
+        radix = int(col.max(initial=0)) + 1
+        if bound * radix > 2 ** 63:
+            ranks, key = np.unique(key, return_inverse=True)
+            bound = ranks.size
+        key = key * radix + col
+        bound *= radix
+    return key
 
 
 def _atom_table(m, colors, ells, values, n=None):
@@ -126,23 +138,22 @@ def _atom_table(m, colors, ells, values, n=None):
         raise ValueError(f"atom table shapes {colors.shape}, {ells.shape}, {values.shape} "
                          f"do not match m={m}")
     _check_atoms(m, colors, ells)
-    rows = np.column_stack((colors, ells)).astype(np.int64)
+    rows = np.column_stack((colors, ells)).astype(np.int64, copy=False)
     values = values.astype(np.int64 if n else float)
-    steps = _first_steps(rows)
-    if (steps < 0).any():  # sort only a table not yet in tuple order
-        order = np.lexsort(rows.T[::-1])
-        rows, values = rows[order], values[order]
-        steps = _first_steps(rows)
+    key = _order_key(rows)
+    if (key[1:] < key[:-1]).any():  # sort only a table not yet in tuple order
+        order = np.argsort(key, kind="stable")
+        key, rows, values = key[order], rows[order], values[order]
     colors, ells = rows[:, 0], rows[:, 1:]
-    dup = np.flatnonzero(steps == 0)
+    dup = np.flatnonzero(key[1:] == key[:-1])
     if dup.size:
         raise ValueError(f"duplicate atom {(int(colors[dup[0]]), tuple(ells[dup[0]].tolist()))}")
     bad = np.flatnonzero(~np.isfinite(values) | (values <= 0))[:1]
     if bad.size and n:
         raise ValueError(f"atom count must be positive, got {values[bad[0]]}")
     if bad.size:
-        key = (int(colors[bad[0]]), tuple(ells[bad[0]].tolist()))
-        raise ValueError(f"atom {key} has non-positive mass {float(values[bad[0]])!r}")
+        atom = (int(colors[bad[0]]), tuple(ells[bad[0]].tolist()))
+        raise ValueError(f"atom {atom} has non-positive mass {float(values[bad[0]])!r}")
     if n and sum(values.tolist()) != n:
         raise ValueError(f"atom counts sum to {sum(values.tolist())}, expected n={n}")
     if int(ells.max(initial=0)) * m * (n or 1) >= 2 ** 63:  # near the limit, add exactly
@@ -155,16 +166,13 @@ def _atom_table(m, colors, ells, values, n=None):
     return colors, ells, values
 
 
-def _keys(colors, ells):
-    # entries are >= 0, so big-endian bytes compare as (color, ell) tuples do
-    rows = np.column_stack((colors, ells)).astype(">i8")
-    return rows.view(f"V{8 * rows.shape[1]}").ravel()
-
-
 def _find(table, colors, ells):
     """Index in the sorted table of each atom (colors[k], ells[k]); len(table) where it
     is absent, so the table's values with one 0 appended align with the atoms."""
-    keys, wanted = _keys(table.colors, table.ells), _keys(colors, ells)
+    # one key over both sides, so that they share radices and ranks
+    key = _order_key(np.column_stack((np.concatenate((table.colors, colors)),
+                                      np.concatenate((table.ells, ells)))))
+    keys, wanted = key[:table.colors.size], key[table.colors.size:]
     at = np.searchsorted(keys, wanted)
     hit = at < keys.size
     hit[hit] = keys[at[hit]] == wanted[hit]
@@ -173,12 +181,15 @@ def _find(table, colors, ells):
 
 
 def _merged(colors, ells, values):
-    """Atoms sorted in (color, ell) order, the values of equal atoms added in their order."""
-    rows = np.column_stack((colors, ells))
-    order = np.lexsort(rows.T[::-1])
-    rows, values = rows[order], values[order]
-    starts = np.flatnonzero(np.concatenate(([True], _first_steps(rows) != 0)))
-    return rows[starts, 0], rows[starts, 1:], np.add.reduceat(values, starts)
+    """Atoms of the arrays colors (N,) and ells (N, m) sorted in (color, ell) order, the
+    values of equal atoms added in their order."""
+    _check_atoms(None, colors, ells)  # a negative entry would alias another row's key
+    key = _order_key(np.column_stack((colors, ells)))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    first = order[starts]
+    return colors[first], ells[first], np.add.reduceat(values[order], starts)
 
 
 def _atom_list(colors, ells, values):
@@ -306,8 +317,10 @@ class NeighborhoodMeasure:
 
     def mass(self, a, ell):
         """Mass of the atom (a, ell); 0 when absent from the support."""
-        at = _find(self, *_read_keys([(a, ell)], self.alphabet.m))
-        return float(np.append(self.weights, 0.0)[at[0]])
+        colors, ells = _read_keys([(a, ell)], self.alphabet.m)
+        if not 0 <= colors[0] < self.alphabet.m:  # no atom has this color
+            return 0.0
+        return float(np.append(self.weights, 0.0)[_find(self, colors, ells)[0]])
 
     def atoms(self):
         """[((color, ell), mass)] in (color, degree vector) sort order."""

@@ -258,7 +258,9 @@ def ising_log_partition(n, beta, c):
 def ising_oracle(beta, c):
     """Annealed Ising free energy on G(n, c/n): (1/n) ln E Z_n extrapolated in 1/n over
     ISING_SIZES. E Z_n has no ln n / n term: the Laplace factor sqrt(n) cancels the
-    binomial's 1 / sqrt(n). beta = 0 gives ln 2 up to rounding."""
+    binomial's 1 / sqrt(n). beta = 0 gives ln 2 up to rounding. Where p = c/n or
+    p (e^beta - 1) reaches 1 at the smaller size, the sizes see a dense graph, not the
+    sparse limit, and the call is refused."""
     if c <= 0:
         raise ValueError(f"c must be positive, got {c!r}")
     if beta < 0:
@@ -267,5 +269,9 @@ def ising_oracle(beta, c):
         math.expm1(beta)
     except OverflowError:
         raise ValueError(f"beta {beta!r} is too large: e^beta overflows a float") from None
+    p = c / ISING_SIZES[0]
+    if p >= 1 or p * math.expm1(beta) >= 1:
+        raise ValueError(f"beta {beta!r}, c {c!r} are past the sparse limit: at n = "
+                         f"{ISING_SIZES[0]} it needs c/n < 1 and (c/n)(e^beta - 1) < 1")
     exponents = [ising_log_partition(n, beta, c) / n for n in ISING_SIZES]
     return float(extrapolate(ISING_SIZES, exponents)[0][0])

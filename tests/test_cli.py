@@ -133,6 +133,19 @@ def test_json_output_is_one_line(tmp_path, command, make_cfg, out_name, written)
 THREE_COLORS = {"mu": [0.3, 0.3, 0.4], "C": [[2, 1, 0.5], [1, 3, 1], [0.5, 1, 1.5]]}
 
 
+# GENERATE_DOC_SHA256's digest on the 1- and 3-color models at n = 5000, seed 7, taken
+# while the atom table was still ordered by lexsort: they pin the atom order past m = 2
+@pytest.mark.parametrize("model, digest", [
+    ({"mu": [1.0], "C": 2.0}, "30d210faed25514470c501d73be2f4271b72d8a8da202116d3dc91ef11300087"),
+    (THREE_COLORS, "f3e883d9e35d8bea6123d26834c9d1da5a7fba537a2391e5bcf4577429fc0c03"),
+], ids=["one-color", "three-colors"])
+def test_generate_document_digest_per_model(tmp_path, model, digest):
+    cfg = _write(tmp_path, "gen.json", dict(model, n=5000, seed=7))
+    code, doc = _run_json(tmp_path, ["generate", "--config", cfg])
+    assert code == 0
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
 def _graph_doc(graph):
     return {"n": graph.n, "m": graph.m, "colors": graph.colors.tolist(),
             "edges": graph.edges.tolist()}

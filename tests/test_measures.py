@@ -1,9 +1,10 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphrates import (Alphabet, ColorCounts, ColorMeasure, Kernel, ModelParams,
@@ -14,6 +15,7 @@ from graphrates import (Alphabet, ColorCounts, ColorMeasure, Kernel, ModelParams
                         product_kernel_measure, quantize, relative_entropy,
                         sample_colored_graph, total_variation)
 from graphrates.errors import InfeasibleError
+from graphrates.measures import _atom_list, _atom_table, _find, _merged
 from graphrates.seeds import derive_child_seed
 
 A1 = Alphabet(1)
@@ -175,6 +177,9 @@ def test_neighborhood_table_is_sorted_and_checked():
             NeighborhoodMeasure.from_arrays(A2, *args, probability=True)
     with pytest.raises(ValueError, match="atom counts sum to 3, expected n=4"):
         NeighborhoodCounts.from_arrays(4, [0, 0], [[1], [0]], [2, 1])
+    # the tally's key would give (0, (1, -1)) the key of (0, (0, 1)) and count it there
+    with pytest.raises(ValueError, match="negative entries: \\(1, -1\\)"):
+        NeighborhoodCounts.tally(np.array([0, 0]), np.array([[0, 1], [1, -1]]))
 
 
 def test_neighborhood_counts_refuse_degree_sums_past_int64():
@@ -188,6 +193,92 @@ def test_neighborhood_counts_refuse_degree_sums_past_int64():
     # a sum just inside the range is exact
     nc = NeighborhoodCounts(2, {(0, (2 ** 62,)): 1, (0, (2 ** 62 - 1,)): 1})
     assert phi_counts(nc)[1].tolist() == [[2 ** 63 - 1]]
+
+
+# One order key sorts, merges and finds atoms; these tests hold it to Python's tuple
+# order. WIDE's color radix 40 times forty degree radices 4 passes 2**63, so the key so
+# far is ranked; HUGE's degrees of 2**31 and more are ranked as columns (its 2**61
+# column would carry four ranked keys past 2**63), and TOP's 2**63 - 1 has no radix in
+# int64 at all.
+WIDE = [(39, (3,) * 40), (0, (3,) * 39 + (0,)), (39, (3,) * 39 + (2,)), (0, (0,) * 40),
+        (17, (1, 2, 3) * 13 + (0,)), (0, (3,) * 39 + (0,))]
+HUGE = [(0, (1, 2 ** 61)), (1, (1, 2 ** 61)), (1, (1, 5)), (0, (0, 2 ** 61)),
+        (1, (0, 2 ** 31)), (0, (1, 3)), (1, (1, 5)), (0, (0, 2 ** 31 + 1))]
+TOP = [(0, (2 ** 63 - 1,)), (0, (0,)), (0, (2 ** 63 - 1,))]
+
+
+def _atom_tables(m, entries):
+    """Lists of (color, ell) atoms drawn from a pool of at most 8, so that atoms repeat."""
+    atom = st.tuples(st.integers(0, m - 1), st.tuples(*[entries] * m))
+    return st.lists(atom, min_size=1, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+
+
+ATOM_TABLES = st.one_of(
+    st.integers(1, 3).flatmap(lambda m: _atom_tables(
+        m, st.integers(0, 3) | st.sampled_from([2 ** 31, 2 ** 31 + 1, 2 ** 61]))),
+    _atom_tables(40, st.integers(0, 3)))
+
+
+def _arrays(atoms):
+    m = len(atoms[0][1])
+    return (np.array([a for a, _ in atoms], dtype=np.int64),
+            np.array([ell for _, ell in atoms], dtype=np.int64).reshape(len(atoms), m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ATOM_TABLES)
+@example(WIDE)
+@example(HUGE)
+@example(TOP)
+def test_atom_table_sorts_as_tuples_and_refuses_a_repeat(atoms):
+    distinct = list(dict.fromkeys(atoms))
+    m = len(atoms[0][1])
+    masses = np.arange(1.0, len(distinct) + 1)
+    colors, ells, values = _atom_table(m, *_arrays(distinct), masses)
+    got = [(a, tuple(ell)) for a, ell in zip(colors.tolist(), ells.tolist())]
+    assert got == sorted(distinct)
+    assert values.tolist() == [masses[distinct.index(atom)] for atom in got]
+    ordered = sorted(atoms)
+    repeats = [x for x, y in zip(ordered, ordered[1:]) if x == y]
+    if repeats:
+        with pytest.raises(ValueError, match=re.escape(f"duplicate atom {repeats[0]}")):
+            _atom_table(m, *_arrays(atoms), np.ones(len(atoms)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ATOM_TABLES)
+@example(WIDE)
+@example(HUGE)
+@example(TOP)
+def test_merged_adds_equal_atoms_in_tuple_order(atoms):
+    values = [k % 7 + 1 for k in range(len(atoms))]
+    sums = {}
+    for atom, v in zip(atoms, values):
+        sums[atom] = sums.get(atom, 0) + v
+    colors, ells, merged = _merged(*_arrays(atoms), np.array(values))
+    assert _atom_list(colors, ells, merged) == sorted(sums.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(ATOM_TABLES)
+@example(WIDE)
+@example(HUGE)
+@example(TOP)
+def test_find_matches_a_dict_lookup(atoms):
+    # every other distinct atom is in the table; the rest are looked up and absent
+    distinct = list(dict.fromkeys(atoms))
+    m = len(atoms[0][1])
+    held = {atom: k + 1.0 for k, atom in enumerate(distinct[::2])}
+    nu = NeighborhoodMeasure(Alphabet(m), held)
+    at = _find(nu, *_arrays(atoms))
+    assert np.append(nu.weights, 0.0)[at].tolist() == [held.get(x, 0.0) for x in atoms]
+
+
+def test_mass_outside_the_alphabet_is_zero():
+    nu = NeighborhoodMeasure(A2, {(0, (1, 0)): 0.5, (1, (0, 1)): 0.5}, probability=True)
+    assert nu.mass(0, (1, 0)) == 0.5
+    assert nu.mass(-1, (1, 0)) == nu.mass(2, (0, 1)) == nu.mass(-2 ** 63, (0, 0)) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,14 @@ def test_ising_oracle_rejects_bad_args():
         ising_oracle(1000.0, 2.0)
 
 
+@pytest.mark.parametrize("beta, c", [(1e-8, 1e9), (705.0, 0.5)], ids=["dense", "hot"])
+def test_ising_oracle_refuses_past_the_sparse_limit(beta, c):
+    # at n = 80000, c = 1e9 gives p = 1 (the complete graph, 0.6931 where the limit is 5.0),
+    # and e^705 makes every edge weight huge; both answers were far from the sparse limit
+    with pytest.raises(ValueError, match="past the sparse limit: at n = 80000"):
+        ising_oracle(beta, c)
+
+
 def exact_tiny_partition_function(n, p, beta, seed=None):
     """Brute-force Ising partition function on a tiny Erdos-Renyi graph.
 
