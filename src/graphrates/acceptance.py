@@ -5,8 +5,8 @@ tolerances and pinned seeds, fixed in its own code, and returns a record dict
 {id, name, passed, details, elapsed}. The pytest acceptance module and the
 CLI validate command both run these functions as they are, so both give the
 same verdicts; neither can change a tolerance, a seed or a sample size.
-Criteria 4 and 5 check their rates against exact finite-n laws extrapolated in
-1/n, not against a second copy of the rate's formula.
+Criteria 1, 4 and 5 check their rates against exact finite-n laws, taken to the
+limit by oracles.extrapolate_exact, not against a second copy of a formula.
 """
 
 import math
@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import mcharness, oracles, rates, varsolve
+from . import oracles, rates, varsolve
 from .graphs import (ColoredGraph, ModelParams, empirical_measures, sample_colored_graph,
                      sample_conditional_batch)
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
@@ -70,11 +70,14 @@ def format_record(rec):
 
 
 def criterion_1():
+    # -(1/n) ln P(|E| >= 1.5 n) = I + (1/2) ln n / n + O(1/n), a tail of one count (d = 1).
+    # Error budget for rel_err <= 0.02: the fit through n = 250 to 2000 leaves the 1/n^3
+    # term, about 3e-7 (3e-6 relative); rounding adds below 1e-11.
     started = time.perf_counter()
     c, x = 2.0, 1.5
     sizes = (250, 500, 1000, 2000)
     exponents = [exact_er_edge_exponent(n, c, x) for n in sizes]
-    extrapolated = float(mcharness.extrapolate(sizes, exponents)[0][0])
+    extrapolated = oracles.extrapolate_exact(sizes, exponents, 1)
     target = rates.rate_zeta_er(x, c)
     rel_err = abs(extrapolated - target) / target
 
@@ -148,9 +151,9 @@ def criterion_3():
 
 
 def criterion_4():
-    # Error budget for max_gap <= 1e-6: ising_oracle's line through n = 80000 and 160000
-    # leaves the 1/n^2 term of (1/n) ln E Z_n, 1.2e-8 at (0.5, 2), next to the critical
-    # line c sinh(beta) = 1, and at most 9.1e-10 elsewhere; rounding adds about 1e-15.
+    # Error budget for max_gap <= 1e-6: ising_oracle's fit leaves the 1/n^3 term of
+    # (1/n) ln E Z_n, about 2.5e-10 at (0.5, 2), next to the critical line c sinh(beta) = 1,
+    # and below 3e-11 elsewhere; rounding adds about 1e-14.
     started = time.perf_counter()
     points = [(beta, c) for beta in (0.0, 0.25, 0.5, 1.0) for c in (0.5, 1.0, 2.0)]
     max_gap = 0.0
@@ -181,18 +184,17 @@ PAIR_LAW_POINTS = (
 
 def criterion_5():
     # -(1/n) ln P(pi_n | omega_n) = I_omega + (d/2) ln n / n + O(1/n), d = m(m + 1)/2
-    # (Bahadur & Rao 1960). Error budget for max_gap <= 1e-4: the line through n = 500 2^j,
-    # j = 0..7, leaves the 1/n^2 term, at most 8e-7 here; rounding adds below 1e-10.
+    # (Bahadur & Rao 1960). Error budget for max_gap <= 1e-4: the fit through n = 500 2^j,
+    # j = 0..7, leaves the 1/n^3 term, about 2e-9 here; rounding adds below 1e-10.
     started = time.perf_counter()
     sizes = [500 * 2 ** j for j in range(8)]
     max_gap = 0.0
     for C, colors, edges in PAIR_LAW_POINTS:
-        d = C.alphabet.m * (C.alphabet.m + 1) / 2
-        log_p = [oracles.conditional_pair_log_probability(
+        exponents = [-oracles.conditional_pair_log_probability(
             ColorCounts(n, np.multiply(colors, n // 500)),
-            PairCounts(n, np.multiply(edges, n // 500)), C) for n in sizes]
-        exponents = [-(lp + d / 2 * math.log(n)) / n for lp, n in zip(log_p, sizes)]
-        exact = float(mcharness.extrapolate(sizes, exponents)[0][0])
+            PairCounts(n, np.multiply(edges, n // 500)), C) / n for n in sizes]
+        exact = oracles.extrapolate_exact(sizes, exponents,
+                                          C.alphabet.m * (C.alphabet.m + 1) // 2)
         rate = rates.rate_I_omega(PairCounts(500, edges).measure,
                                   ColorCounts(500, colors).measure, C)
         max_gap = max(max_gap, abs(rate - exact))

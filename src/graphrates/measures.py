@@ -317,8 +317,10 @@ class NeighborhoodMeasure:
 
     def mass(self, a, ell):
         """Mass of the atom (a, ell); 0 when absent from the support."""
+        # no atom has a color outside 0..m-1; one past int64 is read as -1 or m
+        a = min(max(_whole(a, "color"), -1), self.alphabet.m)
         colors, ells = _read_keys([(a, ell)], self.alphabet.m)
-        if not 0 <= colors[0] < self.alphabet.m:  # no atom has this color
+        if not 0 <= colors[0] < self.alphabet.m:
             return 0.0
         return float(np.append(self.weights, 0.0)[_find(self, colors, ells)[0]])
 

@@ -1,12 +1,13 @@
 """Exact ground-truth computations used to validate the main code paths.
 
-Everything here is coded independently of the modules under test: the
-binomial law in log space and over it the exact Erdos-Renyi edge exponent
-(at mcharness's threshold ceil(x n)), the class-pair edge counts' law given
-the colors and the annealed Ising partition function E Z_n; the isolated-
-vertex law of G(n, p) in fixed point; every partition count from one table
-of prod 1 / (1 - x^v); the counting and support-size bounds, reported as
-flags for criterion 10 to judge. Counts are exact integers.
+Everything here is coded independently of the modules under test: the one
+fit of every exact exponent ladder (extrapolate_exact); the binomial law in
+log space and over it the exact Erdos-Renyi edge exponent (at mcharness's
+threshold ceil(x n)), the class-pair edge counts' law given the colors and
+the annealed Ising partition function E Z_n; the isolated-vertex law of
+G(n, p) in fixed point; every partition count from one table of
+prod 1 / (1 - x^v); the counting and support-size bounds, reported as flags
+for criterion 10 to judge. Counts are exact integers.
 """
 
 import itertools
@@ -17,13 +18,32 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .errors import BudgetError
-from .mcharness import _edge_threshold, extrapolate
+from .mcharness import _edge_threshold
 from .measures import _check_same_alphabet, _whole
 
 VECTOR_PARTITION_BUDGET = 14
 _SCALAR_BOUND_CONST = 2.57  # just above the Hardy-Ramanujan pi*sqrt(2/3)
 _SCALAR_LIMIT = 60
-ISING_SIZES = (80000, 160000)  # criterion 4 gives the error budget
+ISING_SIZES = (40000, 80000, 160000)  # criterion 4 gives the error budget
+
+# ---------------------------------------------------------------------------
+# exact exponent ladders
+
+
+def extrapolate_exact(sizes, exponents, d):
+    """Limit of exact exponents -(1/n) ln P_n at three or more sizes: (d/2) ln n / n
+    subtracted (Bahadur & Rao 1960), [1, 1/n, 1/n^2] fitted unweighted, the intercept.
+
+    d counts the law's free lattice counts: 1 for the tail or point mass of one count
+    (the edge count, the isolated vertices, a matching's edges), m(m + 1)/2 for the
+    class-pair edge counts, 0 for a sum over a whole state space such as E Z_n."""
+    n = np.array(sizes, dtype=float)
+    if n.size < 3:
+        raise ValueError(f"an exact ladder needs three or more sizes, got {n.size}")
+    y = np.array(exponents, dtype=float) - d / 2 * np.log(n) / n
+    basis = np.vander(n.min() / n, 3, increasing=True)  # 1/n scaled to keep it conditioned
+    return float(np.linalg.lstsq(basis, y, rcond=None)[0][0])
+
 
 # ---------------------------------------------------------------------------
 # the binomial law
@@ -256,11 +276,11 @@ def ising_log_partition(n, beta, c):
 
 
 def ising_oracle(beta, c):
-    """Annealed Ising free energy on G(n, c/n): (1/n) ln E Z_n extrapolated in 1/n over
-    ISING_SIZES. E Z_n has no ln n / n term: the Laplace factor sqrt(n) cancels the
-    binomial's 1 / sqrt(n). beta = 0 gives ln 2 up to rounding. Where p = c/n or
-    p (e^beta - 1) reaches 1 at the smaller size, the sizes see a dense graph, not the
-    sparse limit, and the call is refused."""
+    """Annealed Ising free energy on G(n, c/n): (1/n) ln E Z_n over ISING_SIZES taken to
+    its limit by extrapolate_exact with d = 0, as E Z_n has no ln n / n term: the Laplace
+    factor sqrt(n) cancels the binomial's 1 / sqrt(n). beta = 0 gives ln 2 up to rounding.
+    Where p = c/n or p (e^beta - 1) reaches 1 at the smallest size, the sizes see a dense
+    graph, not the sparse limit, and the call is refused."""
     if c <= 0:
         raise ValueError(f"c must be positive, got {c!r}")
     if beta < 0:
@@ -273,5 +293,5 @@ def ising_oracle(beta, c):
     if p >= 1 or p * math.expm1(beta) >= 1:
         raise ValueError(f"beta {beta!r}, c {c!r} are past the sparse limit: at n = "
                          f"{ISING_SIZES[0]} it needs c/n < 1 and (c/n)(e^beta - 1) < 1")
-    exponents = [ising_log_partition(n, beta, c) / n for n in ISING_SIZES]
-    return float(extrapolate(ISING_SIZES, exponents)[0][0])
+    return extrapolate_exact(ISING_SIZES, [ising_log_partition(n, beta, c) / n
+                                           for n in ISING_SIZES], 0)

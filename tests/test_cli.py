@@ -428,8 +428,8 @@ def test_edge_rate_mc_two_color_prediction(tmp_path):
 
 def test_ising_table(tmp_path):
     # the reference is the exact (1/n) ln E Z_n extrapolated by ising_oracle; error
-    # budget 1.2e-8 at (0.5, 2), next to the critical line c sinh(beta) = 1, 8e-10 at
-    # (1, 2) and 1e-15 at beta = 0 (criterion 4)
+    # budget 2.5e-10 at (0.5, 2), next to the critical line c sinh(beta) = 1, 1e-13 at
+    # (1, 2) and 1e-14 at beta = 0 (criterion 4)
     from graphrates.oracles import ising_oracle
     cfg = _write(tmp_path, "ising.json", {"beta": [0.0, 0.5, 1.0], "c": 2.0})
     code, doc = _run_json(tmp_path, ["ising", "--config", cfg])

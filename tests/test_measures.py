@@ -281,6 +281,18 @@ def test_mass_outside_the_alphabet_is_zero():
     assert nu.mass(-1, (1, 0)) == nu.mass(2, (0, 1)) == nu.mass(-2 ** 63, (0, 0)) == 0.0
 
 
+def test_mass_of_a_color_past_int64_is_zero():
+    # the color is compared with the alphabet before it is read into int64
+    nu = NeighborhoodMeasure(A2, {(0, (1, 0)): 0.5, (1, (0, 1)): 0.5}, probability=True)
+    assert nu.mass(2 ** 63, (1, 0)) == nu.mass(-2 ** 63 - 1, (1, 0)) == 0.0
+    with pytest.raises(ValueError, match="degree vector entry does not fit in int64"):
+        nu.mass(2 ** 63, (2 ** 63, 0))
+    with pytest.raises(ValueError, match="negative entries"):
+        nu.mass(2 ** 63, (-1, 0))
+    with pytest.raises(ValueError, match="color must be an integer"):
+        nu.mass(2.5, (1, 0))
+
+
 # ---------------------------------------------------------------------------
 # relative entropy
 

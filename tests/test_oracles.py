@@ -10,10 +10,29 @@ from graphrates import (Alphabet, BudgetError, ColorCounts, ColorMeasure, Kernel
                         ModelParams, NeighborhoodCounts, PairCounts, ising_annealed,
                         sample_colored_graph)
 from graphrates.oracles import (_isolated_law, binomial_log_tail, composition_count,
-                                conditional_pair_log_probability, ising_log_partition,
-                                ising_oracle, isolated_log_tail, partition_bound_check,
-                                scalar_partition_counts, support_bound_check,
-                                vector_partition_count)
+                                conditional_pair_log_probability, extrapolate_exact,
+                                ising_log_partition, ising_oracle, isolated_log_tail,
+                                partition_bound_check, scalar_partition_counts,
+                                support_bound_check, vector_partition_count)
+
+
+# ---------------------------------------------------------------------------
+# exact exponent ladders
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+@pytest.mark.parametrize("sizes", [(100, 200, 400), tuple(250 * 2 ** j for j in range(8))],
+                         ids=["three", "eight"])
+def test_extrapolate_exact_recovers_the_limit(d, sizes):
+    # I + (d/2) ln n / n + a / n + b / n^2 is in the fit's span once the log term is off
+    limit, a, b = 0.1081976621, 2.5, -40.0
+    exponents = [limit + d / 2 * math.log(n) / n + a / n + b / n ** 2 for n in sizes]
+    assert extrapolate_exact(sizes, exponents, d) == pytest.approx(limit, abs=1e-12)
+
+
+def test_extrapolate_exact_refuses_fewer_than_three_sizes():
+    with pytest.raises(ValueError, match="three or more sizes, got 2"):
+        extrapolate_exact((100, 200), [0.1, 0.1], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +327,10 @@ def test_ising_oracle_rejects_bad_args():
 
 @pytest.mark.parametrize("beta, c", [(1e-8, 1e9), (705.0, 0.5)], ids=["dense", "hot"])
 def test_ising_oracle_refuses_past_the_sparse_limit(beta, c):
-    # at n = 80000, c = 1e9 gives p = 1 (the complete graph, 0.6931 where the limit is 5.0),
-    # and e^705 makes every edge weight huge; both answers were far from the sparse limit
-    with pytest.raises(ValueError, match="past the sparse limit: at n = 80000"):
+    # at n = 40000, the smallest size, c = 1e9 gives p = 1 (the complete graph, 0.6931
+    # where the limit is 5.0), and e^705 makes every edge weight huge; both answers were
+    # far from the sparse limit
+    with pytest.raises(ValueError, match="past the sparse limit: at n = 40000"):
         ising_oracle(beta, c)
 
 

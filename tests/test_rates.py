@@ -13,7 +13,7 @@ from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
                         product_kernel_measure, q_measure, rate_I,
                         rate_I_omega, rate_J, rate_J_tilde, rate_delta,
                         rate_zeta, rate_zeta_er, sample_colored_graph)
-from graphrates.oracles import isolated_log_tail
+from graphrates.oracles import extrapolate_exact, isolated_log_tail
 from graphrates.rates import LIMIT_TAIL_MASS, _poisson_ppf
 from graphrates.seeds import derive_child_seed
 
@@ -270,24 +270,23 @@ def _isolated_family(t, lam):
 def test_rate_delta_contracts_to_the_exact_isolated_vertex_exponent(c, t):
     # The event {d(0) >= t}: at a fixed mean and d(0) = t, H(d || Poisson(mean)) is least
     # on t delta_0 + (1 - t) ZTPoisson(lam), so the contraction is a search over lam.
-    # The exact exponent is isolated_log_tail at n = 100, 200, 400, less (1/2) ln n / n,
-    # fitted on [1, 1/n, 1/n^2]. Budget: a fit up to n = 1600 moves that value by about
+    # The exact exponent is isolated_log_tail at n = 100, 200, 400 taken to its limit by
+    # extrapolate_exact with d = 1. Budget: a fit up to n = 1600 moves that value by about
     # 1e-4, 0.5% at (1, 1/2); the search and the cut add under 1e-9. The bound is 1%.
     contraction = minimize_scalar(lambda s: rate_delta(_isolated_family(t, math.exp(s)), c),
                                   bounds=(-6.0, 4.0), method="bounded",
                                   options={"xatol": 1e-10}).fun
     sizes = (100, 200, 400)
-    exponents = [-isolated_log_tail(n, c, t) / n - 0.5 * math.log(n) / n for n in sizes]
-    exact = np.linalg.solve([[1.0, 1.0 / n, 1.0 / n ** 2] for n in sizes], exponents)[0]
+    exact = extrapolate_exact(sizes, [-isolated_log_tail(n, c, t) / n for n in sizes], 1)
     assert contraction == pytest.approx(exact, rel=1e-2)
 
 
 def test_rate_delta_matches_the_exact_matching_face():
     # c = 1 and d = (delta_0 + delta_1)/2: the graph is a perfect matching on sn of the
     # n vertices, s = 1/2, so P = C(n, sn) (sn - 1)!! p^(sn/2) (1 - p)^(N - sn/2) with
-    # p = c/n and N = C(n, 2). Budget: -ln P / n less (1/2) ln n / n, fitted on
-    # [1, 1/n, 1/n^2] at n = 1000 to 8000, carries an O(1/n^3) bias near 1e-11 and
-    # rounding near 1e-14; the bound is 1e-8.
+    # p = c/n and N = C(n, 2). Budget: -ln P / n at n = 1000 to 8000, taken to its limit
+    # by extrapolate_exact with d = 1, carries an O(1/n^3) bias near 1e-11 and rounding
+    # near 1e-14; the bound is 1e-8.
     c = 1.0
     sizes = (1000, 2000, 4000, 8000)
     exponents = []
@@ -296,9 +295,8 @@ def test_rate_delta_matches_the_exact_matching_face():
         log_p = (math.lgamma(n + 1) - math.lgamma(n - k + 1)  # C(n, k) (k - 1)!!
                  - k // 2 * math.log(2.0) - math.lgamma(k // 2 + 1)
                  + k // 2 * math.log(p) + (n * (n - 1) // 2 - k // 2) * math.log1p(-p))
-        exponents.append(-log_p / n - 0.5 * math.log(n) / n)
-    basis = [[1.0, 1.0 / n, 1.0 / n ** 2] for n in sizes]
-    exact = np.linalg.lstsq(basis, exponents, rcond=None)[0][0]
+        exponents.append(-log_p / n)
+    exact = extrapolate_exact(sizes, exponents, 1)
     assert rate_delta({0: 0.5, 1: 0.5}, c) == pytest.approx(exact, abs=1e-8)
 
 

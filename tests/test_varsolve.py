@@ -145,15 +145,12 @@ def test_ising_beta_zero_is_ln2():
 
 @pytest.mark.parametrize("beta,c", [(0.25, 0.5), (1.0, 2.0), (2.0, 3.0), (3.0, 1.0)])
 def test_ising_against_oracle(beta, c):
-    # (2, 3) and (3, 1) lie in the ferromagnetic range criterion 4 never reaches. The
-    # exact (1/n) ln E Z_n at n = 40000, 80000 and 160000, fitted on [1, 1/n, 1/n^2],
-    # leaves the 1/n^3 term: error budget 3.5e-11 at (2, 3) and (3, 1), where
-    # c expm1(beta) is 19, and below 1e-13 at the other two points
-    from graphrates.oracles import ising_log_partition
-    sizes = np.array([40000, 80000, 160000])
-    exponents = [ising_log_partition(n, beta, c) / n for n in sizes]
-    exact = np.polyfit(1.0 / sizes, exponents, 2)[-1]
-    assert abs(ising_annealed(beta, c).value - exact) <= 1e-9
+    # (2, 3) and (3, 1) lie in the ferromagnetic range criterion 4 never reaches.
+    # ising_oracle's quadratic in 1/n through n = 40000, 80000 and 160000 leaves the
+    # 1/n^3 term: error budget 3.5e-11 at (2, 3) and (3, 1), where c expm1(beta) is 19,
+    # and below 1e-13 at the other two points
+    from graphrates.oracles import ising_oracle
+    assert abs(ising_annealed(beta, c).value - ising_oracle(beta, c)) <= 1e-9
 
 
 @pytest.mark.parametrize("beta,c", [(b, c) for b in (0.0, 0.25, 0.5, 1.0)
