@@ -34,6 +34,7 @@ from .measures import (PROB_TOL, Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodMeasure, PairCounts, PairMeasure, _whole,
                        cap_degrees, consistify, phi, phi_counts,
                        product_kernel_measure, quantize, total_variation)
+from .seeds import check_seed
 
 
 def _json_constant(name):
@@ -134,12 +135,7 @@ def _resolve_seed(cfg, args):
     raw = cfg.get("seed") if args.seed is None else _decimal(args.seed)
     if raw is None:
         raise ConfigError("a seed is required (config key \"seed\" or --seed)")
-    try:
-        seed = _whole(raw, "seed")
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {raw!r}") from None
+    seed = _from_config(check_seed, raw)
     cfg["seed"] = seed
     return seed
 

@@ -9,8 +9,9 @@ sampler instead fixes the exact color counts and per-color-pair edge counts
 and draws uniformly from the graphs realizing them: a seeded shuffle of the
 fixed color multiset, then for every unordered color pair exactly n(a, b)
 distinct edge slots drawn without replacement. sample_conditional_batch
-draws many seeds, each with its own stream, and decodes all their slots at
-once with the one decoder every sampler shares.
+draws many seeds, each with its own stream; it expands the seeds into their
+streams once and decodes all their slots at once with the one decoder every
+sampler shares.
 """
 
 import io
@@ -23,6 +24,7 @@ from numpy.random import default_rng  # numpy 2 loads numpy.random on first use,
 from .errors import InfeasibleError
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodCounts, PairCounts, _check_same_alphabet, _int64, _whole)
+from .seeds import generators
 
 
 def _edge_order(rep, u, v, n):
@@ -373,16 +375,17 @@ def sample_conditional(omega_n, pair_n, seed):
 def sample_conditional_batch(omega_n, pair_n, seeds):
     """colors (R, n) and edges (R, |E|, 2) of sample_conditional for R seeds.
 
-    Each seed keeps its own random stream: a shuffle of the colors, then one
-    slot subset per color pair in the plan's order. The checks, the decoding
-    and the sorting run once for the whole batch.
+    seeds is a sequence of seeds, or a uint64 array as from seeds.child_seeds. Each
+    seed keeps its own random stream, default_rng(seed)'s: a shuffle of the colors,
+    then one slot subset per color pair in the plan's order. The batch expands its
+    seeds into streams once (seeds.generators), and the checks, the decoding and the
+    sorting run once for the whole batch.
     """
     plan = _conditional_plan(omega_n, pair_n)
-    n, m, seeds, ks = omega_n.n, omega_n.alphabet.m, list(seeds), [k for *_, k in plan]
+    n, m, ks, rngs = omega_n.n, omega_n.alphabet.m, [k for *_, k in plan], generators(seeds)
     colors = np.tile(np.repeat(np.arange(m, dtype=np.int64), omega_n.counts), (len(seeds), 1))
     slots, ends = np.empty((len(seeds), sum(ks)), dtype=np.int64), np.cumsum(ks).tolist()
-    for r, seed in enumerate(seeds):
-        rng = default_rng(seed)
+    for r, rng in enumerate(rngs):
         rng.shuffle(colors[r])
         for (_, _, S, k), end in zip(plan, ends):
             slots[r, end - k:end] = rng.choice(S, k, replace=False, shuffle=False)

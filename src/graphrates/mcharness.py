@@ -39,7 +39,7 @@ import numpy as np
 from .graphs import (_NO_SLOTS, ModelParams, _bernoulli_slots, _slot_count, _slot_pairs,
                      empirical_measures, sample_colored_graph)
 from .measures import _whole, degree_distribution, product_kernel_measure, total_variation
-from .seeds import derive_child_seed
+from .seeds import check_seed, derive_child_seed
 
 # replicas are drawn in blocks of this size, each block only up to the last
 # replica the run reads; block boundaries pick the seeds, so they are part of
@@ -99,6 +99,7 @@ class TailExperiment:
                 raise ValueError(f"{name} must be an integer >= {low}, "
                                  f"got {getattr(self, name)!r}")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         kind = self.event.get("kind")
         if not isinstance(kind, str) or kind not in _EVENT_KEYS:
             raise ValueError(f"unknown event kind {kind!r}, "

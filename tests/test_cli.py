@@ -493,6 +493,23 @@ def test_sample_conditional_exact(tmp_path):
     assert sum(1 for c in g.colors if c == 0) == 35
 
 
+# GENERATE_DOC_SHA256's digest for sample-conditional on README's config and on a
+# 3-color config whose seed fills both 32-bit words of the seed, taken while every
+# replica still seeded its stream by numpy.random.default_rng
+@pytest.mark.parametrize("cfg, digest", [
+    ({"n": 60, "color_counts": [35, 25], "edge_counts": [[20, 15], [15, 10]], "seed": 5},
+     "ff7e8aa49888913007acdab2a2c604dac214bdee0ebb7e2941416ad7ebfcd65a"),
+    ({"n": 30, "color_counts": [10, 8, 12], "edge_counts": [[6, 4, 2], [4, 3, 5], [2, 5, 9]],
+      "seed": 2 ** 63 + 5},
+     "9fdfa5915a2b61facb1c951d5cf47f83093c13a68f5fdbf33de3400a72f7407d"),
+], ids=["readme", "three-colors"])
+def test_sample_conditional_document_digest(tmp_path, cfg, digest):
+    code, doc = _run_json(tmp_path, ["sample-conditional", "--config",
+                                     _write(tmp_path, "cond.json", cfg)])
+    assert code == 0
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_sample_conditional_infeasible_exit_3(tmp_path):
     # 4 edges demanded inside a 3-vertex color class (max is 3)
     cfg = _write(tmp_path, "bad.json",

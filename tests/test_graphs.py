@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -427,6 +428,39 @@ def test_sample_conditional_batch_matches_single_draws(counts, edges):
         g = sample_conditional(oc, ec, seed)
         assert np.array_equal(colors[r], g.colors)
         assert np.array_equal(batch_edges[r], g.edges)
+
+
+@pytest.mark.parametrize("counts, edges", [
+    ([4], [[2]]),
+    ([35, 25], [[20, 15], [15, 10]]),
+    ([12, 10, 8], [[5, 3, 0], [3, 4, 80], [0, 80, 2]]),
+    ([5, 4], [[10, 0], [0, 6]]),
+])
+def test_sample_conditional_batch_matches_default_rng_reference(counts, edges):
+    # the streams written out: default_rng(seed) shuffles the color multiset, then draws
+    # each class pair a <= b's slots by choice; slot s is the pair (s // |B|, s % |B|)
+    # across two classes and the s-th pair i < j in lexicographic order within one
+    m, n = len(counts), sum(counts)
+    oc, ec = ColorCounts(n, counts), PairCounts(n, edges)
+    seeds = [derive_child_seed(505, i) for i in range(60)]
+    colors, batch_edges = sample_conditional_batch(oc, ec, seeds)
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        want = np.repeat(np.arange(m), counts)
+        rng.shuffle(want)
+        members = [np.flatnonzero(want == a).tolist() for a in range(m)]
+        pairs = []
+        for a in range(m):
+            for b in range(a, m):
+                A, B = members[a], members[b]
+                within = list(itertools.combinations(range(len(A)), 2))
+                for s in rng.choice(len(within) if a == b else len(A) * len(B), edges[a][b],
+                                    replace=False, shuffle=False).tolist():
+                    u, v = (A[within[s][0]], A[within[s][1]]) if a == b else (A[s // len(B)],
+                                                                              B[s % len(B)])
+                    pairs.append((min(u, v), max(u, v)))
+        assert np.array_equal(colors[r], want)
+        assert batch_edges[r].tolist() == [list(p) for p in sorted(pairs)]
 
 
 def test_sample_conditional_batch_infeasible_and_empty():

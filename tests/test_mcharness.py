@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,21 @@ def test_event_threshold_too_large_for_a_float():
                   {"kind": "pair", "a": 0, "b": 1, "s": 10 ** 400}):
         with pytest.raises(ValueError, match="not a finite real number"):
             TailExperiment(mu=MU2, C=C2, event=event, sizes=(50,), replicas=10, seed=0)
+
+
+@pytest.mark.parametrize("seed", [7.9, True, -1, 2 ** 64 + 7],
+                         ids=["fraction", "bool", "negative", "past-64-bits"])
+def test_experiment_refuses_a_seed_outside_64_bits(seed):
+    # each ran as an alias with the alias's hits: 7, 1, 2**64 - 1 and 7
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\), got "
+                       + re.escape(repr(seed))):
+        _er_experiment(1.2, (50,), 10, seed=seed)
+
+
+def test_experiment_reads_a_whole_seed_as_its_integer():
+    for seed, want in ((7.0, 7), (np.uint64(2 ** 64 - 1), 2 ** 64 - 1)):
+        exp = _er_experiment(1.2, (50,), 10, seed=seed)
+        assert type(exp.seed) is int and exp.seed == want
 
 
 def test_experiment_validation():
