@@ -24,7 +24,7 @@ from numpy.random import default_rng  # numpy 2 loads numpy.random on first use,
 from .errors import InfeasibleError
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodCounts, PairCounts, _check_same_alphabet, _int64, _whole)
-from .seeds import generators
+from .seeds import check_seed, generators
 
 
 def _edge_order(rep, u, v, n):
@@ -307,7 +307,7 @@ def _free_edges(params, seeds):
     probs = params.edge_probabilities.tolist()
     colors, parts = np.empty((len(seeds), n), dtype=np.int64), []
     for r, seed in enumerate(seeds):
-        rng = default_rng(seed)
+        rng = default_rng(check_seed(seed))
         colors[r] = cdf.searchsorted(rng.random(n), side="right")
         sizes = np.bincount(colors[r], minlength=m).tolist()
         parts += [_bernoulli_slots(_slot_count(sizes[a], sizes[b], a == b), probs[a][b], rng)[0]
@@ -317,7 +317,8 @@ def _free_edges(params, seeds):
 
 
 def sample_colored_graph(params, seed):
-    """Draw one graph from the model; deterministic per seed."""
+    """Draw one graph from the model; deterministic per seed, an integer in [0, 2**64)
+    (seeds.check_seed)."""
     colors, _, u, v = _free_edges(params, [seed])
     return ColoredGraph(params.n, params.mu.alphabet.m, colors[0], np.column_stack((u, v)))
 

@@ -26,12 +26,22 @@ block is drawn only up to the last replica the run reads.
 Summing the shards' hit counts reproduces its hits exactly; summing their
 weight_sum and weight_sq_sum reproduces its sums up to rounding, since only
 the order of summation differs.
+
+The blocks of an edges or pair run are drawn concurrently, on one thread per
+CPU the process may use and never more threads than blocks, so the worker
+count needs no setting; a run of one block, or on one CPU, draws on the
+calling thread and starts none. A block draws only from its own streams and
+hands back the histogram of its statistic, which the calling thread adds in
+block order, so the counts are bit for bit a serial run's. degree_zero blocks
+are drawn one after another: their loop is many small numpy calls that hold
+the GIL, and two threads cut its wall time by about 10% for 20-40% more CPU.
 """
 
 import io
 import csv
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,8 +188,14 @@ def _edge_threshold(x, n):
     return math.ceil(min(max(x * n, 0.0), n * n))
 
 
-def _blocks(exp, n, pairs):
-    """The run's blocks, each as (skip, r, sizes, rngs).
+def _block_starts(exp):
+    """The first replica of each block the run reads, in order."""
+    lo, hi = exp.replica_offset, exp.replica_offset + exp.replicas
+    return range(lo - lo % REPLICA_BLOCK, hi, REPLICA_BLOCK)
+
+
+def _block(exp, n, pairs, start):
+    """The streams of the block starting at replica start, as (skip, r, sizes, rngs).
 
     Replica i of size n lies in the block starting at replica
     start = REPLICA_BLOCK * (i // REPLICA_BLOCK). A block draws its replicas
@@ -193,14 +209,13 @@ def _blocks(exp, n, pairs):
     draws none; rngs holds the class pairs' generators in the order of pairs.
     """
     m, lo, hi = exp.mu.alphabet.m, exp.replica_offset, exp.replica_offset + exp.replicas
+    r, seed = min(hi, start + REPLICA_BLOCK) - start, derive_child_seed(exp.seed, n, start)
+    rngs = [np.random.default_rng(derive_child_seed(seed, i) if i else seed)
+            for i in range(len(pairs) + (m > 1))]
     weights = exp.mu.weights / exp.mu.weights.sum()
-    for start in range(lo - lo % REPLICA_BLOCK, hi, REPLICA_BLOCK):
-        r, seed = min(hi, start + REPLICA_BLOCK) - start, derive_child_seed(exp.seed, n, start)
-        rngs = [np.random.default_rng(derive_child_seed(seed, i) if i else seed)
-                for i in range(len(pairs) + (m > 1))]
-        # one color keeps its count the scalar n, so the binomial draws unbroadcast
-        sizes = [n] if m == 1 else rngs.pop(1).multinomial(n, weights, r).T
-        yield max(lo, start) - start, r, sizes, rngs
+    # one color keeps its count the scalar n, so the binomial draws unbroadcast
+    sizes = [n] if m == 1 else rngs.pop(1).multinomial(n, weights, r).T
+    return max(lo, start) - start, r, sizes, rngs
 
 
 def _isolated_counts(exp, n, pairs, probs):
@@ -208,7 +223,8 @@ def _isolated_counts(exp, n, pairs, probs):
     a <= b in pairs drawing its edges with probability probs[a, b] (see _count_hits)."""
     m, step = exp.mu.alphabet.m, max(1, CHUNK_CELLS // n)
     counts = np.zeros(n + 1, dtype=np.int64)
-    for skip, r, sizes, rngs in _blocks(exp, n, pairs):
+    for start in _block_starts(exp):
+        skip, r, sizes, rngs = _block(exp, n, pairs, start)
         sizes = np.broadcast_to(np.reshape(sizes, (m, -1)), (m, r))  # one color: n per replica
         rest = [_NO_SLOTS] * len(pairs)  # each stream's successes past the chunks so far
         for lo in range(0, r, step):
@@ -229,13 +245,52 @@ def _isolated_counts(exp, n, pairs, probs):
     return counts
 
 
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _statistic_counts(exp, n, pairs, probs):
+    """counts[K]: the run's replicas whose edges summed over the class pairs in pairs
+    number K, the pair a <= b drawing Binomial(S_ab, probs[a, b]) (see _count_hits).
+
+    Each block draws from its own streams, and numpy's binomial and multinomial draws
+    release the GIL, so the blocks are drawn on one thread per CPU, up to one per block.
+    A block hands back only its bincount, which the calling thread adds in block order:
+    integer sums, so the counts do not depend on the threads.
+    """
+    def binned(start):
+        skip, r, sizes, rngs = _block(exp, n, pairs, start)
+        draws = sum(rng.binomial(_slot_count(sizes[a], sizes[b], a == b), probs[a, b], r)
+                    for rng, (a, b) in zip(rngs, pairs))
+        return np.bincount(draws[skip:])
+
+    def total(histograms):
+        counts = np.zeros(0, dtype=np.int64)
+        for h in histograms:
+            counts = np.pad(counts, (0, max(h.size - counts.size, 0)))
+            counts[:h.size] += h
+        return counts
+
+    starts = _block_starts(exp)
+    workers = min(_cpus(), len(starts))
+    if workers == 1:
+        return total(map(binned, starts))
+    from concurrent.futures import ThreadPoolExecutor  # only a run of several blocks loads it
+    with ThreadPoolExecutor(workers) as pool:
+        return total(pool.map(binned, starts))
+
+
 def _count_hits(exp, n):
     """Hits and weight sums of an event, drawn from the statistic it reads.
 
     edges and pair events read a graph only through its color counts and its
     edge counts per class pair, and given the color counts the edge count
     between classes a <= b is Binomial(S_ab, p_ab), S_ab their pair slots and
-    p_ab = min(C(a, b)/n, 1). So each block of _blocks draws one binomial per
+    p_ab = min(C(a, b)/n, 1). So each block (_block) draws one binomial per
     class pair the event reads: (a, b) for a pair event, every a <= b summed
     for edges. A degree_zero event reads the isolated vertices. Its block
     draws every class pair a <= b as one Bernoulli(p_ab) sequence over the
@@ -276,13 +331,7 @@ def _count_hits(exp, n):
     if kind == "degree_zero":
         counts = _isolated_counts(exp, n, pairs, probs)
     else:
-        counts = np.zeros(0, dtype=np.int64)  # counts[K]: draws whose statistic is K
-        for skip, r, sizes, rngs in _blocks(exp, n, pairs):
-            draws = sum(rng.binomial(_slot_count(sizes[a], sizes[b], a == b), probs[a, b], r)
-                        for rng, (a, b) in zip(rngs, pairs))
-            binned = np.bincount(draws[skip:], minlength=counts.size)
-            binned[:counts.size] += counts
-            counts = binned
+        counts = _statistic_counts(exp, n, pairs, probs)
     # the weights depend on K alone, so they are applied once per distinct K
     K = np.arange(counts.size)
     if kind == "edges":

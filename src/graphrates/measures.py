@@ -684,7 +684,8 @@ def quantize(omega_n, pair_n, nu, seed):
     targets exactly: missing mass is added to the last vector, excess is
     removed one unit per vector scanning in index order, never driving an
     entry negative. The result satisfies
-    phi_counts(result) == (omega_n.counts, pair_n.adjacency) exactly.
+    phi_counts(result) == (omega_n.counts, pair_n.adjacency) exactly. seed is an
+    integer in [0, 2**64) (seeds.check_seed).
     """
     if omega_n.n != pair_n.n:
         raise ValueError(f"size mismatch: omega_n.n={omega_n.n}, pair_n.n={pair_n.n}")
@@ -697,7 +698,8 @@ def quantize(omega_n, pair_n, nu, seed):
             raise InfeasibleError(
                 f"color {a} has zero vertices but positive adjacency target")
 
-    rng = np.random.default_rng(seed)
+    from .seeds import check_seed  # seeds imports this module
+    rng = np.random.default_rng(check_seed(seed))
     drawn = []
     for a in range(m):
         k_a = int(omega_n.counts[a])

@@ -58,7 +58,11 @@ def _binomial_log_pmf(N, p, k):
 def binomial_log_tail(N, p, k):
     """log P(Binomial(N, p) >= k), exact to ~1e-10 absolute in the log.
 
-    k <= 0 returns 0.0 (log of 1); k = N+1 returns -inf.
+    k <= 0 returns 0.0 (log of 1); k = N+1 returns -inf. The terms are summed from k
+    only as far as a double can hold them. Past the mode they fall by the ratio
+    r_j = (N - j) p / ((j + 1)(1 - p)), which decreases in j, so from the first j with
+    r_j <= 1/2 and ln pmf(j) <= max - 40 on, the terms sum to at most 2 pmf(j), under
+    2 e^-40 of the sum. The window grows from 256 terms past max(k, mode) by 4 each time.
     """
     N, k = int(N), int(k)
     if not 0.0 <= p <= 1.0:
@@ -73,7 +77,15 @@ def binomial_log_tail(N, p, k):
         return -math.inf
     if p == 1.0:
         return 0.0
-    return float(min(logsumexp(_binomial_log_pmf(N, p, np.arange(k, N + 1, dtype=float))), 0.0))
+    start, width = max(k, math.floor((N + 1) * p)), 256
+    while True:
+        j = np.arange(k, min(start + width, N + 1), dtype=float)
+        log_pmf = _binomial_log_pmf(N, p, j)
+        small = (log_pmf <= log_pmf.max() - 40.0) & ((N - j) * p <= 0.5 * (j + 1) * (1 - p))
+        end = small.argmax() if small.any() else small.size
+        if end < small.size or j[-1] == N:
+            return float(min(logsumexp(log_pmf[:end]), 0.0))
+        width *= 4
 
 
 def exact_er_edge_exponent(n, c, x):

@@ -46,18 +46,19 @@ def derive_child_seed(base, *parts):
     """Fold integer coordinates into a 64-bit child seed, splitmix-style.
 
     derive_child_seed(s, a, b) != derive_child_seed(s, b, a) in general;
-    order of coordinates is significant and part of the contract.
+    order of coordinates is significant and part of the contract. Each
+    coordinate is read by check_seed, so none is truncated or wrapped.
     """
-    s = _mix(int(base) & _MASK)
+    s = _mix(check_seed(base))
     for p in parts:
         s = (s + _GAMMA) & _MASK
-        s = _mix(s ^ (int(p) & _MASK))
+        s = _mix(s ^ check_seed(p))
     return s
 
 
 def child_seeds(base, count):
     """[derive_child_seed(base, i) for i in range(count)] as a uint64 array, mixed at once."""
-    return _mix(np.arange(count, dtype=np.uint64) ^ ((_mix(int(base)) + _GAMMA) & _MASK))
+    return _mix(np.arange(count, dtype=np.uint64) ^ ((_mix(check_seed(base)) + _GAMMA) & _MASK))
 
 
 # ---------------------------------------------------------------------------

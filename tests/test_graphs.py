@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -155,6 +156,17 @@ def test_sampler_deterministic_per_seed():
     g3 = sample_colored_graph(params, 124)
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != g3
+
+
+@pytest.mark.parametrize("seed", [7.9, True, -1, 2 ** 64 + 7],
+                         ids=["fraction", "bool", "negative", "past-64-bits"])
+def test_sampler_refuses_a_seed_outside_64_bits(seed):
+    # default_rng ran True as seed 1 and 2**64 + 7 as a stream no config reaches, and
+    # raised its own errors for 7.9 and -1
+    params = ModelParams(MU2, Kernel(A2, [[3.0, 1.0], [1.0, 2.0]]), 50)
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\), got "
+                       + re.escape(repr(seed))):
+        sample_colored_graph(params, seed)
 
 
 def test_sampler_single_entry_kernel_only_matching_edges():

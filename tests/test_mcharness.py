@@ -1,6 +1,8 @@
+import concurrent.futures
 import itertools
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -169,6 +171,79 @@ def test_multicolor_rows_follow_their_component_streams(event, pairs):
         replica_offset=offset)).rows
     assert 0 < expect < replicas
     assert row["hits"] == row["weight_sum"] == row["weight_sq_sum"] == expect
+
+
+@pytest.mark.parametrize("mu, C, event, pairs", [
+    (MU1, Kernel.constant(2.0), {"kind": "edges", "x": 1.3}, [(0, 0)]),
+    (MU_SKEW, C2, {"kind": "edges", "x": 1.1}, [(0, 0), (0, 1), (1, 1)]),
+    (MU_SKEW, C2, {"kind": "pair", "a": 1, "b": 0, "s": 0.3}, [(0, 1)])],
+    ids=["tilted-er-edges", "two-color-edges", "pair"])
+def test_threaded_blocks_match_per_block_streams(monkeypatch, mu, C, event, pairs):
+    # blocks of 1000 replicas; the run starts inside the first and ends inside the
+    # fifth. Two CPUs, so the blocks are drawn on a pool of two threads on any host
+    n, seed, offset, replicas, block = 40, 23, 300, 4500, 1000
+    monkeypatch.setattr(mcharness, "REPLICA_BLOCK", block)
+    monkeypatch.setattr(mcharness, "_cpus", lambda: 2)
+    pools = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    exp = TailExperiment(mu=mu, C=C, event=event, sizes=(n,), replicas=replicas, seed=seed,
+                         replica_offset=offset)
+    threads = threading.active_count()
+    row, = estimate_tail_exponent(exp).rows
+    assert pools == [2] and threading.active_count() == threads
+
+    m, N, k = mu.alphabet.m, n * (n - 1) // 2, math.ceil(event.get("x", 0) * n)
+    p = np.minimum(C.values / n, 1.0)
+    tilted = m == 1  # the threshold 52 lies above the mean edge count 39
+    q = p.copy()
+    if tilted:
+        q[0, 0] = k / N
+    stats = []
+    for start in range(0, offset + replicas, block):
+        r, base = min(offset + replicas, start + block) - start, derive_child_seed(seed, n, start)
+        rngs = [np.random.default_rng(base)] + [
+            np.random.default_rng(derive_child_seed(base, i)) for i in range(1, len(pairs) + m - 1)]
+        sizes = [n] if m == 1 else rngs.pop(1).multinomial(n, mu.weights / mu.weights.sum(), r).T
+        stat = sum(rng.binomial(sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b],
+                                q[a, b], r) for rng, (a, b) in zip(rngs, pairs))
+        stats.append(stat[max(offset, start) - start:])
+    counts = np.bincount(np.concatenate(stats))
+    K = np.arange(counts.size)
+    hit = K >= k if event["kind"] == "edges" else K / n >= event["s"]
+    weights = np.ones(counts.size)
+    if tilted:
+        weights = np.exp(K * math.log(p[0, 0] / q[0, 0])
+                         + (N - K) * math.log((1 - p[0, 0]) / (1 - q[0, 0])))
+    assert 0 < row["hits"] == counts[hit].sum() < replicas
+    assert row["weight_sum"] == pytest.approx(counts[hit] @ weights[hit], rel=1e-12)
+    assert row["weight_sq_sum"] == pytest.approx(counts[hit] @ weights[hit] ** 2, rel=1e-12)
+    assert (row["weight_sum"] < row["hits"]) == tilted
+
+    # the threads change no bit: one CPU draws the blocks in turn and starts no pool
+    monkeypatch.setattr(mcharness, "_cpus", lambda: 1)
+    assert estimate_tail_exponent(exp).rows == [row] and pools == [2]
+
+
+def test_a_run_of_one_block_or_on_one_cpu_starts_no_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    # a whole block, and a run inside one block past the first
+    for cpus, offset, replicas in ((2, 0, REPLICA_BLOCK), (2, REPLICA_BLOCK + 5, 1000),
+                                   (1, 0, 2 * REPLICA_BLOCK + 1)):
+        monkeypatch.setattr(mcharness, "_cpus", lambda: cpus)
+        for mu, C, event in ((MU1, Kernel.constant(2.0), {"kind": "edges", "x": 1.2}),
+                             (MU2, C2, {"kind": "pair", "a": 0, "b": 1, "s": 0.4})):
+            estimate_tail_exponent(TailExperiment(mu=mu, C=C, event=event, sizes=(30,),
+                                                  replicas=replicas, seed=5,
+                                                  replica_offset=offset))
 
 
 def test_edge_threshold_saturates_past_the_float_range():

@@ -545,6 +545,18 @@ def test_quantize_hits_targets_exactly():
         assert sum(c for _, c in nu_n.atoms()) == cc.n
 
 
+@pytest.mark.parametrize("seed", [7.9, True, -1, 2 ** 64 + 7],
+                         ids=["fraction", "bool", "negative", "past-64-bits"])
+def test_quantize_refuses_a_seed_outside_64_bits(seed):
+    # default_rng ran True as seed 1 and 2**64 + 7 as a stream no config reaches, and
+    # raised its own errors for 7.9 and -1
+    nu, mean_deg = _target_pair()
+    cc, pc = ColorCounts(200, [200]), PairCounts(200, [[int(round(mean_deg * 100))]])
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\), got "
+                       + re.escape(repr(seed))):
+        quantize(cc, pc, nu, seed)
+
+
 def test_quantize_distance_shrinks_with_n():
     """Median distance to the target over 20 seeds is nonincreasing in n."""
     nu, mean_deg = _target_pair()

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from graphrates import (Alphabet, BudgetError, ColorCounts, ColorMeasure, Kernel,
                         ModelParams, NeighborhoodCounts, PairCounts, ising_annealed,
                         sample_colored_graph)
-from graphrates.oracles import (_isolated_law, binomial_log_tail, composition_count,
-                                conditional_pair_log_probability, extrapolate_exact,
-                                ising_log_partition, ising_oracle, isolated_log_tail,
-                                partition_bound_check, scalar_partition_counts,
-                                support_bound_check, vector_partition_count)
+from graphrates.oracles import (_binomial_log_pmf, _isolated_law, binomial_log_tail,
+                                composition_count, conditional_pair_log_probability,
+                                extrapolate_exact, ising_log_partition, ising_oracle,
+                                isolated_log_tail, partition_bound_check,
+                                scalar_partition_counts, support_bound_check,
+                                vector_partition_count)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +59,19 @@ def test_binomial_tail_vs_direct_sum():
             assert got == -math.inf
         else:
             assert got == pytest.approx(math.log(direct), abs=1e-10)
+
+
+@pytest.mark.parametrize("N", [1, 10, 4950, 199000])
+@pytest.mark.parametrize("p", [1e-4, 0.3, 0.999])
+def test_binomial_tail_window_matches_the_full_sum(N, p):
+    # k below, at and above the mean, out to N; the window drops terms past the mode
+    # that sum to under 2 e^-40 of the tail, so P itself stays within 1e-15 relative
+    mean, sd = N * p, math.sqrt(N * p * (1 - p))
+    for k in sorted({1, math.floor(mean / 2), math.floor(mean), math.ceil(mean),
+                     math.ceil(mean + 3 * sd), math.ceil(mean + 10 * sd), N} - {0}):
+        k = min(k, N)
+        full = logsumexp(_binomial_log_pmf(N, p, np.arange(k, N + 1, dtype=float)))
+        assert abs(math.expm1(binomial_log_tail(N, p, k) - min(full, 0.0))) <= 1e-15, k
 
 
 @given(st.integers(0, 30), st.floats(0.01, 0.99))
