@@ -307,9 +307,11 @@ def _cmd_edge_rate(cfg, args):
         replicas=_require(cfg, "replicas"), seed=seed,
         replica_offset=cfg.get("replica_offset", 0))
     prediction = None
-    if event["kind"] == "edges":  # only the edge event has a rate here, at its own x
+    if event["kind"] == "edges":  # {|E| >= x n} costs zeta(max(x, x_bar)), x_bar = mu'C mu / 2
         from . import rates
-        prediction = _from_config(rates.rate_zeta, float(event["x"]), mu, C)
+        x = float(event["x"])
+        x_bar = float(mu.weights @ C.values @ mu.weights) / 2
+        prediction = 0.0 if 0 <= x <= x_bar else _from_config(rates.rate_zeta, x, mu, C)
     est = estimate_tail_exponent(exp)
     return ({"estimate": est.to_dict(), "rate_prediction": prediction},
             _flat(args, ".csv", lambda: est.to_csv(rate_prediction=prediction)))

@@ -65,15 +65,9 @@ def _int64(values, what):
     if isinstance(values, np.ndarray) and values.dtype == np.int64:
         return values
     values = np.asarray(values, dtype=object)
-    return _ints64([_whole(x, what) for x in values.ravel().tolist()],
-                   what).reshape(values.shape)
-
-
-def _ints64(ints, what):
-    """A list of Python ints, or of equal-length lists of them, as an int64 array; an
-    integer past int64 is refused."""
     try:
-        return np.array(ints, dtype=np.int64)
+        return np.array([_whole(x, what) for x in values.ravel().tolist()],
+                        dtype=np.int64).reshape(values.shape)
     except OverflowError:
         raise ValueError(f"{what} does not fit in int64") from None
 
@@ -89,18 +83,18 @@ def _check_atoms(m, colors, ells):
 
 
 def _read_keys(keys, m=None):
-    """int64 colors (K,) and degree vectors (K, m) of (color, ell) keys, each entry read
-    by _whole; m defaults to the vectors' common length, 1 when there are none."""
-    colors = [_whole(a, "color") for a, _ in keys]
-    ells = [[x if type(x) is int else _whole(x, "degree vector entry") for x in ell]
-            for _, ell in keys]
-    lengths = {len(ell) for ell in ells}
+    """int64 colors (K,) and degree vectors (K, m) of (color, ell) keys, read by _int64
+    from flat object arrays, so that an entry which is itself a sequence is refused, not
+    read as one more axis; m defaults to the vectors' common length, 1 when there are none."""
+    colors = _int64(np.fromiter((a for a, _ in keys), object, len(keys)), "color")
+    lengths = {len(ell) for _, ell in keys}
     if m is None and len(lengths) > 1:
         raise ValueError("inconsistent degree-vector lengths")
     m = (lengths.pop() if lengths else 1) if m is None else m
     if lengths - {m}:
         raise ValueError(f"degree vector has length {min(lengths - {m})}, alphabet has m={m}")
-    colors, ells = _ints64(colors, "color"), _ints64(ells, "degree vector entry").reshape(-1, m)
+    entries = np.fromiter((x for _, ell in keys for x in ell), object, len(keys) * m)
+    ells = _int64(entries, "degree vector entry").reshape(-1, m)
     _check_atoms(None, colors, ells)
     return colors, ells
 
@@ -439,8 +433,7 @@ class NeighborhoodCounts:
     table is colors (K,), ells (K, m) and int64 counts (K,) summing to n."""
 
     def __init__(self, n, counts):
-        self._fill(n, *_read_keys(counts),
-                   _ints64([_whole(c, "atom count") for c in counts.values()], "atom count"))
+        self._fill(n, *_read_keys(counts), _int64(list(counts.values()), "atom count"))
 
     @classmethod
     def from_arrays(cls, n, colors, ells, counts):
@@ -484,8 +477,7 @@ class NeighborhoodCounts:
     def from_dict(cls, d):
         atoms = d["atoms"]
         nc = cls.from_arrays(d["n"], *_read_keys([(rec["color"], rec["ell"]) for rec in atoms]),
-                             _ints64([_whole(rec["count"], "atom count") for rec in atoms],
-                                     "atom count"))
+                             _int64([rec["count"] for rec in atoms], "atom count"))
         if nc.alphabet != Alphabet(d["m"]):
             raise ValueError(f"degree vectors have length {nc.alphabet.m}, but m={d['m']}")
         return nc

@@ -56,15 +56,19 @@ def _binomial_log_pmf(N, p, k):
 
 
 def binomial_log_tail(N, p, k):
-    """log P(Binomial(N, p) >= k), exact to ~1e-10 absolute in the log.
+    """log P(Binomial(N, p) >= k) for integers N and k.
 
     k <= 0 returns 0.0 (log of 1); k = N+1 returns -inf. The terms are summed from k
     only as far as a double can hold them. Past the mode they fall by the ratio
     r_j = (N - j) p / ((j + 1)(1 - p)), which decreases in j, so from the first j with
     r_j <= 1/2 and ln pmf(j) <= max - 40 on, the terms sum to at most 2 pmf(j), under
     2 e^-40 of the sum. The window grows from 256 terms past max(k, mode) by 4 each time.
+
+    Each log pmf is a difference of gammaln values near ln N!, whose absolute rounding
+    grows about as 1e-16 N ln N; against a 40-digit reference it stayed under 3e-16 N ln N
+    for N = 100 to 1,999,000, where a tail within 0.7^N of 1 reads -2.8e-9, not 0.
     """
-    N, k = int(N), int(k)
+    N, k = _whole(N, "N"), _whole(k, "k")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     if not 0 <= k <= N + 1:
@@ -170,7 +174,7 @@ def isolated_log_tail(n, c, t):
 def composition_count(j, parts):
     """Number of nonnegative integer solutions of l_1 + ... + l_parts = j,
     C(j + parts - 1, parts - 1)."""
-    j, parts = int(j), int(parts)
+    j, parts = _whole(j, "j"), _whole(parts, "parts")
     if j < 0:
         raise ValueError(f"j must be nonnegative, got {j}")
     if parts < 1:
@@ -203,7 +207,7 @@ def _check_budget(magnitude):
 
 def vector_partition_count(ell):
     """Exact number of multisets of nonzero vectors summing to ell. Budget: |ell| <= 14."""
-    ell = tuple(int(x) for x in ell)
+    ell = tuple(_whole(x, "an entry of ell") for x in ell)
     if any(x < 0 for x in ell):
         raise ValueError(f"entries must be nonnegative, got {ell}")
     _check_budget(sum(ell))
@@ -225,10 +229,10 @@ def partition_bound_check(m, magnitudes):
     p(S) <= exp(2.57 sqrt(S)) for S <= 60. Counts are reported as decimal
     strings to keep them exact in JSON. Budget: S <= 14.
     """
-    m = int(m)
+    m = _whole(m, "m")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    sizes = [int(S) for S in magnitudes]
+    sizes = [_whole(S, "a magnitude") for S in magnitudes]
     if any(S < 1 for S in sizes):
         raise ValueError(f"magnitudes must be >= 1, got {min(sizes)}")
     top = max(sizes, default=0)

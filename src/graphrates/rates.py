@@ -19,7 +19,7 @@ from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .errors import NonConvergenceError
 from .measures import (PROB_TOL, SUB_CONSISTENCY_TOL, NeighborhoodMeasure, _check_atoms,
-                       _check_same_alphabet, _log_relative_entropy, _read_keys,
+                       _check_same_alphabet, _log_relative_entropy, _read_keys, _whole,
                        is_sub_consistent, phi, product_kernel_measure, relative_entropy,
                        require_probability)
 
@@ -208,7 +208,7 @@ def rate_delta(d, c, mean=None):
     if c <= 0:
         raise ValueError(f"c must be positive, got {c!r}")
     for k, p in d.items():
-        if int(k) != k or k < 0:
+        if _whole(k, "degree") < 0:
             raise ValueError(f"degree {k!r} is not a nonnegative integer")
         if p < 0:
             raise ValueError(f"degree {k} has negative mass {p!r}")

@@ -413,6 +413,22 @@ def test_edge_rate_mc_prediction_matches_event(tmp_path):
     assert run("deg0", {"kind": "degree_zero", "t": 0.2}) is None
 
 
+@pytest.mark.parametrize("model, x", [(ER_MC, 0.5), (ER_MC, 1.0), (BENCH, 0.5), (BENCH, 0.875)],
+                         ids=["one-color-below", "one-color-mean", "bench-below", "bench-mean"])
+def test_edge_rate_mc_prediction_is_zero_at_or_below_the_mean(tmp_path, model, x):
+    # {|E| >= x n} has rate zeta(max(x, x_bar)), x_bar = mu'C mu / 2 the mean edge density
+    # (1 and 0.875 here), so a typical edge count costs nothing; zeta(x) itself was printed
+    cfg = _write(tmp_path, "mc.json", dict(model, x=x, mode="mc", sizes=[50, 100],
+                                           replicas=2000, seed=3))
+    code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg])
+    assert code == 0 and doc["rate_prediction"] == 0.0
+    assert all(row["hits"] > 0 for row in doc["estimate"]["rows"])
+    out = tmp_path / "mc.csv"
+    assert main(["edge-rate", "--config", cfg, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [float(row["rate_prediction"]) for row in rows] == [0.0, 0.0]
+
+
 def test_edge_rate_mc_two_color_prediction(tmp_path):
     cfg = _write(tmp_path, "mc.json",
                  dict(BENCH, mode="mc", sizes=[50], replicas=200, seed=3,
@@ -420,6 +436,20 @@ def test_edge_rate_mc_two_color_prediction(tmp_path):
     code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg])
     assert code == 0
     assert math.isfinite(doc["rate_prediction"]) and doc["rate_prediction"] > 0.0
+
+
+def test_edge_rate_that_does_not_converge_exits_4(tmp_path, capsys, monkeypatch):
+    from graphrates import varsolve
+
+    def unconverged(x, mu, C):
+        return varsolve.SolveReport((0.5, 0.5), 0.0, math.inf, 1, False)
+
+    monkeypatch.setattr(varsolve, "zeta_inner", unconverged)
+    cfg = _write(tmp_path, "zeta.json", dict(BENCH, x=1.5))
+    assert main(["edge-rate", "--config", cfg]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("did not converge: inner edge-rate infimum did not converge, "
+                                 "residual inf\n")
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,17 @@ def test_graph_and_model_sizes_are_never_truncated():
             ModelParams(MU2, Kernel(A2, [[1.0, 1.0], [1.0, 1.0]]), n)
 
 
+@pytest.mark.parametrize("mu, C, message", [
+    (ColorMeasure(A2, [0.5, 0.6]), Kernel(A2, np.ones((2, 2))),
+     "mu must be a probability ColorMeasure"),
+    ([0.5, 0.5], Kernel(A2, np.ones((2, 2))), "mu must be a probability ColorMeasure"),
+    (MU2, np.ones((2, 2)), "C must be a Kernel"),
+], ids=["not-probability", "not-a-measure", "not-a-kernel"])
+def test_model_params_refuse_a_law_or_kernel_of_the_wrong_kind(mu, C, message):
+    with pytest.raises(ValueError, match=message):
+        ModelParams(mu, C, 10)
+
+
 def test_graph_text_round_trip():
     g = ColoredGraph(4, 3, [1, 0, 2, 1], [(0, 2), (1, 3)])
     assert ColoredGraph.from_text(g.to_text()) == g

@@ -126,6 +126,51 @@ def test_measure_arrays_share_one_validator(build, good):
             build(A2, bad)
 
 
+MU_A2 = ColorMeasure(A2, [0.5, 0.5], probability=True)
+NU_A2 = NeighborhoodMeasure(A2, {(0, (1, 0)): 0.5, (1, (0, 0)): 0.5}, probability=True)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: NeighborhoodCounts(2, {(0, (1,)): 1, (0, (1, 0)): 1}), ValueError,
+     "inconsistent degree-vector lengths"),
+    (lambda: NeighborhoodMeasure(A2, {(0, (1, 0, 0)): 1.0}), ValueError,
+     "degree vector has length 3, alphabet has m=2"),
+    # the keys are read from flat object arrays: numpy would take a nested entry, even
+    # one of length 1, as one more axis of integers
+    (lambda: NeighborhoodMeasure(A1, {((0,), (1,)): 1.0}), ValueError,
+     "color must be an integer, got (0,)"),
+    (lambda: NeighborhoodMeasure(A1, {(0, ((1,),)): 1.0}), ValueError,
+     "degree vector entry must be an integer, got (1,)"),
+    (lambda: NeighborhoodMeasure.from_dict({"m": 1, "atoms": [
+        {"color": [0], "ell": [1], "mass": 1.0}]}), ValueError,
+     "color must be an integer, got [0]"),
+    (lambda: ColorCounts(4, [3, 2]), ValueError, "counts sum to 5, expected n=4"),
+    (lambda: ColorCounts(4, [[4]]), ValueError, "counts must be a 1-d nonnegative integer"),
+    (lambda: PairCounts(4, [[1, 0]]), ValueError, "edge_counts must be a square matrix"),
+    (lambda: PairCounts(4, [[0, 1], [0, 0]]), ValueError, "must be symmetric and >= 0"),
+    (lambda: NeighborhoodCounts.from_arrays(4, [0, 0], [[1], [0]], [4, 0]), ValueError,
+     "atom count must be positive, got 0"),
+    (lambda: relative_entropy(MU_A2, PairMeasure(A2, np.eye(2))), ValueError,
+     "measure types differ: ColorMeasure vs PairMeasure"),
+    (lambda: total_variation(MU_A2, NU_A2), ValueError, "measure types differ"),
+    (lambda: consistify(PairMeasure(A2, np.eye(2)), NU_A2, 0.0), ValueError, "eps must be > 0"),
+    (lambda: consistify(PairMeasure(A1, [[1.0]]),
+                        NeighborhoodMeasure(A1, {(0, (2,)): 1.0}, probability=True), 0.1),
+     ValueError, "(pair, nu) not sub-consistent: deficit -1"),
+    (lambda: quantize(ColorCounts(4, [2, 2]), PairCounts(5, np.eye(2, dtype=int)), NU_A2, 1),
+     ValueError, "size mismatch: omega_n.n=4, pair_n.n=5"),
+    (lambda: quantize(ColorCounts(4, [4, 0]), PairCounts(4, [[0, 1], [1, 0]]), NU_A2, 1),
+     InfeasibleError, "color 1 has zero vertices but positive adjacency target"),
+], ids=["ragged-keys", "key-longer-than-m", "nested-color", "nested-entry",
+        "nested-color-in-dict", "color-counts-sum", "color-counts-2d",
+        "pair-counts-not-square", "pair-counts-asymmetric", "zero-atom-count",
+        "entropy-types", "distance-types", "consistify-eps", "consistify-not-sub-consistent",
+        "quantize-sizes", "quantize-empty-color"])
+def test_constructors_and_pipeline_refuse_bad_input(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 def test_counts_round_trip_dicts():
     cc = ColorCounts(5, [3, 2])
     assert ColorCounts.from_dict(cc.to_dict()).counts.tolist() == [3, 2]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,17 @@ def test_binomial_tail_rejects_bad_args():
         binomial_log_tail(5, 1.5, 2)
     with pytest.raises(ValueError):
         binomial_log_tail(5, 0.5, 7)
+
+
+def test_binomial_tail_rounding_stays_within_its_stated_bound():
+    # the gammaln-difference log pmf rounds to at most 3e-16 N ln N absolute: these two
+    # tails are within 0.001^N and 0.7^N of 1, so each reads as its own rounding
+    N = 1999000
+    bound = 3e-16 * N * math.log(N)
+    for p in (0.999, 0.3):
+        assert abs(binomial_log_tail(N, p, 1)) <= bound
+    # a tail 3 sd past the mean, against a 40-digit regularized incomplete beta
+    assert abs(binomial_log_tail(N, 0.999, 1997136) + 6.74212915547814) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +221,25 @@ def test_composition_count_sandwich_at_scale():
         scaled = composition_count(j, parts) * math.factorial(parts - 1)
         assert j ** (parts - 1) <= scaled <= (j + parts) ** (parts - 1)
     assert composition_count(50, 1) == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    # int() read 2.5 as 2 and True as 1, answering for a different argument
+    (lambda: composition_count(2.5, 3), "j must be an integer, got 2.5"),
+    (lambda: vector_partition_count((1.5, 2)), "an entry of ell must be an integer, got 1.5"),
+    (lambda: vector_partition_count((True, 2)), "an entry of ell must be an integer, got True"),
+    (lambda: binomial_log_tail(10.9, 0.3, 2), "N must be an integer, got 10.9"),
+    (lambda: partition_bound_check(2.9, (3,)), "m must be an integer, got 2.9"),
+    (lambda: composition_count(-1, 2), "j must be nonnegative, got -1"),
+    (lambda: composition_count(3, 0), "parts must be >= 1, got 0"),
+    (lambda: partition_bound_check(0, (3,)), "m must be >= 1, got 0"),
+    (lambda: partition_bound_check(2, (3, 0)), "magnitudes must be >= 1, got 0"),
+], ids=["composition-fraction", "partition-fraction", "partition-bool", "tail-fraction",
+        "bound-fraction", "composition-negative", "composition-no-parts", "bound-no-colors",
+        "bound-zero-magnitude"])
+def test_integer_arguments_are_refused_not_truncated(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def _brute_force_vector_partitions(ell):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,16 @@ def test_rate_delta_refuses_a_mean_the_degrees_contradict():
             rate_delta(d, 1.0, mean=mean)
     with pytest.raises(ValueError, match="mean must be nonnegative"):
         rate_delta(d, 1.0, mean=-1.0)
+
+
+@pytest.mark.parametrize("d, message", [
+    ({1.5: 1.0}, "degree must be an integer, got 1.5"),
+    ({True: 1.0}, "degree must be an integer, got True"),  # int() read it as degree 1
+    ({0: 1.5, 1: -0.5}, "degree 1 has negative mass -0.5"),
+], ids=["fraction", "bool", "negative-mass"])
+def test_rate_delta_refuses_a_degree_or_mass_out_of_range(d, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rate_delta(d, 1.0)
 
 
 def test_rate_delta_rejects_bad_distribution():
