@@ -347,9 +347,7 @@ def _cmd_sample_conditional(cfg, args):
 def _cmd_approximate(cfg, args):
     from . import rates
     mu, C = _parse_model(cfg)
-    eps = _real(_require(cfg, "eps"), "eps")
-    if not eps > 0:
-        raise ConfigError(f"eps must be positive, got {eps!r}")
+    eps = _real(_require(cfg, "eps"), "eps")  # consistify refuses eps <= 0
     cap = cfg.get("cap", False)
     if not isinstance(cap, bool):
         raise ConfigError(f"config key 'cap' must be true or false, got {cap!r}")

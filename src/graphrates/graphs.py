@@ -108,7 +108,7 @@ class ColoredGraph:
     """Simple graph with vertex colors; edges stored as sorted (u, v), u < v."""
 
     def __init__(self, n, m, colors, edges):
-        n, m = _whole(n, "n"), _whole(m, "m")
+        n, m = _whole(n, "n", 0), _whole(m, "m")
         colors = _int64(colors, "a color index")
         if colors.shape != (n,):
             raise ValueError(f"colors shape {colors.shape} != ({n},)")
@@ -199,9 +199,7 @@ class ModelParams:
         if not isinstance(C, Kernel):
             raise ValueError("C must be a Kernel")
         _check_same_alphabet(mu, C)
-        n = _whole(n, "n")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = _whole(n, "n", 1)
         self.mu = mu
         self.C = C
         self.n = n

@@ -40,7 +40,6 @@ the GIL, and two threads cut its wall time by about 10% for 20-40% more CPU.
 import io
 import csv
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from .graphs import (_NO_SLOTS, ModelParams, _bernoulli_slots, _slot_count, _slot_pairs,
                      empirical_measures, sample_colored_graph)
-from .measures import _whole, degree_distribution, product_kernel_measure, total_variation
+from .measures import _real, _whole, degree_distribution, product_kernel_measure, total_variation
 from .seeds import check_seed, derive_child_seed
 
 # replicas are drawn in blocks of this size, each block only up to the last
@@ -62,15 +61,6 @@ CHUNK_CELLS = 1 << 14
 
 # each event kind with the keys its event dict must carry, threshold last
 _EVENT_KEYS = {"edges": ("x",), "degree_zero": ("t",), "pair": ("a", "b", "s")}
-
-
-def _whole_at_least(x, low):
-    """x as an int when it is a whole number >= low (measures._whole's rule), else None."""
-    try:
-        x = _whole(x, "")
-    except ValueError:
-        return None
-    return x if x >= low else None
 
 
 @dataclass(frozen=True)
@@ -97,18 +87,11 @@ class TailExperiment:
 
     def __post_init__(self):
         ModelParams(self.mu, self.C, 1)  # mu a probability law on C's alphabet
-        sizes = tuple(_whole_at_least(n, 1) for n in self.sizes)
-        if None in sizes:
-            raise ValueError(f"sizes must be integers >= 1, got {list(self.sizes)}")
-        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "sizes", tuple(_whole(n, "a size", 1) for n in self.sizes))
         if not self.sizes or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError(f"sizes must be strictly increasing, got {self.sizes}")
         for name, low in (("replicas", 1), ("replica_offset", 0)):
-            value = _whole_at_least(getattr(self, name), low)
-            if value is None:
-                raise ValueError(f"{name} must be an integer >= {low}, "
-                                 f"got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _whole(getattr(self, name), name, low))
         object.__setattr__(self, "seed", check_seed(self.seed))
         kind = self.event.get("kind")
         if not isinstance(kind, str) or kind not in _EVENT_KEYS:
@@ -117,17 +100,9 @@ class TailExperiment:
         missing = [key for key in _EVENT_KEYS[kind] if key not in self.event]
         if missing:
             raise ValueError(f"{kind} event is missing {missing}")
-        thr = self.event[_EVENT_KEYS[kind][-1]]
-        # NaN, an infinity and an integer too large for a float all fail this bound
-        if isinstance(thr, bool) or not (isinstance(thr, numbers.Real)
-                                         and abs(thr) <= float(np.finfo(float).max)):
-            raise ValueError(f"{kind} event threshold {thr!r} is not a finite real number")
-        if kind == "pair":
-            m = self.mu.alphabet.m
-            a, b = self.event["a"], self.event["b"]
-            if any(_whole_at_least(c, 0) is None or c >= m for c in (a, b)):
-                raise ValueError(f"pair event colors a={a!r}, b={b!r} must be "
-                                 f"integers in [0, {m})")
+        _real(self.event[_EVENT_KEYS[kind][-1]], f"{kind} event threshold")
+        for key in _EVENT_KEYS[kind][:-1]:  # the colors of a pair event
+            _whole(self.event[key], f"pair event color {key}", 0, self.mu.alphabet.m - 1)
 
 
 @dataclass

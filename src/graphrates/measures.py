@@ -29,6 +29,7 @@ relevant structure exactly.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -49,14 +50,44 @@ def magnitude(ell):
     return sum(ell)
 
 
-def _whole(x, what):
-    """x as an int; a fractional, bool or non-numeric value is an error, never truncated."""
+def _bounded(x, what, low, high=None, strict=False):
+    """x when it lies in [low, high] (low itself excluded when strict), else an error."""
+    if high is not None and (x < low or x > high):
+        raise ValueError(f"{what} must be in [{low}, {high}], got {x!r}")
+    if low is not None and (x < low or strict and x == low):
+        rule = f"{'>' if strict else '>='} {low}"
+        rule = {"> 0": "positive", ">= 0": "nonnegative"}.get(rule, rule)
+        raise ValueError(f"{what} must be {rule}, got {x!r}")
+    return x
+
+
+def _whole(x, what, low=None, high=None):
+    """x as an int in [low, high]; a fractional, bool or non-numeric value is an error,
+    never truncated, and so is one out of range. Every scalar integer a caller passes
+    into the package is read here."""
     try:
-        if type(x) is int or (int(x) == x and not isinstance(x, (bool, np.bool_))):
-            return int(x)
+        whole = type(x) is int or (int(x) == x and not isinstance(x, (bool, np.bool_)))
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{what} must be an integer, got {x!r}")
+        whole = False
+    if not whole:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x) if low is None else _bounded(int(x), what, low, high)
+
+
+def _real(x, what, low=None, high=None, strict=False):
+    """x as a float in [low, high] (low itself excluded when strict); a bool, a non-number,
+    NaN, an infinity or an int too large for a float is an error, so no bad scalar gets an
+    answer. Every scalar real a caller passes into the package is read here."""
+    value = math.nan
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:
+            value = math.inf if x > 0 else -math.inf
+    _bounded(value, what, low, high, strict)  # NaN passes, -inf below low does not
+    if not math.isfinite(value):
+        raise ValueError(f"{what} {x!r} is not a finite real number")
+    return value
 
 
 def _int64(values, what):
@@ -195,10 +226,7 @@ class Alphabet:
     """Finite color set {0, ..., m-1}; dense storage bounds m at 64."""
 
     def __init__(self, m):
-        m = _whole(m, "m")
-        if not 1 <= m <= 64:
-            raise ValueError(f"m must be in [1, 64], got {m}")
-        self.m = m
+        self.m = _whole(m, "m", 1, 64)
 
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.m == other.m
@@ -365,9 +393,7 @@ class ColorCounts:
     """n and per-color vertex counts; counts/n is the empirical color measure."""
 
     def __init__(self, n, counts):
-        n = _whole(n, "n")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = _whole(n, "n", 1)
         c = _int64(counts, "a color count")
         if c.ndim != 1 or np.any(c < 0):
             raise ValueError("counts must be a 1-d nonnegative integer array")
@@ -398,9 +424,7 @@ class PairCounts:
     """
 
     def __init__(self, n, edge_counts):
-        n = _whole(n, "n")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = _whole(n, "n", 1)
         e = _int64(edge_counts, "an edge count")
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("edge_counts must be a square matrix")
@@ -448,9 +472,7 @@ class NeighborhoodCounts:
         return cls.from_arrays(len(colors), *_merged(colors, ells, np.ones(len(colors), int)))
 
     def _fill(self, n, colors, ells, counts):
-        n = _whole(n, "n")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = _whole(n, "n", 1)
         self.alphabet = Alphabet(np.shape(ells)[-1])
         self.colors, self.ells, self.counts = _atom_table(self.alphabet.m, colors, ells,
                                                           counts, n)
@@ -627,8 +649,7 @@ def consistify(pair, nu, eps):
     construction lives in the symmetric space); already-consistent inputs are
     returned unchanged. An eps that needs n past the int64 range is refused.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    eps = _real(eps, "eps", 0, strict=True)
     _check_same_alphabet(pair, nu)
     require_probability(nu, "nu")
     _, phi2 = phi(nu)

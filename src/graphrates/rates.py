@@ -19,7 +19,7 @@ from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .errors import NonConvergenceError
 from .measures import (PROB_TOL, SUB_CONSISTENCY_TOL, NeighborhoodMeasure, _check_atoms,
-                       _check_same_alphabet, _log_relative_entropy, _read_keys, _whole,
+                       _check_same_alphabet, _log_relative_entropy, _read_keys, _real, _whole,
                        is_sub_consistent, phi, product_kernel_measure, relative_entropy,
                        require_probability)
 
@@ -203,28 +203,25 @@ def rate_delta(d, c, mean=None):
 
     rate_J on one color at its consistent point pi = mean, one formula for every mean. d maps
     degree k to probability mass; a finite mean must match its first moment within PROB_TOL,
-    relative above 1, and math.inf flags an infinite-mean law, whose rate is +inf.
+    relative above 1, and +inf alone flags an infinite-mean law, whose rate is +inf.
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c!r}")
+    c = _real(c, "c", 0, strict=True)
     for k, p in d.items():
-        if _whole(k, "degree") < 0:
-            raise ValueError(f"degree {k!r} is not a nonnegative integer")
+        _whole(k, "degree", 0)
         if p < 0:
             raise ValueError(f"degree {k} has negative mass {p!r}")
     total = sum(d.values())
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:  # a NaN mass fails too
         raise ValueError(f"degree distribution has total mass {total!r}")
-    if mean is not None and math.isinf(mean):
+    if mean == math.inf:
         return math.inf
     try:  # degrees enter as floats, as numpy holds an int of 2**64 or more as an object
         k, p = np.array([(k, p) for k, p in d.items() if p > 0], dtype=float).T
     except OverflowError:
         raise ValueError("a degree is too large for a float") from None
     moment = sum((k * p).tolist())
-    mean = moment if mean is None else mean
-    if mean < 0:
-        raise ValueError(f"mean must be nonnegative, got {mean!r}")
+    # a NaN mean matches no moment, so the check below refuses it as one the degrees contradict
+    mean = moment if mean is None else mean if mean != mean else _real(mean, "mean", 0)
     if not abs(mean - moment) <= PROB_TOL * max(1.0, moment):
         raise ValueError(f"mean {mean!r} differs from the degrees' mean {moment!r}")
     with np.errstate(invalid="ignore"):  # inf - inf near the float limit, refused below
@@ -243,8 +240,7 @@ def rate_zeta(x, mu, C):
     two layers as one minimization over color laws. +inf for x > 0 when C
     vanishes on supp mu: no edge can form.
     """
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x!r}")
+    x = _real(x, "x", 0)
     require_probability(mu, "mu")
     from . import varsolve  # scipy.optimize, loaded only by the commands that solve
     report = varsolve.zeta_inner(x, mu, C)
@@ -256,8 +252,5 @@ def rate_zeta(x, mu, C):
 
 def rate_zeta_er(x, c):
     """Closed form of rate_zeta for the constant kernel: Poisson(c/2) Cramer rate."""
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x!r}")
+    c, x = _real(c, "c", 0, strict=True), _real(x, "x", 0)
     return float(xlogy(x, x)) - x - x * math.log(c / 2) + c / 2

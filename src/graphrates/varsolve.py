@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import logsumexp
 
-from .measures import _check_same_alphabet
+from .measures import _check_same_alphabet, _real
 
 ARGMAX_TOL = 1e-6
 
@@ -124,8 +124,7 @@ def zeta_inner(x, mu, C):
     coordinates. Where q is constant on the face (one color, or C vanishing
     there) omega* = mu, and a vanishing C gives +inf for x > 0.
     """
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x!r}")
+    x = _real(x, "x", 0)
     idx, mu_a, C_a = _face(mu, C)
     log_mu = np.log(mu_a)
 
@@ -164,10 +163,7 @@ def ising_annealed(beta, c):
     both ends, which it never evaluates, are evaluated too. argmin is the
     profile (x, w++, w--, w+-) at the best x; iterations counts evaluations;
     residual is the gap between the evaluated x nearest it on either side."""
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    c, beta = _real(c, "c", 0, strict=True), _real(beta, "beta", 0)
     try:
         eb, emb = math.exp(beta), math.exp(-beta)
     except OverflowError:

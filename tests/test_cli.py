@@ -775,7 +775,7 @@ def _rate_config(one_color_key):
     ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "mean": -1},
      "mean must be nonnegative, got -1.0"),
     ("degree-rate", {"degrees": {"0": 0.5}, "c": 1.0}, "total mass 0.5"),
-    ("degree-rate", {"degrees": {"-1": 1.0}, "c": 1.0}, "degree -1 is not a nonnegative"),
+    ("degree-rate", {"degrees": {"-1": 1.0}, "c": 1.0}, "degree must be nonnegative, got -1"),
     ("rate", _rate_config("nu"), "alphabet mismatch: m in [1, 2]"),
     ("rate", _rate_config("pair"), "alphabet mismatch: m in [1, 2]"),
     ("ising", {"beta": math.inf, "c": 2.0}, "'beta' must be finite, got inf"),
@@ -796,11 +796,13 @@ def _rate_config(one_color_key):
     ("edge-rate", dict(BENCH, mu=[1.5, -0.5], x=1.0), "color measure entries must be finite"),
     ("edge-rate", dict(BENCH, mu=[math.inf, -math.inf], x=1.0), "mu must sum to 1 (got nan)"),
     # integer values are checked, never truncated
-    ("edge-rate", dict(ER_MC, sizes=["a"]), "sizes must be integers >= 1, got ['a']"),
+    ("edge-rate", dict(ER_MC, sizes=["a"]), "a size must be an integer, got 'a'"),
     ("edge-rate", dict(ER_EXACT, sizes=["a"]), "n must be an integer, got 'a'"),
-    ("edge-rate", dict(ER_MC, sizes=[50.7]), "sizes must be integers >= 1, got [50.7]"),
-    ("edge-rate", dict(ER_MC, replica_offset="x"), "replica_offset must be an integer >= 0"),
-    ("edge-rate", dict(ER_MC, replica_offset=2.5), "replica_offset must be an integer >= 0"),
+    ("edge-rate", dict(ER_MC, sizes=[50.7]), "a size must be an integer, got 50.7"),
+    ("edge-rate", dict(ER_MC, replica_offset="x"),
+     "replica_offset must be an integer, got 'x'"),
+    ("edge-rate", dict(ER_MC, replica_offset=2.5),
+     "replica_offset must be an integer, got 2.5"),
     ("edge-rate", dict(ER_MC, seed=True), "seed must be an integer in [0, 2**64), got True"),
     ("sample-conditional", {"n": 4, "color_counts": [4.5], "edge_counts": [[2]], "seed": 1},
      "bad counts: a color count must be an integer, got 4.5"),
@@ -905,6 +907,9 @@ def _rate_config(one_color_key):
      "degrees must map integers to probabilities: config key 'degrees[0]' must be a number"),
     ("degree-rate", {"degrees": {"1": True}, "c": 1.0},
      "degrees must map integers to probabilities: config key 'degrees[1]' must be a number"),
+    # consistify reads eps, as every library call reads its scalars
+    ("approximate", dict(BENCH, eps=0.0), "eps must be positive, got 0.0"),
+    ("approximate", dict(BENCH, eps=-1), "eps must be positive, got -1.0"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)
@@ -1004,13 +1009,21 @@ def test_degree_rate_infinite_mean_is_a_value(tmp_path):
     assert code == 0 and doc["value"] == "inf"
 
 
+def test_degree_rate_negative_infinite_mean_exit_2(tmp_path, capsys):
+    # only +inf flags an infinite-mean law; -inf was read as that flag and answered "inf"
+    cfg = _write(tmp_path, "deg.json",
+                 {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "mean": -math.inf})
+    assert main(["degree-rate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: mean must be nonnegative, got -inf\n"
+
+
 def test_pair_event_color_outside_alphabet_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "mc.json",
                  {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc", "sizes": [50],
                   "replicas": 100, "seed": 3,
                   "event": {"kind": "pair", "a": 3, "b": 0, "s": 0.1}})
     assert main(["edge-rate", "--config", cfg]) == 2
-    assert "pair event colors" in capsys.readouterr().err
+    assert "pair event color a must be in [0, 0], got 3" in capsys.readouterr().err
 
 
 def test_edge_rate_mc_fit_through_a_size_where_every_replica_hits(tmp_path):

@@ -15,7 +15,7 @@ from graphrates import (Alphabet, ColorCounts, ColorMeasure, Kernel, ModelParams
                         product_kernel_measure, quantize, relative_entropy,
                         sample_colored_graph, total_variation)
 from graphrates.errors import InfeasibleError
-from graphrates.measures import _atom_list, _atom_table, _find, _merged
+from graphrates.measures import _atom_list, _atom_table, _find, _merged, _real, _whole
 from graphrates.seeds import derive_child_seed
 
 A1 = Alphabet(1)
@@ -153,7 +153,8 @@ NU_A2 = NeighborhoodMeasure(A2, {(0, (1, 0)): 0.5, (1, (0, 0)): 0.5}, probabilit
     (lambda: relative_entropy(MU_A2, PairMeasure(A2, np.eye(2))), ValueError,
      "measure types differ: ColorMeasure vs PairMeasure"),
     (lambda: total_variation(MU_A2, NU_A2), ValueError, "measure types differ"),
-    (lambda: consistify(PairMeasure(A2, np.eye(2)), NU_A2, 0.0), ValueError, "eps must be > 0"),
+    (lambda: consistify(PairMeasure(A2, np.eye(2)), NU_A2, 0.0), ValueError,
+     "eps must be positive, got 0.0"),
     (lambda: consistify(PairMeasure(A1, [[1.0]]),
                         NeighborhoodMeasure(A1, {(0, (2,)): 1.0}, probability=True), 0.1),
      ValueError, "(pair, nu) not sub-consistent: deficit -1"),
@@ -660,3 +661,33 @@ def test_cap_degrees_two_colors():
     assert out.max_magnitude() <= 10
     assert all(np.array_equal(x, y)
                for x, y in zip(phi_counts(nc), phi_counts(out)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _real(True, "x"), "x True is not a finite real number"),
+    (lambda: _real("1.5", "x"), "x '1.5' is not a finite real number"),
+    (lambda: _real(math.nan, "x", 0), "x nan is not a finite real number"),
+    (lambda: _real(math.inf, "x", 0), "x inf is not a finite real number"),
+    (lambda: _real(10 ** 400, "x"), "is not a finite real number"),
+    (lambda: _real(-math.inf, "mean", 0), "mean must be nonnegative, got -inf"),
+    (lambda: _real(-1, "beta", 0), "beta must be nonnegative, got -1.0"),
+    (lambda: _real(0, "eps", 0, strict=True), "eps must be positive, got 0.0"),
+    (lambda: _real(0.5, "s", 1, strict=True), "s must be > 1, got 0.5"),
+    (lambda: _whole(2.5, "j", 0), "j must be an integer, got 2.5"),
+    (lambda: _whole(-1, "j", 0), "j must be nonnegative, got -1"),
+    (lambda: _whole(1, "n", 2), "n must be >= 2, got 1"),
+    (lambda: _whole(65, "m", 1, 64), "m must be in [1, 64], got 65"),
+], ids=["real-bool", "real-string", "real-nan", "real-inf", "real-past-float", "real-minus-inf",
+        "real-negative", "real-zero-strict", "real-strict-low", "whole-fraction",
+        "whole-negative", "whole-low", "whole-range"])
+def test_scalar_readers_refuse_a_bad_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_scalar_readers_return_plain_numbers():
+    for value in (np.float64(2.5), Fraction(5, 2), 2.5):
+        assert _real(value, "x", 0, strict=True) == 2.5 and type(_real(value, "x")) is float
+    assert _real(3, "x") == 3.0 and type(_real(3, "x")) is float
+    for value in (np.int64(3), 3.0, 3):
+        assert _whole(value, "n", 1, 3) == 3 and type(_whole(value, "n")) is int

@@ -75,6 +75,31 @@ def test_binomial_tail_window_matches_the_full_sum(N, p):
         assert abs(math.expm1(binomial_log_tail(N, p, k) - min(full, 0.0))) <= 1e-15, k
 
 
+def test_binomial_tail_evaluates_a_window_about_the_mode(monkeypatch):
+    # k = 1 lies 1,000 sd below the mode; the terms that far below it are dropped as the
+    # ones far above it are, where every term from k up to the mode was evaluated
+    evaluated = []
+
+    def counted(N, p, k):
+        evaluated.append(np.size(k))
+        return _binomial_log_pmf(N, p, k)
+
+    monkeypatch.setattr("graphrates.oracles._binomial_log_pmf", counted)
+    binomial_log_tail(1999000, 0.3, 1)
+    assert 0 < sum(evaluated) < 10 ** 5
+
+
+@pytest.mark.parametrize("N", [50, 4950, 199000])
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.9])
+def test_binomial_tail_below_the_mode_matches_the_full_sum(N, p):
+    mean, sd = N * p, math.sqrt(N * p * (1 - p))
+    for k in sorted({1, math.floor(mean - 12 * sd), math.floor(mean - 3 * sd),
+                     math.floor(mean)} - {0}):
+        k = max(k, 1)
+        full = logsumexp(_binomial_log_pmf(N, p, np.arange(k, N + 1, dtype=float)))
+        assert abs(binomial_log_tail(N, p, k) - min(full, 0.0)) <= 1e-12, k
+
+
 @given(st.integers(0, 30), st.floats(0.01, 0.99))
 @settings(max_examples=100, deadline=None)
 def test_binomial_tail_nonincreasing_in_k(N, p):

@@ -14,9 +14,11 @@ from graphrates import (Alphabet, ColorMeasure, Kernel, ModelParams,
                         product_kernel_measure, q_measure, rate_I,
                         rate_I_omega, rate_J, rate_J_tilde, rate_delta,
                         rate_zeta, rate_zeta_er, sample_colored_graph)
-from graphrates.oracles import extrapolate_exact, isolated_log_tail
+from graphrates.oracles import (exact_er_edge_exponent, extrapolate_exact, ising_oracle,
+                                isolated_log_tail)
 from graphrates.rates import LIMIT_TAIL_MASS, _poisson_ppf
 from graphrates.seeds import derive_child_seed
+from graphrates.varsolve import ising_annealed, zeta_inner
 
 A1 = Alphabet(1)
 A2 = Alphabet(2)
@@ -461,3 +463,33 @@ def test_nonnegativity_over_random_measures():
         pair = PairMeasure(A2, ref * [[f[0], f[1]], [f[1], f[2]]])
         assert rate_I(omega, pair, MU2, C2).value >= 0.0
         assert rate_I_omega(pair, omega, C2) >= 0.0
+
+
+_NOT_FINITE = "is not a finite real number"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ising_annealed(0.5, math.nan), "c nan " + _NOT_FINITE),
+    (lambda: ising_annealed(math.nan, 2.0), "beta nan " + _NOT_FINITE),
+    (lambda: zeta_inner(math.nan, MU2, C2), "x nan " + _NOT_FINITE),
+    (lambda: rate_zeta(math.nan, MU2, C2), "x nan " + _NOT_FINITE),
+    (lambda: rate_zeta_er(1.0, math.nan), "c nan " + _NOT_FINITE),
+    (lambda: rate_zeta_er(math.inf, 2.0), "x inf " + _NOT_FINITE),
+    (lambda: ising_oracle(0.5, math.nan), "c nan " + _NOT_FINITE),
+    (lambda: isolated_log_tail(20, 1.0, math.nan), "t nan " + _NOT_FINITE),
+    (lambda: consistify(PairMeasure(A1, [[2.0]]),
+                        NeighborhoodMeasure(A1, {(0, (1,)): 1.0}, probability=True), math.nan),
+     "eps nan " + _NOT_FINITE),
+    (lambda: rate_delta({0: 0.5, 2: 0.5}, math.inf), "c inf " + _NOT_FINITE),
+    (lambda: exact_er_edge_exponent(100, 2.0, math.nan), "x nan " + _NOT_FINITE),
+    (lambda: rate_delta({0: 0.5, 2: 0.5}, 1.0, mean=-math.inf),
+     "mean must be nonnegative, got -inf"),
+    (lambda: rate_delta({0: math.nan, 2: 1.0}, 1.0), "degree distribution has total mass nan"),
+], ids=["ising-c", "ising-beta", "zeta-inner-x", "zeta-x", "zeta-er-c", "zeta-er-x",
+        "ising-oracle-c", "isolated-t", "consistify-eps", "delta-c", "exact-er-x",
+        "delta-negative-infinite-mean", "delta-nan-mass"])
+def test_a_nan_or_infinite_scalar_is_refused_not_answered(call, message):
+    # each returned a value (nan, -inf or a finite number, with converged=True from the
+    # solvers) or failed inside with an unrelated message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
