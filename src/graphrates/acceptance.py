@@ -24,7 +24,7 @@ from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
                        phi_counts, product_kernel_measure, quantize, total_variation)
 from .mcharness import TailExperiment, estimate_tail_exponent, lln_check
 from .oracles import exact_er_edge_exponent
-from .seeds import child_seeds, derive_child_seed
+from .seeds import derive_child_seed
 
 # the 2-color benchmark model used across criteria, the color law of every
 # one-color (Erdos-Renyi) model and the kernel of the 3-color model
@@ -290,9 +290,8 @@ def _mixed_battery():
 def _conditional_battery():
     omega_n = ColorCounts(60, [35, 25])
     pair_n = PairCounts(60, [[20, 15], [15, 10]])
-    seeds = child_seeds(CONDITIONAL_SEED, 200)
-    graphs = [ColoredGraph(60, 2, colors, edges)
-              for colors, edges in zip(*sample_conditional_batch(omega_n, pair_n, seeds))]
+    graphs = [ColoredGraph(60, 2, colors, edges) for colors, edges
+              in zip(*sample_conditional_batch(omega_n, pair_n, CONDITIONAL_SEED, 200))]
     return omega_n, pair_n, tuple((g, *empirical_measures(g)) for g in graphs)
 
 
@@ -319,8 +318,8 @@ def criterion_8():
         for _, cc, pc, _ in battery)
 
     reps = 60000
-    seeds = child_seeds(UNIFORMITY_SEED, reps)
-    _, edges = sample_conditional_batch(ColorCounts(4, [4]), PairCounts(4, [[2]]), seeds)
+    _, edges = sample_conditional_batch(ColorCounts(4, [4]), PairCounts(4, [[2]]),
+                                        UNIFORMITY_SEED, reps)
     _, counts = np.unique(edges.reshape(reps, -1), axis=0, return_counts=True)
     p = 1.0 / 15.0
     band = 3.0 * math.sqrt(p * (1.0 - p) / reps)

@@ -8,10 +8,10 @@ geometric gaps between successes (Batagelj & Brandes 2005). The conditional
 sampler instead fixes the exact color counts and per-color-pair edge counts
 and draws uniformly from the graphs realizing them: a seeded shuffle of the
 fixed color multiset, then for every unordered color pair exactly n(a, b)
-distinct edge slots drawn without replacement. sample_conditional_batch
-draws many seeds, each with its own stream; it expands the seeds into their
-streams once and decodes all their slots at once with the one decoder every
-sampler shares.
+distinct edge slots drawn without replacement. sample_conditional_batch is
+one unit of work with one seed: it draws its graphs one after another from
+the one stream default_rng(seed), then decodes all their slots at once with
+the one decoder every sampler shares.
 """
 
 import io
@@ -24,7 +24,7 @@ from numpy.random import default_rng  # numpy 2 loads numpy.random on first use,
 from .errors import InfeasibleError
 from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
                        NeighborhoodCounts, PairCounts, _check_same_alphabet, _int64, _whole)
-from .seeds import check_seed, generators
+from .seeds import check_seed
 
 
 def _edge_order(rep, u, v, n):
@@ -365,28 +365,29 @@ def sample_conditional(omega_n, pair_n, seed):
     pair {a, b}, exactly pair_n.edge_counts[a, b] distinct slots are drawn
     uniformly over the k-subsets of the slot index space. Raises
     InfeasibleError when a color pair asks for more edges than it has slots.
-    This is the one-seed case of sample_conditional_batch.
+    This is the batch of one of sample_conditional_batch.
     """
-    colors, edges = sample_conditional_batch(omega_n, pair_n, [seed])
+    colors, edges = sample_conditional_batch(omega_n, pair_n, seed, 1)
     return ColoredGraph(omega_n.n, omega_n.alphabet.m, colors[0], edges[0])
 
 
-def sample_conditional_batch(omega_n, pair_n, seeds):
-    """colors (R, n) and edges (R, |E|, 2) of sample_conditional for R seeds.
+def sample_conditional_batch(omega_n, pair_n, seed, count):
+    """colors (count, n) and edges (count, |E|, 2) of count independent draws of
+    sample_conditional, one after another from the one stream default_rng(seed).
 
-    seeds is a sequence of seeds, or a uint64 array as from seeds.child_seeds. Each
-    seed keeps its own random stream, default_rng(seed)'s: a shuffle of the colors,
-    then one slot subset per color pair in the plan's order. The batch expands its
-    seeds into streams once (seeds.generators), and the checks, the decoding and the
-    sorting run once for the whole batch.
+    Each draw is a shuffle of the colors, then one slot subset per color pair in the
+    plan's order, so row 0 is sample_conditional(omega_n, pair_n, seed) and a batch's
+    first rows are the shorter batch. The checks, the decoding and the sorting run once
+    for the whole batch.
     """
     plan = _conditional_plan(omega_n, pair_n)
-    n, m, ks, rngs = omega_n.n, omega_n.alphabet.m, [k for *_, k in plan], generators(seeds)
-    colors = np.tile(np.repeat(np.arange(m, dtype=np.int64), omega_n.counts), (len(seeds), 1))
-    slots, ends = np.empty((len(seeds), sum(ks)), dtype=np.int64), np.cumsum(ks).tolist()
-    for r, rng in enumerate(rngs):
+    rng, count = default_rng(check_seed(seed)), _whole(count, "count", 0)
+    n, m, ks = omega_n.n, omega_n.alphabet.m, [k for *_, k in plan]
+    colors = np.tile(np.repeat(np.arange(m, dtype=np.int64), omega_n.counts), (count, 1))
+    slots, ends = np.empty((count, sum(ks)), dtype=np.int64), np.cumsum(ks).tolist()
+    for r in range(count):
         rng.shuffle(colors[r])
         for (_, _, S, k), end in zip(plan, ends):
             slots[r, end - k:end] = rng.choice(S, k, replace=False, shuffle=False)
-    rep, u, v = _decode_edges(colors, slots.ravel(), ks * len(seeds), m)
+    rep, u, v = _decode_edges(colors, slots.ravel(), ks * count, m)
     return colors, np.stack((u, v), axis=-1)[_edge_order(rep, u, v, n)].reshape(*slots.shape, 2)

@@ -100,6 +100,9 @@ class TailExperiment:
         missing = [key for key in _EVENT_KEYS[kind] if key not in self.event]
         if missing:
             raise ValueError(f"{kind} event is missing {missing}")
+        extra = [key for key in self.event if key != "kind" and key not in _EVENT_KEYS[kind]]
+        if extra:
+            raise ValueError(f"{kind} event does not take {extra}")
         _real(self.event[_EVENT_KEYS[kind][-1]], f"{kind} event threshold")
         for key in _EVENT_KEYS[kind][:-1]:  # the colors of a pair event
             _whole(self.event[key], f"pair event color {key}", 0, self.mu.alphabet.m - 1)

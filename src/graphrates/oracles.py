@@ -22,6 +22,7 @@ from .mcharness import _edge_threshold
 from .measures import _check_same_alphabet, _real, _whole
 
 VECTOR_PARTITION_BUDGET = 14
+ISOLATED_TAIL_BUDGET = 1600  # isolated_log_tail's fixed-point recursion costs about n^3.5
 _SCALAR_BOUND_CONST = 2.57  # just above the Hardy-Ramanujan pi*sqrt(2/3)
 _SCALAR_LIMIT = 60
 ISING_SIZES = (40000, 80000, 160000)  # criterion 4 gives the error budget
@@ -155,9 +156,11 @@ def isolated_log_tail(n, c, t):
 
     Exact up to the rounding of a fixed-point recursion with 2n + 256
     fraction bits (see _isolated_law); i / n >= t is the comparison the
-    Monte Carlo rows make. -inf when no i qualifies.
+    Monte Carlo rows make. -inf when no i qualifies. Budget: n <= 1600.
     """
     n, c, t = _whole(n, "n", 1), _real(c, "c", 0), _real(t, "t")
+    if n > ISOLATED_TAIL_BUDGET:
+        raise BudgetError(f"n {n} exceeds the isolated-tail budget {ISOLATED_TAIL_BUDGET}")
     bits = 2 * n + 256
     tail = sum(x for i, x in enumerate(_isolated_law(n, min(c / n, 1.0), bits)) if i / n >= t)
     if tail <= 0:

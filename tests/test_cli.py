@@ -1040,6 +1040,13 @@ def test_edge_rate_mc_fit_through_a_size_where_every_replica_hits(tmp_path):
     assert math.isfinite(est["ci_half_width"])
 
 
+def test_event_key_of_another_kind_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "mc.json", dict(ER_MC, event={"kind": "edges", "x": 1.2, "t": 0.5}))
+    assert main(["edge-rate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "edges event does not take ['t']" in err
+
+
 def test_event_threshold_not_a_number_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "mc.json",
                  {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc", "sizes": [50],

@@ -420,8 +420,7 @@ def test_sample_conditional_cross_class_uniform():
     oc = ColorCounts(4, [2, 2])
     ec = PairCounts(4, [[0, 2], [2, 0]])
     reps = 9000
-    colors, edges = sample_conditional_batch(oc, ec, [derive_child_seed(2026, i)
-                                                      for i in range(reps)])
+    colors, edges = sample_conditional_batch(oc, ec, 2026, reps)
     counts = Counter((c.tobytes(), e.tobytes()) for c, e in zip(colors, edges))
     p = 1.0 / 36.0
     band = 4.0 * math.sqrt(p * (1.0 - p) / reps)
@@ -435,40 +434,46 @@ def test_sample_conditional_deterministic():
     assert sample_conditional(oc, ec, 77) == sample_conditional(oc, ec, 77)
 
 
-@pytest.mark.parametrize("counts, edges", [
+BATCH_CONFIGS = pytest.mark.parametrize("counts, edges", [
     ([4], [[2]]),                                         # one color
     ([35, 25], [[20, 15], [15, 10]]),                     # two unequal classes
     ([12, 10, 8], [[5, 3, 0], [3, 4, 80], [0, 80, 2]]),   # zero pair and k = S cross
     ([5, 4], [[10, 0], [0, 6]]),                          # k = S within a class
 ])
+
+
+@BATCH_CONFIGS
 def test_sample_conditional_batch_matches_single_draws(counts, edges):
+    # row 0 is the single draw of the batch's seed
     oc, ec = ColorCounts(sum(counts), counts), PairCounts(sum(counts), edges)
-    seeds = [derive_child_seed(404, i) for i in range(60)]
-    colors, batch_edges = sample_conditional_batch(oc, ec, seeds)
+    colors, batch_edges = sample_conditional_batch(oc, ec, 404, 60)
     assert colors.shape == (60, oc.n)
     assert batch_edges.shape == (60, int(np.triu(ec.edge_counts).sum()), 2)
-    for r, seed in enumerate(seeds):
-        g = sample_conditional(oc, ec, seed)
-        assert np.array_equal(colors[r], g.colors)
-        assert np.array_equal(batch_edges[r], g.edges)
+    g = sample_conditional(oc, ec, 404)
+    assert np.array_equal(colors[0], g.colors)
+    assert np.array_equal(batch_edges[0], g.edges)
 
 
-@pytest.mark.parametrize("counts, edges", [
-    ([4], [[2]]),
-    ([35, 25], [[20, 15], [15, 10]]),
-    ([12, 10, 8], [[5, 3, 0], [3, 4, 80], [0, 80, 2]]),
-    ([5, 4], [[10, 0], [0, 6]]),
-])
+@BATCH_CONFIGS
+def test_sample_conditional_batch_starts_with_a_shorter_batch(counts, edges):
+    oc, ec = ColorCounts(sum(counts), counts), PairCounts(sum(counts), edges)
+    colors, batch_edges = sample_conditional_batch(oc, ec, 404, 60)
+    short_colors, short_edges = sample_conditional_batch(oc, ec, 404, 10)
+    assert np.array_equal(colors[:10], short_colors)
+    assert np.array_equal(batch_edges[:10], short_edges)
+
+
+@BATCH_CONFIGS
 def test_sample_conditional_batch_matches_default_rng_reference(counts, edges):
-    # the streams written out: default_rng(seed) shuffles the color multiset, then draws
-    # each class pair a <= b's slots by choice; slot s is the pair (s // |B|, s % |B|)
-    # across two classes and the s-th pair i < j in lexicographic order within one
+    # the stream written out: default_rng(seed) shuffles the color multiset, then draws
+    # each class pair a <= b's slots by choice, row after row; slot s is the pair
+    # (s // |B|, s % |B|) across two classes and the s-th pair i < j in lexicographic
+    # order within one
     m, n = len(counts), sum(counts)
     oc, ec = ColorCounts(n, counts), PairCounts(n, edges)
-    seeds = [derive_child_seed(505, i) for i in range(60)]
-    colors, batch_edges = sample_conditional_batch(oc, ec, seeds)
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    colors, batch_edges = sample_conditional_batch(oc, ec, 505, 60)
+    rng = np.random.default_rng(505)
+    for r in range(60):
         want = np.repeat(np.arange(m), counts)
         rng.shuffle(want)
         members = [np.flatnonzero(want == a).tolist() for a in range(m)]
@@ -488,11 +493,39 @@ def test_sample_conditional_batch_matches_default_rng_reference(counts, edges):
 
 def test_sample_conditional_batch_infeasible_and_empty():
     with pytest.raises(InfeasibleError):
-        sample_conditional_batch(ColorCounts(3, [2, 1]), PairCounts(3, [[0, 3], [3, 0]]), [1])
+        sample_conditional_batch(ColorCounts(3, [2, 1]), PairCounts(3, [[0, 3], [3, 0]]), 1, 1)
     colors, edges = sample_conditional_batch(ColorCounts(5, [3, 2]),
-                                             PairCounts(5, [[1, 2], [2, 1]]), [])
+                                             PairCounts(5, [[1, 2], [2, 1]]), 1, 0)
     assert colors.shape == (0, 5)
     assert edges.shape == (0, 4, 2)
+
+
+@pytest.mark.parametrize("seed, count, message", [
+    (1, -1, "count must be nonnegative, got -1"),
+    (1, 2.5, "count must be an integer, got 2.5"),
+    (1, True, "count must be an integer, got True"),
+    # default_rng raised TypeError for 7.5, read True as 1 and accepted 2**64
+    (7.5, 3, "seed must be an integer in [0, 2**64), got 7.5"),
+    (True, 3, "seed must be an integer in [0, 2**64), got True"),
+    (-1, 3, "seed must be an integer in [0, 2**64), got -1"),
+    (2 ** 64, 3, "seed must be an integer in [0, 2**64), got 18446744073709551616"),
+], ids=["count-negative", "count-fraction", "count-bool", "seed-fraction", "seed-bool",
+        "seed-negative", "seed-past-64-bits"])
+def test_sample_conditional_batch_refuses_a_bad_seed_or_count(seed, count, message):
+    oc, ec = ColorCounts(4, [4]), PairCounts(4, [[2]])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_conditional_batch(oc, ec, seed, count)
+    if count == 3:  # a seed row: the single draw refuses the seed too
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_conditional(oc, ec, seed)
+
+
+def test_sample_conditional_batch_reads_whole_numbers_as_their_integers():
+    oc, ec = ColorCounts(12, [7, 5]), PairCounts(12, [[3, 4], [4, 2]])
+    want_colors, want_edges = sample_conditional_batch(oc, ec, 2 ** 63, 5)
+    for seed, count in ((np.uint64(2 ** 63), 5.0), (2.0 ** 63, np.int64(5))):
+        colors, edges = sample_conditional_batch(oc, ec, seed, count)
+        assert np.array_equal(colors, want_colors) and np.array_equal(edges, want_edges)
 
 
 def test_model_params_edge_probabilities_clip():

@@ -450,6 +450,19 @@ def test_event_threshold_too_large_for_a_float():
             TailExperiment(mu=MU2, C=C2, event=event, sizes=(50,), replicas=10, seed=0)
 
 
+def test_event_refuses_a_key_its_kind_does_not_take():
+    # each ran its kind's event and ignored the rest, so a t meant for degree_zero
+    # answered the edges question
+    for mu, C, event, extra in (
+            (MU1, Kernel.constant(2.0), {"kind": "edges", "x": 1.2, "t": 0.5}, "['t']"),
+            (MU1, Kernel.constant(2.0), {"kind": "degree_zero", "t": 0.5, "x": 1.2, "s": 1},
+             "['x', 's']"),
+            (MU2, C2, {"kind": "pair", "a": 0, "b": 1, "s": 0.4, "extra": 1}, "['extra']")):
+        with pytest.raises(ValueError, match=re.escape(f"{event['kind']} event does not take "
+                                                       + extra)):
+            TailExperiment(mu=mu, C=C, event=event, sizes=(30,), replicas=10, seed=0)
+
+
 @pytest.mark.parametrize("seed", [7.9, True, -1, 2 ** 64 + 7],
                          ids=["fraction", "bool", "negative", "past-64-bits"])
 def test_experiment_refuses_a_seed_outside_64_bits(seed):

@@ -227,6 +227,14 @@ def test_isolated_log_tail_rejects_bad_args():
             isolated_log_tail(n, c, 0.5)
 
 
+def test_isolated_log_tail_refuses_n_past_its_budget(monkeypatch):
+    # the budget is lowered, so the refusal is tested without the slow recursion
+    monkeypatch.setattr("graphrates.oracles.ISOLATED_TAIL_BUDGET", 30)
+    assert isolated_log_tail(30, 1.0, 0.5) < 0.0
+    with pytest.raises(BudgetError, match=re.escape("n 31 exceeds the isolated-tail budget 30")):
+        isolated_log_tail(31, 1.0, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # counting
 
