@@ -31,7 +31,7 @@ from .errors import ConfigError, InfeasibleError, NonConvergenceError
 from .graphs import (ColoredGraph, ModelParams, empirical_measures,
                      sample_colored_graph, sample_conditional)
 from .measures import (PROB_TOL, Alphabet, ColorCounts, ColorMeasure, Kernel,
-                       NeighborhoodMeasure, PairCounts, PairMeasure, _whole,
+                       NeighborhoodMeasure, PairCounts, PairMeasure, _float64, _real, _whole,
                        cap_degrees, consistify, phi, phi_counts,
                        product_kernel_measure, quantize, total_variation)
 from .seeds import check_seed
@@ -48,11 +48,12 @@ def _load_config(path):
     if path is None:
         raise ConfigError("this command requires --config")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh, parse_constant=_json_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSON text is UTF-8, and json refuses nesting past the interpreter's recursion limit
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -69,20 +70,6 @@ def _require(cfg, key, kind=None):
     return value
 
 
-def _real(value, key, finite=True):
-    """A config number as a float; a bool, string, other value or one too large for a
-    float is a config error, and so is an infinite one unless finite is False."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ConfigError(f"config key {key!r} is too large for a float") from None
-    if finite and math.isinf(value):
-        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-    return value
-
-
 def _decimal(text):
     """text as an int when it is an optional sign and the ASCII digits 0-9, else as it is,
     for _whole to refuse; int() alone also reads "1_0", " 2" and non-ASCII digits."""
@@ -93,13 +80,10 @@ def _decimal(text):
 
 
 def _parse_mu(raw, key):
-    try:
-        w = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be a list of numbers: {exc}") from exc
+    w = _from_config(_float64, raw, f"{key} entry")
     if w.ndim != 1 or w.size == 0:
         raise ConfigError(f"{key} must be a non-empty flat list")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the check
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum fails the check
         total = float(w.sum())
     if not abs(total - 1.0) <= PROB_TOL:
         raise ConfigError(f"{key} must sum to 1 (got {total!r})")
@@ -107,8 +91,6 @@ def _parse_mu(raw, key):
 
 
 def _parse_kernel(raw, m):
-    if isinstance(raw, bool):
-        raise ConfigError(f"C must be a number or a square matrix, got {raw!r}")
     if isinstance(raw, (int, float)):
         if m != 1:
             raise ConfigError("scalar C only matches a single-color mu")
@@ -154,17 +136,25 @@ def _emit(doc, args, flat=None):
     """
     path = args.out
     if flat is not None:
-        with open(path, "w") as fh:
-            fh.write(flat())
+        _write(path, flat())
         path, doc = path + ".manifest.json", doc["manifest"]
-    # without an indent json runs its C encoder, several times faster
-    payload = "{" + ", ".join(f"{json.dumps(key)}: {_encode(value)}"
-                              for key, value in doc.items()) + "}\n"
+    try:  # without an indent json runs its C encoder, several times faster
+        payload = "{" + ", ".join(f"{json.dumps(key)}: {_encode(value)}"
+                                  for key, value in doc.items()) + "}\n"
+    except RecursionError:  # _plain recurses once per level of the config it echoes
+        raise ConfigError("config is nested too deeply to echo in the manifest") from None
     if path:
-        with open(path, "w") as fh:
-            fh.write(payload)
+        _write(path, payload)
     else:
         sys.stdout.write(payload)
+
+
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _encode(value):
@@ -221,13 +211,14 @@ def _load_graph(cfg, args):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline graph: {exc}") from exc
     if "graph_path" in cfg:
+        path = _require(cfg, "graph_path", str)  # open() reads an int as a file descriptor
         try:
-            with open(cfg["graph_path"]) as fh:
+            with open(path) as fh:
                 return ColoredGraph.from_text(fh.read())
         except OSError as exc:
-            raise ConfigError(f"cannot read graph {cfg['graph_path']}: {exc}") from exc
+            raise ConfigError(f"cannot read graph {path}: {exc}") from exc
         except ValueError as exc:
-            raise ConfigError(f"bad graph file {cfg['graph_path']}: {exc}") from exc
+            raise ConfigError(f"bad graph file {path}: {exc}") from exc
     if "mu" in cfg:
         return _sample_model_graph(cfg, args)
     raise ConfigError("measure needs one of: graph, graph_path, or mu/C/n/seed")
@@ -262,7 +253,7 @@ def _cmd_degree_rate(cfg, args):
     from . import rates
     raw = _require(cfg, "degrees", dict)
     try:
-        degrees = {_whole(_decimal(k), "degree"): _real(v, f"degrees[{k}]")
+        degrees = {_whole(_decimal(k), "degree"): _real(v, f"degree {k} mass")
                    for k, v in raw.items()}
     except ValueError as exc:  # ConfigError is a ValueError
         raise ConfigError(f"degrees must map integers to probabilities: {exc}") from exc
@@ -270,17 +261,17 @@ def _cmd_degree_rate(cfg, args):
         listed = [_decimal(k) for k in raw]
         twice = next(k for k in listed if listed.count(k) > 1)
         raise ConfigError(f"degree {twice} is listed more than once")
-    c = _real(_require(cfg, "c"), "c")
-    mean = cfg.get("mean")
-    value = _from_config(rates.rate_delta, degrees, c,
-                         mean=None if mean is None else _real(mean, "mean", finite=False))
+    c = _from_config(_real, _require(cfg, "c"), "config key 'c'")
+    # mean goes as it is: rate_delta reads +inf as the flag of an infinite-mean law
+    value = _from_config(rates.rate_delta, degrees, c, mean=cfg.get("mean"))
     return {"value": value}, None
 
 
 def _cmd_edge_rate(cfg, args):
     mu, C = _parse_model(cfg)
     mode = cfg.get("mode", "zeta")
-    x = None if mode == "mc" and "event" in cfg else _real(_require(cfg, "x"), "x")
+    x = None if mode == "mc" and "event" in cfg else _from_config(
+        _real, _require(cfg, "x"), "config key 'x'")
     if mode == "zeta":
         from . import rates
         body = {"value": _from_config(rates.rate_zeta, x, mu, C)}
@@ -321,8 +312,10 @@ def _cmd_ising(cfg, args):
     from . import varsolve
     betas = cfg.get("beta", 0.0)
     cs = _require(cfg, "c", (int, float, list))
-    betas = [_real(b, "beta") for b in (betas if isinstance(betas, list) else [betas])]
-    cs = [_real(c, "c") for c in (cs if isinstance(cs, list) else [cs])]
+    betas = [_from_config(_real, b, "config key 'beta'")
+             for b in (betas if isinstance(betas, list) else [betas])]
+    cs = [_from_config(_real, c, "config key 'c'")
+          for c in (cs if isinstance(cs, list) else [cs])]
     records = []
     for beta in betas:
         for c in cs:
@@ -347,7 +340,8 @@ def _cmd_sample_conditional(cfg, args):
 def _cmd_approximate(cfg, args):
     from . import rates
     mu, C = _parse_model(cfg)
-    eps = _real(_require(cfg, "eps"), "eps")  # consistify refuses eps <= 0
+    # consistify refuses eps <= 0
+    eps = _from_config(_real, _require(cfg, "eps"), "config key 'eps'")
     cap = cfg.get("cap", False)
     if not isinstance(cap, bool):
         raise ConfigError(f"config key 'cap' must be true or false, got {cap!r}")

@@ -83,7 +83,7 @@ def _real(x, what, low=None, high=None, strict=False):
         try:
             value = float(x)
         except OverflowError:
-            value = math.inf if x > 0 else -math.inf
+            raise ValueError(f"{what} is too large for a float") from None
     _bounded(value, what, low, high, strict)  # NaN passes, -inf below low does not
     if not math.isfinite(value):
         raise ValueError(f"{what} {x!r} is not a finite real number")
@@ -101,6 +101,16 @@ def _int64(values, what):
                         dtype=np.int64).reshape(values.shape)
     except OverflowError:
         raise ValueError(f"{what} does not fit in int64") from None
+
+
+def _float64(values, what):
+    """values as a float64 array. A float64 array passes as it is; other input goes entry by
+    entry through _real: a bool, a string, a non-number or a non-finite entry is refused."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return values
+    values = np.asarray(values, dtype=object)
+    return np.array([_real(x, what) for x in values.ravel().tolist()],
+                    dtype=np.float64).reshape(values.shape)
 
 
 def _check_atoms(m, colors, ells):
@@ -255,10 +265,7 @@ def _measure_array(alphabet, values, square, what):
     with finite entries >= 0; a square array must be exactly symmetric."""
     m = alphabet.m
     shape = (m, m) if square else (m,)
-    try:
-        v = np.array(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{what} must be an array of numbers: {exc}") from exc
+    v = np.array(_float64(values, f"{what} entry"))  # a copy: the caller's array stays writable
     if v.shape != shape:
         raise ValueError(f"{what} shape {v.shape} != {shape}")
     if not np.all(np.isfinite(v)) or np.any(v < 0):
@@ -327,7 +334,8 @@ class NeighborhoodMeasure:
         return nu
 
     def _fill(self, alphabet, colors, ells, masses, probability):
-        self.colors, self.ells, self.weights = _atom_table(alphabet.m, colors, ells, masses)
+        self.colors, self.ells, self.weights = _atom_table(alphabet.m, colors, ells,
+                                                           _float64(masses, "atom mass"))
         if probability and abs(self.total_mass - 1.0) > MASS_TOL:
             raise ValueError(f"probability measure has total mass {self.total_mass!r}")
         self.alphabet = alphabet
@@ -359,8 +367,10 @@ class NeighborhoodMeasure:
     def from_dict(cls, d):
         alphabet = Alphabet(d["m"])
         keys = _read_keys([(rec["color"], rec["ell"]) for rec in d["atoms"]], alphabet.m)
-        return cls.from_arrays(alphabet, *keys, [rec["mass"] for rec in d["atoms"]],
-                               d.get("probability", False))
+        probability = d.get("probability", False)
+        if not isinstance(probability, bool):
+            raise ValueError(f"probability must be true or false, got {probability!r}")
+        return cls.from_arrays(alphabet, *keys, [rec["mass"] for rec in d["atoms"]], probability)
 
     def __repr__(self):
         return f"NeighborhoodMeasure({self.weights.size} atoms, mass={self.total_mass:g})"
@@ -379,7 +389,7 @@ class Kernel:
     @classmethod
     def constant(cls, c):
         """Erdos-Renyi kernel: the single-color kernel [[c]]."""
-        return cls(Alphabet(1), [[float(c)]])
+        return cls(Alphabet(1), [[c]])
 
     def __repr__(self):
         return f"Kernel({self.values.tolist()})"

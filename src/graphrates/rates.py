@@ -206,19 +206,13 @@ def rate_delta(d, c, mean=None):
     relative above 1, and +inf alone flags an infinite-mean law, whose rate is +inf.
     """
     c = _real(c, "c", 0, strict=True)
-    for k, p in d.items():
-        _whole(k, "degree", 0)
-        if p < 0:
-            raise ValueError(f"degree {k} has negative mass {p!r}")
+    d = {_whole(k, "degree", 0): _real(p, f"degree {k} mass", 0) for k, p in d.items()}
     total = sum(d.values())
-    if not abs(total - 1.0) <= PROB_TOL:  # a NaN mass fails too
+    if abs(total - 1.0) > PROB_TOL:
         raise ValueError(f"degree distribution has total mass {total!r}")
     if mean == math.inf:
         return math.inf
-    try:  # degrees enter as floats, as numpy holds an int of 2**64 or more as an object
-        k, p = np.array([(k, p) for k, p in d.items() if p > 0], dtype=float).T
-    except OverflowError:
-        raise ValueError("a degree is too large for a float") from None
+    k, p = np.array([(_real(k, "a degree"), p) for k, p in d.items() if p > 0]).T
     moment = sum((k * p).tolist())
     # a NaN mean matches no moment, so the check below refuses it as one the degrees contradict
     mean = moment if mean is None else mean if mean != mean else _real(mean, "mean", 0)

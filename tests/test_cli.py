@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from graphrates import (Alphabet, ColorCounts, ColorMeasure, ColoredGraph, Kerne
                         ModelParams, PairCounts, empirical_measures, poisson_limit_law,
                         product_kernel_measure, rate_zeta, rate_zeta_er,
                         sample_colored_graph, sample_conditional)
-from graphrates import acceptance, oracles
+from graphrates import acceptance, cli, oracles
 from graphrates.cli import main
 
 BENCH = {"mu": [0.5, 0.5], "C": [[3.0, 1.0], [1.0, 2.0]]}
@@ -738,13 +739,48 @@ def test_every_json_document_is_strict_json(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command,payload,key", [
     ("edge-rate", {"mu": [1.0], "C": 2.0, "x": True}, "'x'"),
-    ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "mean": "abc"}, "'mean'"),
+    ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "mean": "abc"}, "mean 'abc'"),
     ("ising", {"beta": "hot", "c": 2.0}, "'beta'"),
 ])
 def test_non_number_exit_2(tmp_path, capsys, command, payload, key):
     cfg = _write(tmp_path, "bad.json", payload)
     assert main([command, "--config", cfg]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({}, "generate --config {d}/gen.json --out {d}/missing/g.json"),
+    ({}, "generate --config {d}/gen.json --out {d}"),
+    ({}, "generate --config {d}/gen.json --out {d}/missing/g.txt"),
+    ({"g.txt.manifest.json": None}, "generate --config {d}/gen.json --out {d}/g.txt"),
+    ({}, "validate --suite duality --out {d}/missing/records.json"),
+    ({"bad.json": b'{"mu": [1.0], "C": 2.0, "x": "\xff"}'}, "edge-rate --config {d}/bad.json"),
+    ({"bad.json": b"[" * 100000 + b"]" * 100000}, "generate --config {d}/bad.json"),
+], ids=["out-in-a-missing-directory", "out-onto-a-directory", "txt-in-a-missing-directory",
+        "sidecar-onto-a-directory", "validate-out-in-a-missing-directory", "config-not-utf-8",
+        "config-nested-100000-deep"])
+def test_a_file_the_cli_cannot_read_or_write_exits_2(tmp_path, capsys, files, argv):
+    # each ended in a traceback and exit 1: an OSError from the output's open(), a
+    # UnicodeDecodeError or a RecursionError from the config's
+    _write(tmp_path, "gen.json", dict(BENCH, n=20, seed=1))
+    for name, data in files.items():
+        (tmp_path / name).mkdir() if data is None else (tmp_path / name).write_bytes(data)
+    assert main([arg.format(d=tmp_path) for arg in argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+
+
+def test_a_config_too_deep_to_echo_exits_2(capsys, monkeypatch):
+    # json loads a config nested nearly as deep as the recursion limit, but _plain, which
+    # recurses once or twice per level, cannot echo it: a RecursionError and a traceback
+    note = []
+    for _ in range(sys.getrecursionlimit()):
+        note = [note]
+    monkeypatch.setattr(cli, "_load_config",
+                        lambda path: {"degrees": {"0": 1.0}, "c": 1.0, "note": note})
+    assert main(["degree-rate", "--config", "deep.json"]) == 2
+    assert capsys.readouterr().err == ("config error: config is nested too deeply to echo "
+                                       "in the manifest\n")
 
 
 def _zero_point_measures(mu_w, C_raw):
@@ -759,6 +795,22 @@ def _rate_config(one_color_key):
     measures = _zero_point_measures(BENCH["mu"], BENCH["C"])
     measures[one_color_key] = _zero_point_measures([1.0], [[2.0]])[one_color_key]
     return dict(BENCH, omega=BENCH["mu"], **measures)
+
+
+RATE_ONE_COLOR = {"mu": [1.0], "C": 2.0, "omega": [1.0],
+                  "pair": {"m": 1, "weights": [[2.0]]},
+                  "nu": {"m": 1, "probability": True,
+                         "atoms": [{"color": 0, "ell": [2], "mass": 1.0}]}}
+
+
+def _with(cfg, path, value):
+    """A copy of cfg with the entry at path, a tuple of keys and indices, set to value."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
 
 
 @pytest.mark.parametrize("command,payload,message", [
@@ -778,23 +830,28 @@ def _rate_config(one_color_key):
     ("degree-rate", {"degrees": {"-1": 1.0}, "c": 1.0}, "degree must be nonnegative, got -1"),
     ("rate", _rate_config("nu"), "alphabet mismatch: m in [1, 2]"),
     ("rate", _rate_config("pair"), "alphabet mismatch: m in [1, 2]"),
-    ("ising", {"beta": math.inf, "c": 2.0}, "'beta' must be finite, got inf"),
-    ("ising", {"beta": 1, "c": [2.0, math.inf]}, "'c' must be finite, got inf"),
-    ("edge-rate", {"mu": [1.0], "C": 2.0, "x": math.inf}, "'x' must be finite, got inf"),
-    ("edge-rate", dict(BENCH, x=math.inf), "'x' must be finite, got inf"),
+    # a refused number prints measures._real's message, naming the config key
+    ("ising", {"beta": math.inf, "c": 2.0}, "config key 'beta' inf is not a finite real number"),
+    ("ising", {"beta": 1, "c": [2.0, math.inf]}, "config key 'c' inf is not a finite real number"),
+    ("edge-rate", {"mu": [1.0], "C": 2.0, "x": math.inf},
+     "config key 'x' inf is not a finite real number"),
+    ("edge-rate", dict(BENCH, x=math.inf), "config key 'x' inf is not a finite real number"),
     ("edge-rate", {"mu": [1.0], "C": 2.0, "x": math.inf, "mode": "exact", "sizes": [50]},
-     "'x' must be finite, got inf"),
+     "config key 'x' inf is not a finite real number"),
     ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": math.inf},
-     "'c' must be finite, got inf"),
-    ("approximate", dict(BENCH, eps=math.inf), "'eps' must be finite, got inf"),
+     "config key 'c' inf is not a finite real number"),
+    ("approximate", dict(BENCH, eps=math.inf), "config key 'eps' inf is not a finite real number"),
     # a scalar C goes through the Kernel constructor like a matrix one
     ("edge-rate", {"mu": [1.0], "C": -2.0, "x": 1.0}, "kernel entries must be finite and >= 0"),
     ("edge-rate", {"mu": [1.0], "C": 0.0, "x": 1.0}, "kernel is identically zero"),
-    ("edge-rate", {"mu": [1.0], "C": math.inf, "x": 1.0}, "kernel entries must be finite"),
-    ("edge-rate", {"mu": [1.0], "C": True, "x": 1.0}, "C must be a number or a square matrix"),
+    ("edge-rate", {"mu": [1.0], "C": math.inf, "x": 1.0},
+     "kernel entry inf is not a finite real number"),
+    ("edge-rate", {"mu": [1.0], "C": True, "x": 1.0},
+     "kernel entry True is not a finite real number"),
     ("edge-rate", {"mu": [1 / 65] * 65, "C": 1.0, "x": 1.0}, "m must be in [1, 64], got 65"),
     ("edge-rate", dict(BENCH, mu=[1.5, -0.5], x=1.0), "color measure entries must be finite"),
-    ("edge-rate", dict(BENCH, mu=[math.inf, -math.inf], x=1.0), "mu must sum to 1 (got nan)"),
+    ("edge-rate", dict(BENCH, mu=[math.inf, -math.inf], x=1.0),
+     "mu entry inf is not a finite real number"),
     # integer values are checked, never truncated
     ("edge-rate", dict(ER_MC, sizes=["a"]), "a size must be an integer, got 'a'"),
     ("edge-rate", dict(ER_EXACT, sizes=["a"]), "n must be an integer, got 'a'"),
@@ -826,7 +883,7 @@ def _rate_config(one_color_key):
     ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": 10 ** 400},
      "'c' is too large for a float"),
     ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "mean": 10 ** 400},
-     "'mean' is too large for a float"),
+     "mean is too large for a float"),
     ("approximate", dict(BENCH, eps=10 ** 400), "'eps' is too large for a float"),
     ("degree-rate", {"degrees": {"0": 10 ** 400}, "c": 1.0}, "degrees must map integers"),
     # so is a Monte Carlo event threshold of that size
@@ -904,12 +961,30 @@ def _rate_config(one_color_key):
      "degree must be an integer, got '\u0662'"),
     # a mass is a JSON number, not a string or a bool
     ("degree-rate", {"degrees": {"0": "0.5", "2": 0.5}, "c": 1.0},
-     "degrees must map integers to probabilities: config key 'degrees[0]' must be a number"),
+     "degrees must map integers to probabilities: degree 0 mass '0.5' is not a finite real"),
     ("degree-rate", {"degrees": {"1": True}, "c": 1.0},
-     "degrees must map integers to probabilities: config key 'degrees[1]' must be a number"),
+     "degrees must map integers to probabilities: degree 1 mass True is not a finite real"),
     # consistify reads eps, as every library call reads its scalars
     ("approximate", dict(BENCH, eps=0.0), "eps must be positive, got 0.0"),
     ("approximate", dict(BENCH, eps=-1), "eps must be positive, got -1.0"),
+    # numpy's float cast read each of these as a number, and truthiness read "no" as
+    # true, so each was answered with exit 0
+    ("edge-rate", {"mu": [True], "C": 2.0, "x": 1.0}, "mu entry True is not a finite real number"),
+    ("edge-rate", dict(BENCH, C=[["3", 1], [1, 2]], x=1.0),
+     "kernel entry '3' is not a finite real number"),
+    ("rate", _with(RATE_ONE_COLOR, ("pair", "weights", 0, 0), "2.0"),
+     "bad measure in config: pair measure entry '2.0' is not a finite real number"),
+    ("rate", _with(RATE_ONE_COLOR, ("nu", "atoms", 0, "mass"), True),
+     "bad measure in config: atom mass True is not a finite real number"),
+    ("rate", dict(RATE_ONE_COLOR, omega=["1"]), "omega entry '1' is not a finite real number"),
+    ("rate", _with(RATE_ONE_COLOR, ("nu", "probability"), "no"),
+     "bad measure in config: probability must be true or false, got 'no'"),
+    # open() reads an int as a file descriptor: 0 measured the graph on stdin with exit 0,
+    # and true opened fd 1 and closed it; 1.5 and null ended in a TypeError
+    ("measure", {"graph_path": 0}, "config key 'graph_path' has wrong type int"),
+    ("measure", {"graph_path": True}, "config key 'graph_path' has wrong type bool"),
+    ("measure", {"graph_path": 1.5}, "config key 'graph_path' has wrong type float"),
+    ("measure", {"graph_path": None}, "config key 'graph_path' has wrong type NoneType"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)

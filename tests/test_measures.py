@@ -15,7 +15,8 @@ from graphrates import (Alphabet, ColorCounts, ColorMeasure, Kernel, ModelParams
                         product_kernel_measure, quantize, relative_entropy,
                         sample_colored_graph, total_variation)
 from graphrates.errors import InfeasibleError
-from graphrates.measures import _atom_list, _atom_table, _find, _merged, _real, _whole
+from graphrates.measures import (_atom_list, _atom_table, _find, _float64, _merged, _real,
+                                 _whole)
 from graphrates.seeds import derive_child_seed
 
 A1 = Alphabet(1)
@@ -120,10 +121,53 @@ def test_measure_arrays_share_one_validator(build, good):
     negative, infinite = np.array(good), np.array(good)
     negative[-1] = -1.0
     infinite[-1] = math.inf
+    text, flag = np.array(good, dtype=object), np.array(good, dtype=object)
+    text.flat[0], flag.flat[0] = "0.5", True  # numpy's float cast read 0.5 and 1.0
     for bad, message in ((np.ones(3), "shape"), (negative, "finite and >= 0"),
-                         (infinite, "finite and >= 0"), ({"a": 1}, "array of numbers")):
+                         (infinite, "finite and >= 0"),
+                         ({"a": 1}, "entry {'a': 1} is not a finite real number"),
+                         (text.tolist(), "entry '0.5' is not a finite real number"),
+                         (flag.tolist(), "entry True is not a finite real number")):
         with pytest.raises(ValueError, match=message):
             build(A2, bad)
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, None], ids=["string", "bool", "null"])
+def test_neighborhood_masses_are_read_as_real_numbers(bad):
+    # numpy's float cast read "0.5" as 0.5 and True as 1.0
+    message = re.escape(f"atom mass {bad!r} is not a finite real number")
+    with pytest.raises(ValueError, match=message):
+        NeighborhoodMeasure(A1, {(0, (1,)): bad, (0, (0,)): 0.5})
+    with pytest.raises(ValueError, match=message):
+        NeighborhoodMeasure.from_dict({"m": 1, "atoms": [{"color": 0, "ell": [1], "mass": bad}]})
+    with pytest.raises(ValueError, match=message):
+        NeighborhoodMeasure.from_arrays(A1, [0], [[1]], [bad])
+
+
+def test_neighborhood_from_dict_reads_probability_as_a_json_bool():
+    d = {"m": 1, "atoms": [{"color": 0, "ell": [1], "mass": 0.5}]}
+    assert NeighborhoodMeasure.from_dict(d).probability is False
+    assert NeighborhoodMeasure.from_dict(dict(d, probability=False)).probability is False
+    for flag in ("no", 1, None):  # "no" was read as true by its truthiness
+        with pytest.raises(ValueError, match=re.escape(f"probability must be true or false, "
+                                                       f"got {flag!r}")):
+            NeighborhoodMeasure.from_dict(dict(d, probability=flag))
+    with pytest.raises(ValueError, match="probability measure has total mass 0.5"):
+        NeighborhoodMeasure.from_dict(dict(d, probability=True))
+
+
+def test_float64_passes_a_float64_array_and_reads_anything_else_entry_by_entry():
+    held = np.array([[0.5, 2.0]])
+    assert _float64(held, "x") is held
+    for values in ([[0.5, 2]], np.array([[0.5, 2]], dtype=np.float32),
+                   [[Fraction(1, 2), np.int64(2)]]):
+        out = _float64(values, "x")
+        assert out.dtype == np.float64 and out.tolist() == [[0.5, 2.0]]
+    for bad, message in ((["1"], "x '1' is not"), ([[0.5], [0.5, 1]], "x [0.5] is not"),
+                         ([math.inf], "x inf is not"), ([10 ** 400], "x is too large"),
+                         ([False], "x False is not")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _float64(bad, "x")
 
 
 MU_A2 = ColorMeasure(A2, [0.5, 0.5], probability=True)
@@ -215,7 +259,8 @@ def test_neighborhood_table_is_sorted_and_checked():
             (([0, 2], [[0, 0], [1, 0]], [0.5, 0.5]), "color 2 outside alphabet of size 2"),
             (([0, 0], [[0, 0], [0, -1]], [0.5, 0.5]), "negative entries: \\(0, -1\\)"),
             (([0, 0], [[1, 0], [1, 0]], [0.5, 0.5]), "duplicate atom \\(0, \\(1, 0\\)\\)"),
-            (([0, 0], [[1, 0], [0, 0]], [0.5, math.nan]), "non-positive mass nan"),
+            (([0, 0], [[1, 0], [0, 0]], [0.5, math.nan]), "atom mass nan is not a finite real"),
+            (([0, 0], [[1, 0], [0, 0]], np.array([0.5, math.nan])), "non-positive mass nan"),
             (([0, 0], [[1, 0], [0, 0]], [0.5, 0.6]), "total mass"),
             (([0, 0], [[1.0, 0], [0, 0]], [0.5, 0.5]), "integer arrays"),
             (([0], [[1, 0], [0, 0]], [0.5, 0.5]), "shapes")):
@@ -668,7 +713,7 @@ def test_cap_degrees_two_colors():
     (lambda: _real("1.5", "x"), "x '1.5' is not a finite real number"),
     (lambda: _real(math.nan, "x", 0), "x nan is not a finite real number"),
     (lambda: _real(math.inf, "x", 0), "x inf is not a finite real number"),
-    (lambda: _real(10 ** 400, "x"), "is not a finite real number"),
+    (lambda: _real(10 ** 400, "x"), "x is too large for a float"),
     (lambda: _real(-math.inf, "mean", 0), "mean must be nonnegative, got -inf"),
     (lambda: _real(-1, "beta", 0), "beta must be nonnegative, got -1.0"),
     (lambda: _real(0, "eps", 0, strict=True), "eps must be positive, got 0.0"),

@@ -324,8 +324,11 @@ def test_rate_delta_refuses_a_mean_the_degrees_contradict():
 @pytest.mark.parametrize("d, message", [
     ({1.5: 1.0}, "degree must be an integer, got 1.5"),
     ({True: 1.0}, "degree must be an integer, got True"),  # int() read it as degree 1
-    ({0: 1.5, 1: -0.5}, "degree 1 has negative mass -0.5"),
-], ids=["fraction", "bool", "negative-mass"])
+    ({0: 1.5, 1: -0.5}, "degree 1 mass must be nonnegative, got -0.5"),
+    # True answered 0.5 as a mass of 1, and "0.5" raised a TypeError from the sum
+    ({0: True}, "degree 0 mass True is not a finite real number"),
+    ({0: "0.5", 2: 0.5}, "degree 0 mass '0.5' is not a finite real number"),
+], ids=["fraction", "bool", "negative-mass", "bool-mass", "string-mass"])
 def test_rate_delta_refuses_a_degree_or_mass_out_of_range(d, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         rate_delta(d, 1.0)
@@ -484,7 +487,7 @@ _NOT_FINITE = "is not a finite real number"
     (lambda: exact_er_edge_exponent(100, 2.0, math.nan), "x nan " + _NOT_FINITE),
     (lambda: rate_delta({0: 0.5, 2: 0.5}, 1.0, mean=-math.inf),
      "mean must be nonnegative, got -inf"),
-    (lambda: rate_delta({0: math.nan, 2: 1.0}, 1.0), "degree distribution has total mass nan"),
+    (lambda: rate_delta({0: math.nan, 2: 1.0}, 1.0), "degree 0 mass nan " + _NOT_FINITE),
 ], ids=["ising-c", "ising-beta", "zeta-inner-x", "zeta-x", "zeta-er-c", "zeta-er-x",
         "ising-oracle-c", "isolated-t", "consistify-eps", "delta-c", "exact-er-x",
         "delta-negative-infinite-mean", "delta-nan-mass"])
