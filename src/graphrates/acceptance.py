@@ -28,9 +28,9 @@ from .seeds import derive_child_seed
 
 # the 2-color benchmark model used across criteria, the color law of every
 # one-color (Erdos-Renyi) model and the kernel of the 3-color model
-BENCH_MU = ColorMeasure(Alphabet(2), [0.5, 0.5], probability=True)
+BENCH_MU = ColorMeasure(Alphabet(2), [0.5, 0.5])
 BENCH_C = Kernel(Alphabet(2), [[3.0, 1.0], [1.0, 2.0]])
-ER_MU = ColorMeasure(Alphabet(1), [1.0], probability=True)
+ER_MU = ColorMeasure(Alphabet(1), [1.0])
 THREE_C = Kernel(Alphabet(3), [[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 1.5]])
 
 # published seed material; changing any of these invalidates the battery
@@ -218,8 +218,7 @@ def _random_sub_consistent(rng, alphabet):
         ell = tuple(int(x) for x in rng.integers(0, 4, m))
         support[(a, ell)] = support.get((a, ell), 0.0) + float(rng.uniform(0.1, 1.0))
     total = sum(support.values())
-    nu = NeighborhoodMeasure(alphabet, {k: v / total for k, v in support.items()},
-                             probability=True)
+    nu = NeighborhoodMeasure(alphabet, {k: v / total for k, v in support.items()})
     _, phi2 = phi(nu)
     base = np.maximum(phi2, phi2.T)
     noise = rng.uniform(0.0, 0.5, (m, m))
@@ -248,7 +247,7 @@ def criterion_6():
             breakdown_ok = breakdown_ok and math.isclose(
                 rv.value, sum(rv.breakdown.values()), rel_tol=0, abs_tol=1e-12)
 
-    bad_nu = NeighborhoodMeasure(mu.alphabet, {(0, (5, 0)): 1.0}, probability=True)
+    bad_nu = NeighborhoodMeasure(mu.alphabet, {(0, (5, 0)): 1.0})
     bad_pair = PairMeasure(mu.alphabet, np.full((2, 2), 1e-6))
     inf_value = rates.rate_J(bad_pair, bad_nu, mu, C)
     passed = (zero_value <= 1e-9 and min_random >= 0.0 and breakdown_ok
@@ -271,7 +270,7 @@ def _mixed_model(i):
         return ER_MU, Kernel.constant(2.5)
     if which == 1:
         return BENCH_MU, BENCH_C
-    return ColorMeasure(Alphabet(3), [0.5, 0.3, 0.2], probability=True), THREE_C
+    return ColorMeasure(Alphabet(3), [0.5, 0.3, 0.2]), THREE_C
 
 
 @lru_cache(maxsize=1)
@@ -345,7 +344,7 @@ def criterion_9():
     worst_pair_move = {}
     cases = [
         (PairMeasure(Alphabet(1), [[0.8]]),
-         NeighborhoodMeasure(Alphabet(1), {(0, (0,)): 1.0}, probability=True)),
+         NeighborhoodMeasure(Alphabet(1), {(0, (0,)): 1.0})),
         (product_kernel_measure(C, mu), rates.poisson_limit_law(mu, C)),
     ]
     consistify_ok = True
@@ -364,7 +363,7 @@ def criterion_9():
     # exactly consistent input comes back untouched; graph-derived input is
     # consistent up to one ulp of float recomputation, so the repair there
     # must be at rounding scale, not at eps scale
-    exact_nu = NeighborhoodMeasure(Alphabet(1), {(0, (1,)): 1.0}, probability=True)
+    exact_nu = NeighborhoodMeasure(Alphabet(1), {(0, (1,)): 1.0})
     exact_pair = PairMeasure(Alphabet(1), [[1.0]])
     same_pair, same_nu = consistify(exact_pair, exact_nu, 0.01)
     identity_ok = same_pair is exact_pair and same_nu is exact_nu

@@ -3,13 +3,13 @@
 One argparse parser reads a command name and --config, --seed, --out and --suite,
 which is for validate alone; --seed and degree keys are ASCII base-10 tokens, as
 in the .txt format. main frames every command except validate: it reads the JSON
-config, runs the command on it, and emits a one-line JSON document whose first
-key, "manifest", echoes the command and the resolved config, including the seed
-that took effect for a command that draws, so a run can be reproduced from its
-own output. validate takes no config and writes no manifest. One writer, _emit,
-writes every JSON document, each non-finite float as "inf", "-inf" or "nan".
-Tabular Monte Carlo output switches to CSV when --out ends in .csv; graphs switch
-to the plain text format when --out ends in .txt, with the manifest in a sidecar.
+config, refuses a key the command does not read, runs the command and emits a
+one-line JSON document whose first key, "manifest", echoes the command and the
+resolved config, including the seed that took effect for a command that draws, so
+a run can be reproduced from its own output. validate takes no config and writes
+no manifest. One writer, _emit, writes every JSON document, each non-finite float
+as "inf", "-inf" or "nan". With --out ending in .csv or .txt, a Monte Carlo table
+or a graph goes out in that flat format, with the manifest in a sidecar.
 
 Only the numpy layers (graphs, measures) are imported here. Each command
 imports the rate, solver, oracle, Monte Carlo and acceptance modules it runs,
@@ -22,6 +22,7 @@ to converge. A failed validate suite exits 1.
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -30,10 +31,10 @@ import numpy as np
 from .errors import ConfigError, InfeasibleError, NonConvergenceError
 from .graphs import (ColoredGraph, ModelParams, empirical_measures,
                      sample_colored_graph, sample_conditional)
-from .measures import (PROB_TOL, Alphabet, ColorCounts, ColorMeasure, Kernel,
-                       NeighborhoodMeasure, PairCounts, PairMeasure, _float64, _real, _whole,
-                       cap_degrees, consistify, phi, phi_counts,
-                       product_kernel_measure, quantize, total_variation)
+from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel, NeighborhoodMeasure,
+                       PairCounts, PairMeasure, _float64, _real, _whole, cap_degrees,
+                       consistify, phi, phi_counts, product_kernel_measure, quantize,
+                       require_probability, total_variation)
 from .seeds import check_seed
 
 
@@ -83,11 +84,10 @@ def _parse_mu(raw, key):
     w = _from_config(_float64, raw, f"{key} entry")
     if w.ndim != 1 or w.size == 0:
         raise ConfigError(f"{key} must be a non-empty flat list")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum fails the check
-        total = float(w.sum())
-    if not abs(total - 1.0) <= PROB_TOL:
-        raise ConfigError(f"{key} must sum to 1 (got {total!r})")
-    return _from_config(lambda: ColorMeasure(Alphabet(w.size), w / total, probability=True))
+    mu = _from_config(lambda: ColorMeasure(Alphabet(w.size), w))
+    with np.errstate(over="ignore"):  # an overflowing sum fails the check
+        _from_config(require_probability, mu, key)
+    return ColorMeasure(mu.alphabet, w / mu.total_mass)
 
 
 def _parse_kernel(raw, m):
@@ -134,26 +134,29 @@ def _emit(doc, args, flat=None):
     A ColoredGraph value in the document is written as its to_json() text, the
     bytes json.dumps gives its to_dict(); every other value goes through _plain.
     """
-    path = args.out
+    path, undo = args.out, None
     if flat is not None:
-        _write(path, flat())
-        path, doc = path + ".manifest.json", doc["manifest"]
+        path, undo, doc = path + ".manifest.json", path, doc["manifest"]
     try:  # without an indent json runs its C encoder, several times faster
         payload = "{" + ", ".join(f"{json.dumps(key)}: {_encode(value)}"
                                   for key, value in doc.items()) + "}\n"
     except RecursionError:  # _plain recurses once per level of the config it echoes
         raise ConfigError("config is nested too deeply to echo in the manifest") from None
+    if undo is not None:
+        _write(undo, flat())
     if path:
-        _write(path, payload)
+        _write(path, payload, undo)
     else:
         sys.stdout.write(payload)
 
 
-def _write(path, text):
+def _write(path, text, undo=None):
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
+        if undo is not None:  # undo, a flat file, goes out only with its manifest
+            os.remove(undo)
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
@@ -389,15 +392,15 @@ def _cmd_validate(args):
     return 0 if all(rec["passed"] for rec in records) else 1
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "measure": _cmd_measure,
-    "rate": _cmd_rate,
-    "degree-rate": _cmd_degree_rate,
-    "edge-rate": _cmd_edge_rate,
-    "ising": _cmd_ising,
-    "sample-conditional": _cmd_sample_conditional,
-    "approximate": _cmd_approximate,
+_COMMANDS = {  # each command and every config key it reads in some mode
+    "generate": (_cmd_generate, "mu C n seed"),
+    "measure": (_cmd_measure, "graph graph_path mu C n seed"),
+    "rate": (_cmd_rate, "mu C nu pair omega"),
+    "degree-rate": (_cmd_degree_rate, "degrees c mean"),
+    "edge-rate": (_cmd_edge_rate, "mu C x mode sizes event replicas replica_offset seed"),
+    "ising": (_cmd_ising, "beta c"),
+    "sample-conditional": (_cmd_sample_conditional, "n color_counts edge_counts seed"),
+    "approximate": (_cmd_approximate, "mu C eps cap n seed"),
 }
 
 
@@ -421,7 +424,11 @@ def main(argv=None):
         if args.suite is not None:
             raise ConfigError(f"--suite is for validate only, not {args.command}")
         cfg = _load_config(args.config)
-        body, flat = _COMMANDS[args.command](cfg, args)
+        run, keys = _COMMANDS[args.command]  # --seed counts as the key "seed"
+        extra = sorted({*cfg, *([] if args.seed is None else ["seed"])} - set(keys.split()))
+        if extra:
+            raise ConfigError(f"{args.command} does not read the config keys {extra}")
+        body, flat = run(cfg, args)
         _emit({"manifest": {"command": args.command, "config": cfg}, **body}, args, flat)
         return 0
     except ConfigError as exc:

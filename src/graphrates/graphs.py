@@ -22,8 +22,8 @@ import numpy as np
 from numpy.random import default_rng  # numpy 2 loads numpy.random on first use, not on import
 
 from .errors import InfeasibleError
-from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel,
-                       NeighborhoodCounts, PairCounts, _check_same_alphabet, _int64, _whole)
+from .measures import (Alphabet, ColorCounts, ColorMeasure, Kernel, NeighborhoodCounts,
+                       PairCounts, _check_same_alphabet, _int64, _is_probability, _whole)
 from .seeds import check_seed
 
 
@@ -194,7 +194,7 @@ class ModelParams:
     """Color law mu, kernel C, and size n; p_n(a,b) = min(C(a,b)/n, 1)."""
 
     def __init__(self, mu, C, n):
-        if not isinstance(mu, ColorMeasure) or not mu.probability:
+        if not isinstance(mu, ColorMeasure) or not _is_probability(mu):
             raise ValueError("mu must be a probability ColorMeasure")
         if not isinstance(C, Kernel):
             raise ValueError("C must be a Kernel")

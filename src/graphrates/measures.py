@@ -17,7 +17,8 @@ float mass or an int count per atom. _atom_table checks it once, in numpy;
 phi, phi_counts, degree_distribution, relative_entropy and total_variation
 are numpy expressions over it. One int64 key per row, _order_key, sorts it,
 finds its duplicates, merges equal atoms (_merged) and matches atoms against it
-(_find). relative_entropy is sum w (ln w - ln q) for every type: no ratio w/q forms.
+(_find). relative_entropy is sum w ln(w/q) for every type, each log by _log_ratios.
+require_probability, total mass 1 within PROB_TOL, is the one test of a probability law.
 
 The phi map sends a neighborhood measure to (color marginal, induced pair
 matrix); a pair measure dominating the induced matrix entrywise is called
@@ -35,11 +36,8 @@ import numpy as np
 
 from .errors import InfeasibleError
 
-# probability flags and sub-consistency checks share one absolute tolerance
-MASS_TOL = 1e-12
 SUB_CONSISTENCY_TOL = 1e-12
-# "is a probability measure" preconditions; looser than the construction-time
-# flag so long empirical sums stay admissible
+# the one tolerance of "is a probability measure", loose enough for long empirical sums
 PROB_TOL = 1e-9
 
 # DegreeVector: a tuple of m nonnegative ints, ell[b] = neighbors of color b.
@@ -254,9 +252,14 @@ def _check_same_alphabet(*objs):
         raise ValueError(f"alphabet mismatch: m in {sorted(ms)}")
 
 
+def _is_probability(x):
+    """True iff the measure x has total mass 1 within PROB_TOL."""
+    return abs(x.total_mass - 1.0) <= PROB_TOL
+
+
 def require_probability(x, name):
-    """Raise ValueError unless the measure x has total mass 1 within PROB_TOL."""
-    if abs(x.total_mass - 1.0) > PROB_TOL:
+    """Raise ValueError unless the measure x is a probability law (_is_probability)."""
+    if not _is_probability(x):
         raise ValueError(f"{name} must be a probability measure, total mass {x.total_mass!r}")
 
 
@@ -278,22 +281,20 @@ def _measure_array(alphabet, values, square, what):
 
 
 class ColorMeasure:
-    """Nonnegative weights per color; probability=True pins total mass to 1."""
+    """Nonnegative weights per color; probability=True runs require_probability."""
 
     def __init__(self, alphabet, weights, probability=False):
-        w = _measure_array(alphabet, weights, False, "color measure")
-        if probability and abs(w.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"probability measure has total mass {w.sum()!r}")
         self.alphabet = alphabet
-        self.weights = w
-        self.probability = bool(probability)
+        self.weights = _measure_array(alphabet, weights, False, "color measure")
+        if probability:
+            require_probability(self, "color measure")
 
     @property
     def total_mass(self):
         return float(self.weights.sum())
 
     def __repr__(self):
-        return f"ColorMeasure({self.weights.tolist()}, probability={self.probability})"
+        return f"ColorMeasure({self.weights.tolist()})"
 
 
 class PairMeasure:
@@ -319,12 +320,11 @@ class PairMeasure:
 
 
 class NeighborhoodMeasure:
-    """Sparse measure on (color, degree vector) atoms with positive masses, held as
-    the atom table colors (K,), ells (K, m) and weights (K,)."""
+    """Sparse measure on (color, degree vector) atoms with positive masses, held as the atom
+    table colors (K,), ells (K, m) and weights (K,); probability=True runs require_probability."""
 
     def __init__(self, alphabet, support, probability=False):
-        self._fill(alphabet, *_read_keys(support, alphabet.m), list(support.values()),
-                   probability)
+        self._fill(alphabet, *_read_keys(support, alphabet.m), list(support.values()), probability)
 
     @classmethod
     def from_arrays(cls, alphabet, colors, ells, masses, probability=False):
@@ -336,10 +336,9 @@ class NeighborhoodMeasure:
     def _fill(self, alphabet, colors, ells, masses, probability):
         self.colors, self.ells, self.weights = _atom_table(alphabet.m, colors, ells,
                                                            _float64(masses, "atom mass"))
-        if probability and abs(self.total_mass - 1.0) > MASS_TOL:
-            raise ValueError(f"probability measure has total mass {self.total_mass!r}")
         self.alphabet = alphabet
-        self.probability = bool(probability)
+        if probability:
+            require_probability(self, "neighborhood measure")
 
     @property
     def total_mass(self):
@@ -359,9 +358,8 @@ class NeighborhoodMeasure:
         return _atom_list(self.colors, self.ells, self.weights)
 
     def to_dict(self):
-        return {"m": self.alphabet.m, "probability": self.probability,
-                "atoms": [{"color": a, "ell": list(ell), "mass": w}
-                          for (a, ell), w in self.atoms()]}
+        return {"m": self.alphabet.m, "atoms": [{"color": a, "ell": list(ell), "mass": w}
+                                                for (a, ell), w in self.atoms()]}
 
     @classmethod
     def from_dict(cls, d):
@@ -416,7 +414,7 @@ class ColorCounts:
 
     @property
     def measure(self):
-        return ColorMeasure(self.alphabet, self.counts / self.n, probability=True)
+        return ColorMeasure(self.alphabet, self.counts / self.n)
 
     def to_dict(self):
         return {"n": self.n, "counts": self.counts.tolist()}
@@ -491,7 +489,7 @@ class NeighborhoodCounts:
     @property
     def measure(self):
         return NeighborhoodMeasure.from_arrays(self.alphabet, self.colors, self.ells,
-                                               self.counts / self.n, probability=True)
+                                               self.counts / self.n)
 
     def atoms(self):
         """[((color, ell), count)] in (color, degree vector) sort order."""
@@ -569,8 +567,8 @@ def relative_entropy(nu, mu):
     Conventions: 0*log 0 = 0 and mass where mu vanishes gives +inf. Works on
     matched ColorMeasure, PairMeasure, or NeighborhoodMeasure pairs, as
     sum w ln(w/q) with q mu's mass at each of nu's entries or atoms, each
-    log taken by _log_ratios. When both carry the probability flag the value
-    is clamped at 0, which the true value cannot go below.
+    log taken by _log_ratios. When both are probability laws (_is_probability)
+    the value is clamped at 0, which the true value cannot go below.
     """
     if type(nu) is not type(mu):
         raise ValueError(f"measure types differ: {type(nu).__name__} vs {type(mu).__name__}")
@@ -580,11 +578,8 @@ def relative_entropy(nu, mu):
         q = np.append(q, 0.0)[_find(mu, nu.colors, nu.ells)]
     w, q = nu.weights.ravel(), q.ravel()
     w, q = w[w > 0], q[w > 0]
-    total = float(np.sum(w * _log_ratios(w, q)))
-    if math.isinf(total):
-        return math.inf
-    both_prob = getattr(nu, "probability", False) and getattr(mu, "probability", False)
-    return max(total, 0.0) if both_prob else total
+    total = float(np.sum(w * _log_ratios(w, q)))  # +inf where q is 0; never -inf or NaN
+    return max(total, 0.0) if _is_probability(nu) and _is_probability(mu) else total
 
 
 def total_variation(nu, nu_tilde):
@@ -619,8 +614,7 @@ def phi(nu):
     symmetrization is left to the caller.
     """
     m = nu.alphabet.m
-    nu1 = ColorMeasure(nu.alphabet, _color_sums(nu.colors, nu.weights, m),
-                       probability=nu.probability)
+    nu1 = ColorMeasure(nu.alphabet, _color_sums(nu.colors, nu.weights, m))
     return nu1, _color_sums(nu.colors, nu.weights[:, None] * nu.ells, m)
 
 
@@ -694,7 +688,7 @@ def consistify(pair, nu, eps):
         np.concatenate((nu.colors, a)), np.concatenate((nu.ells, heavy)),
         np.concatenate((nu.weights * scale, deficit[a, b] / n)))
     nu_hat = NeighborhoodMeasure.from_arrays(nu.alphabet, colors[weights > 0], ells[weights > 0],
-                                             weights[weights > 0], probability=True)
+                                             weights[weights > 0])
     pair_hat = PairMeasure(pair.alphabet, scale * sym + deficit)
     return pair_hat, nu_hat
 

@@ -19,7 +19,7 @@ from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .errors import BudgetError
 from .mcharness import _edge_threshold
-from .measures import _check_same_alphabet, _real, _whole
+from .measures import _check_same_alphabet, _float64, _real, _whole
 
 VECTOR_PARTITION_BUDGET = 14
 ISOLATED_TAIL_BUDGET = 1600  # isolated_log_tail's fixed-point recursion costs about n^3.5
@@ -38,10 +38,10 @@ def extrapolate_exact(sizes, exponents, d):
     d counts the law's free lattice counts: 1 for the tail or point mass of one count
     (the edge count, the isolated vertices, a matching's edges), m(m + 1)/2 for the
     class-pair edge counts, 0 for a sum over a whole state space such as E Z_n."""
-    n = np.array(sizes, dtype=float)
+    n = np.array([_whole(x, "a size", 1) for x in sizes], dtype=float)
     if n.size < 3:
         raise ValueError(f"an exact ladder needs three or more sizes, got {n.size}")
-    y = np.array(exponents, dtype=float) - d / 2 * np.log(n) / n
+    y = _float64(exponents, "exponent") - _whole(d, "d", 0) / 2 * np.log(n) / n
     basis = np.vander(n.min() / n, 3, increasing=True)  # 1/n scaled to keep it conditioned
     return float(np.linalg.lstsq(basis, y, rcond=None)[0][0])
 

@@ -130,8 +130,7 @@ def poisson_limit_law(mu, C):
         parts.append((np.full(len(q), a), grid, q))
     colors, ells, masses = (np.concatenate(x) for x in zip(*parts))
     keep = masses > 0.0
-    return NeighborhoodMeasure.from_arrays(mu.alphabet, colors[keep], ells[keep], masses[keep],
-                                           probability=True)
+    return NeighborhoodMeasure.from_arrays(mu.alphabet, colors[keep], ells[keep], masses[keep])
 
 
 def _neighborhood_entropy(pair, nu):

@@ -205,14 +205,15 @@ def test_seed_flag_overrides_config(tmp_path):
     assert doc["graph"]["edges"] != doc42["graph"]["edges"]
 
 
-# every config command with a config, and whether it draws with a seed
+# every config command with a config, and whether it draws with a seed; rate, degree-rate
+# and ising read no seed, so --seed is refused there (test_a_key_the_command_does_not_read)
 MANIFEST_CASES = [
     ("generate", lambda: dict(BENCH, n=50, seed=7), True),
     ("measure", lambda: dict(BENCH, n=50, seed=7), True),
     ("measure", lambda: {"graph": {"n": 3, "m": 1, "colors": [0, 0, 0], "edges": [[0, 2]]}},
      False),
     ("rate", lambda: dict(BENCH, **_zero_point_measures(BENCH["mu"], BENCH["C"])), False),
-    ("degree-rate", lambda: {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0, "seed": 9}, False),
+    ("degree-rate", lambda: {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0}, False),
     ("edge-rate", lambda: dict(BENCH, x=1.2), False),
     ("edge-rate", lambda: dict(ER_EXACT, sizes=[50]), False),
     ("edge-rate", lambda: dict(ER_MC, replicas=20), True),
@@ -231,7 +232,9 @@ MANIFEST_CASES = [
 def test_manifest_echoes_the_command_and_resolved_config(tmp_path, command, make_cfg,
                                                           draws):
     cfg = make_cfg()
-    runs = [(cfg, [], cfg), (cfg, ["--seed", "5"], dict(cfg, seed=5) if draws else cfg)]
+    runs = [(cfg, [], cfg)]
+    if command not in ("rate", "degree-rate", "ising"):
+        runs.append((cfg, ["--seed", "5"], dict(cfg, seed=5) if draws else cfg))
     if draws:  # a seed given only by the flag is added to the echoed config
         bare = {k: v for k, v in cfg.items() if k != "seed"}
         runs.append((bare, ["--seed", "5"], dict(bare, seed=5)))
@@ -768,17 +771,20 @@ def test_a_file_the_cli_cannot_read_or_write_exits_2(tmp_path, capsys, files, ar
     assert main([arg.format(d=tmp_path) for arg in argv.split()]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ")
+    # no file is left behind: the graph of a failed sidecar stayed as g.txt
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["gen.json", *files])
 
 
 def test_a_config_too_deep_to_echo_exits_2(capsys, monkeypatch):
     # json loads a config nested nearly as deep as the recursion limit, but _plain, which
-    # recurses once or twice per level, cannot echo it: a RecursionError and a traceback
+    # recurses once or twice per level, cannot echo it: a RecursionError and a traceback.
+    # The deep value sits in a field of nu that from_dict does not read, so rate runs
     note = []
     for _ in range(sys.getrecursionlimit()):
         note = [note]
-    monkeypatch.setattr(cli, "_load_config",
-                        lambda path: {"degrees": {"0": 1.0}, "c": 1.0, "note": note})
-    assert main(["degree-rate", "--config", "deep.json"]) == 2
+    cfg = dict(RATE_ONE_COLOR, nu=dict(RATE_ONE_COLOR["nu"], note=note))
+    monkeypatch.setattr(cli, "_load_config", lambda path: cfg)
+    assert main(["rate", "--config", "deep.json"]) == 2
     assert capsys.readouterr().err == ("config error: config is nested too deeply to echo "
                                        "in the manifest\n")
 
@@ -951,7 +957,7 @@ def _with(cfg, path, value):
      "bad counts: an edge count does not fit in int64"),
     # the refusal names the key it read
     ("rate", dict(BENCH, omega=[0.25, 0.5], **_zero_point_measures(BENCH["mu"], BENCH["C"])),
-     "omega must sum to 1 (got 0.75)"),
+     "omega must be a probability measure, total mass 0.75"),
     # a degree key is an ASCII base-10 token, as --seed is
     ("degree-rate", {"degrees": {"0": 0.5, "1_0": 0.5}, "c": 1.0},
      "degrees must map integers to probabilities: degree must be an integer, got '1_0'"),
@@ -985,12 +991,35 @@ def _with(cfg, path, value):
     ("measure", {"graph_path": True}, "config key 'graph_path' has wrong type bool"),
     ("measure", {"graph_path": 1.5}, "config key 'graph_path' has wrong type float"),
     ("measure", {"graph_path": None}, "config key 'graph_path' has wrong type NoneType"),
+    # mu is a probability law by require_probability's one test, whose overflowing sum fails
+    ("edge-rate", dict(BENCH, mu=[1e308, 1e308], x=1.0),
+     "mu must be a probability measure, total mass inf"),
 ])
 def test_out_of_range_exit_2(tmp_path, capsys, command, payload, message):
     cfg = _write(tmp_path, "bad.json", payload)
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("command, cfg, flags, extra", [
+    ("ising", {"betas": [0.5], "c": 1.0}, [], ["betas"]),
+    ("edge-rate", {"mu": [1.0], "C": 2.0, "x": 1.5, "mdoe": "exact"}, [], ["mdoe"]),
+    ("generate", dict(BENCH, n=20, seed=1, sede=5), ["--out", "g.txt"], ["sede"]),
+    ("degree-rate", {"degrees": {"0": 0.5, "2": 0.5}, "c": 1.0}, ["--seed", "5"], ["seed"]),
+    ("rate", dict(RATE_ONE_COLOR, seed=3, Omega=[1.0]), [], ["Omega", "seed"]),
+], ids=["ising-betas", "edge-rate-mdoe", "generate-sede", "degree-rate-seed-flag",
+        "rate-two-keys"])
+def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, monkeypatch, command, cfg,
+                                                 flags, extra):
+    # each was echoed in the manifest and ignored: ising answered at beta = 0, edge-rate ran
+    # zeta mode, and generate and degree-rate exited 0
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: {command} does not read the config keys {extra}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # the command never ran
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

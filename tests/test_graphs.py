@@ -78,6 +78,12 @@ def test_model_params_refuse_a_law_or_kernel_of_the_wrong_kind(mu, C, message):
         ModelParams(mu, C, 10)
 
 
+def test_model_params_accept_a_probability_law_built_without_the_keyword():
+    # mu was refused unless it carried the flag that probability=True stored
+    mu = ColorMeasure(A2, [0.5, 0.5])
+    assert ModelParams(mu, Kernel(A2, np.ones((2, 2))), 10).mu is mu
+
+
 def test_graph_text_round_trip():
     g = ColoredGraph(4, 3, [1, 0, 2, 1], [(0, 2), (1, 3)])
     assert ColoredGraph.from_text(g.to_text()) == g

@@ -38,6 +38,23 @@ def test_color_measure_probability_mass_check():
     ColorMeasure(A2, [0.5, 0.5], probability=True)
 
 
+def test_probability_keyword_runs_the_one_check_and_stores_nothing():
+    # the keyword stored a flag, checked at 1e-12 and read by its truthiness; it now runs
+    # require_probability, at PROB_TOL, whenever it is truthy, and stores nothing
+    for flag in (True, "no"):
+        with pytest.raises(ValueError, match=re.escape(
+                "color measure must be a probability measure, total mass 1.1")):
+            ColorMeasure(A2, [0.5, 0.6], probability=flag)
+        with pytest.raises(ValueError, match=re.escape(
+                "neighborhood measure must be a probability measure, total mass 0.5")):
+            NeighborhoodMeasure(A1, {(0, (1,)): 0.5}, probability=flag)
+    near = [0.5, 0.5 + 1e-10]  # within PROB_TOL, past the flag's 1e-12
+    assert ColorMeasure(A2, near, probability=True).weights.tolist() == near
+    for mu in (ColorMeasure(A2, [0.5, 0.5]), ColorMeasure(A2, [0.5, 0.5], probability=True),
+               NeighborhoodMeasure(A1, {(0, (1,)): 1.0}, probability=True)):
+        assert not hasattr(mu, "probability")
+
+
 def test_pair_measure_requires_exact_symmetry():
     with pytest.raises(ValueError, match="symmetric"):
         PairMeasure(A2, [[1.0, 0.3], [0.300000001, 1.0]])
@@ -146,14 +163,17 @@ def test_neighborhood_masses_are_read_as_real_numbers(bad):
 
 def test_neighborhood_from_dict_reads_probability_as_a_json_bool():
     d = {"m": 1, "atoms": [{"color": 0, "ell": [1], "mass": 0.5}]}
-    assert NeighborhoodMeasure.from_dict(d).probability is False
-    assert NeighborhoodMeasure.from_dict(dict(d, probability=False)).probability is False
+    # false or missing runs no check, so the measure of mass 0.5 is built
+    assert NeighborhoodMeasure.from_dict(d).total_mass == 0.5
+    assert NeighborhoodMeasure.from_dict(dict(d, probability=False)).total_mass == 0.5
     for flag in ("no", 1, None):  # "no" was read as true by its truthiness
         with pytest.raises(ValueError, match=re.escape(f"probability must be true or false, "
                                                        f"got {flag!r}")):
             NeighborhoodMeasure.from_dict(dict(d, probability=flag))
-    with pytest.raises(ValueError, match="probability measure has total mass 0.5"):
+    with pytest.raises(ValueError, match=re.escape(
+            "neighborhood measure must be a probability measure, total mass 0.5")):
         NeighborhoodMeasure.from_dict(dict(d, probability=True))
+    assert "probability" not in NeighborhoodMeasure.from_dict(d).to_dict()
 
 
 def test_float64_passes_a_float64_array_and_reads_anything_else_entry_by_entry():
@@ -398,6 +418,20 @@ def test_relative_entropy_frozen_example():
     nu = ColorMeasure(A2, [0.5, 0.5], probability=True)
     mu = ColorMeasure(A2, [0.25, 0.75], probability=True)
     assert relative_entropy(nu, mu) == pytest.approx(0.14384103622589042, abs=1e-15)
+
+
+def test_relative_entropy_clamps_two_probability_laws_without_a_flag():
+    # this pair read -6.9e-17 unless both measures were built with probability=True
+    a3 = Alphabet(3)
+    w = [0.39897067747072157, 0.5621281355188825, 0.03890118701039591]
+    q = [0.3989706774707213, 0.5621281355188829, 0.038901187010395924]
+    assert relative_entropy(ColorMeasure(a3, w), ColorMeasure(a3, q)) == 0.0
+    assert relative_entropy(ColorMeasure(a3, w, probability=True),
+                            ColorMeasure(a3, q, probability=True)) == 0.0
+    # below mass 1 the sum can be negative, and it is not clamped
+    half = ColorMeasure(A2, [0.25, 0.25])
+    expect = -0.5 * math.log(2)
+    assert relative_entropy(half, ColorMeasure(A2, [0.5, 0.5])) == pytest.approx(expect)
 
 
 def test_relative_entropy_infinite_when_support_escapes():

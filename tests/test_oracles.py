@@ -38,6 +38,25 @@ def test_extrapolate_exact_refuses_fewer_than_three_sizes():
         extrapolate_exact((100, 200), [0.1, 0.1], 1)
 
 
+@pytest.mark.parametrize("sizes, exponents, d, message", [
+    (["100", "200", "400"], ["0.5", "0.45", True], 1, "a size must be an integer, got '100'"),
+    ([100, 200.5, 400], [0.5, 0.45, 0.4], 1.5, "a size must be an integer, got 200.5"),
+    ([100, True, 400], [0.5, 0.45, 0.4], 1, "a size must be an integer, got True"),
+    ([0, 200, 400], [0.5, 0.45, 0.4], 1, "a size must be >= 1, got 0"),
+    ([100, 200, 400], [0.5, 0.45, True], 1, "exponent True is not a finite real number"),
+    ([100, 200, 400], ["0.5", 0.45, 0.4], 1, "exponent '0.5' is not a finite real number"),
+    ([100, 200, 400], [0.5, 0.45, 0.4], 1.5, "d must be an integer, got 1.5"),
+    ([100, 200, 400], [0.5, 0.45, 0.4], -1, "d must be nonnegative, got -1"),
+], ids=["string-size", "fractional-size", "bool-size", "zero-size", "bool-exponent",
+        "string-exponent", "fractional-d", "negative-d"])
+def test_extrapolate_exact_reads_its_inputs_through_the_package_readers(sizes, exponents, d,
+                                                                         message):
+    # numpy's float cast answered (['100', '200', '400'], ['0.5', '0.45', True], 1) with
+    # 1.932 and ([100, 200.5, 400], [0.5, 0.45, 0.4], 1.5) with 0.331
+    with pytest.raises(ValueError, match=re.escape(message)):
+        extrapolate_exact(sizes, exponents, d)
+
+
 # ---------------------------------------------------------------------------
 # binomial tail
 
