@@ -3,13 +3,14 @@
 One argparse parser reads a command name and --config, --seed, --out and --suite,
 which is for validate alone; --seed and degree keys are ASCII base-10 tokens, as
 in the .txt format. main frames every command except validate: it reads the JSON
-config, refuses a key the command does not read, runs the command and emits a
-one-line JSON document whose first key, "manifest", echoes the command and the
-resolved config, including the seed that took effect for a command that draws, so
-a run can be reproduced from its own output. validate takes no config and writes
-no manifest. One writer, _emit, writes every JSON document, each non-finite float
-as "inf", "-inf" or "nan". With --out ending in .csv or .txt, a Monte Carlo table
-or a graph goes out in that flat format, with the manifest in a sidecar.
+config, refuses a key the command (for edge-rate, its mode) does not read, runs
+the command and emits a one-line JSON document whose first key, "manifest",
+echoes the command and the resolved config, including the seed that took effect
+for a command that draws, so a run can be reproduced from its own output.
+validate takes no config and writes no manifest. One writer, _emit, writes every
+JSON document, each non-finite float as "inf", "-inf" or "nan". With --out ending
+in .csv or .txt, a Monte Carlo table or a graph goes out in that flat format, with
+the manifest in a sidecar.
 
 Only the numpy layers (graphs, measures) are imported here. Each command
 imports the rate, solver, oracle, Monte Carlo and acceptance modules it runs,
@@ -120,6 +121,14 @@ def _resolve_seed(cfg, args):
     seed = _from_config(check_seed, raw)
     cfg["seed"] = seed
     return seed
+
+
+def _refuse_unread(name, keys, cfg, args):
+    """ConfigError naming every config key outside the space-separated keys; --seed
+    counts as the key "seed"."""
+    extra = sorted({*cfg, *([] if args.seed is None else ["seed"])} - set(keys.split()))
+    if extra:
+        raise ConfigError(f"{name} does not read the config keys {extra}")
 
 
 def _flat(args, suffix, text):
@@ -271,10 +280,14 @@ def _cmd_degree_rate(cfg, args):
 
 
 def _cmd_edge_rate(cfg, args):
-    mu, C = _parse_model(cfg)
     mode = cfg.get("mode", "zeta")
-    x = None if mode == "mc" and "event" in cfg else _from_config(
-        _real, _require(cfg, "x"), "config key 'x'")
+    if not isinstance(mode, str) or mode not in _EDGE_RATE_KEYS:
+        raise ConfigError(f"unknown edge-rate mode {mode!r}")
+    reads_x = mode != "mc" or "event" not in cfg  # an mc event carries its own threshold
+    _refuse_unread(f"edge-rate mode {mode!r}", _EDGE_RATE_KEYS[mode] + (" x" if reads_x else ""),
+                   cfg, args)
+    mu, C = _parse_model(cfg)
+    x = _from_config(_real, _require(cfg, "x"), "config key 'x'") if reads_x else None
     if mode == "zeta":
         from . import rates
         body = {"value": _from_config(rates.rate_zeta, x, mu, C)}
@@ -289,8 +302,6 @@ def _cmd_edge_rate(cfg, args):
         c = float(C.values[0, 0])
         return {"rows": [{"n": n, "exponent": _from_config(exact_er_edge_exponent, n, c, x)}
                          for n in sizes]}, None
-    if mode != "mc":
-        raise ConfigError(f"unknown edge-rate mode {mode!r}")
     from .mcharness import TailExperiment, estimate_tail_exponent
     seed = _resolve_seed(cfg, args)
     event = cfg.get("event", {"kind": "edges", "x": x})
@@ -392,12 +403,19 @@ def _cmd_validate(args):
     return 0 if all(rec["passed"] for rec in records) else 1
 
 
+# the config keys edge-rate reads in each mode; each reads x too, unless an mc event holds it
+_EDGE_RATE_KEYS = {
+    "zeta": "mu C mode",
+    "exact": "mu C mode sizes",
+    "mc": "mu C mode sizes event replicas replica_offset seed",
+}
+
 _COMMANDS = {  # each command and every config key it reads in some mode
     "generate": (_cmd_generate, "mu C n seed"),
     "measure": (_cmd_measure, "graph graph_path mu C n seed"),
     "rate": (_cmd_rate, "mu C nu pair omega"),
     "degree-rate": (_cmd_degree_rate, "degrees c mean"),
-    "edge-rate": (_cmd_edge_rate, "mu C x mode sizes event replicas replica_offset seed"),
+    "edge-rate": (_cmd_edge_rate, " ".join(["x", *_EDGE_RATE_KEYS.values()])),
     "ising": (_cmd_ising, "beta c"),
     "sample-conditional": (_cmd_sample_conditional, "n color_counts edge_counts seed"),
     "approximate": (_cmd_approximate, "mu C eps cap n seed"),
@@ -424,10 +442,8 @@ def main(argv=None):
         if args.suite is not None:
             raise ConfigError(f"--suite is for validate only, not {args.command}")
         cfg = _load_config(args.config)
-        run, keys = _COMMANDS[args.command]  # --seed counts as the key "seed"
-        extra = sorted({*cfg, *([] if args.seed is None else ["seed"])} - set(keys.split()))
-        if extra:
-            raise ConfigError(f"{args.command} does not read the config keys {extra}")
+        run, keys = _COMMANDS[args.command]
+        _refuse_unread(args.command, keys, cfg, args)
         body, flat = run(cfg, args)
         _emit({"manifest": {"command": args.command, "config": cfg}, **body}, args, flat)
         return 0

@@ -28,48 +28,50 @@ from .seeds import check_seed
 
 
 def _edge_order(rep, u, v, n):
-    """Order sorting edges (u, v) of replicas rep by (rep, u n + v), ColoredGraph's checks made."""
+    """The edges (u, v) of replicas rep sorted by (rep, u, v), ColoredGraph's checks made.
+
+    The key (rep n + u) n + v is one int64 per edge, ordered as the triples are, so
+    the sorted key alone gives the triples back by divmod.
+    """
     if (u < 0).any() or (u >= v).any() or (v >= n).any():
         raise ValueError(f"edges must satisfy 0 <= u < v < n = {n} (no loops)")
-    key = (rep * n + u) * n + v
-    order = key.argsort()
-    if (key[order[1:]] == key[order[:-1]]).any():
+    key = np.sort((rep * n + u) * n + v)
+    if (key[1:] == key[:-1]).any():
         raise ValueError("duplicate edges")
-    return order
-
-
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+    key, v = np.divmod(key, n)
+    return (*np.divmod(key, n), v)
 
 
 def _format_ints(table, seps):
     """The decimal digits of a non-negative int64 table's entries, row after row, with
     every entry but the last followed by the ASCII separator of its column.
 
-    An entry's digit count is 1 plus the powers of ten it reaches, which places every
-    entry and separator in one uint8 buffer; each digit place is then one scatter, the
-    entries without that place writing to a spare byte past the end.
+    Each column is written at the digit count of its largest entry, zero-padded, into
+    one uint8 cell matrix with its separator, dividing by 10 in 32-bit lanes where the
+    table allows; one boolean compaction then drops the leading zeros and the last
+    separator.
     """
-    values, seps = table.ravel(), [sep.encode() for sep in seps]
-    if not values.size:
+    if not table.size:
         return ""
-    digits = np.ones(values.size, dtype=np.int64)
-    for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= values.max()]:
-        digits += values >= power
-    sep_lens = np.array([len(sep) for sep in seps])
-    # stops[i, j] is one past the last digit of entry (i, j)
-    stops = (digits.reshape(-1, len(seps)) + sep_lens).cumsum().reshape(-1, len(seps)) - sep_lens
-    size = int(stops[-1, -1])
-    # past size: the last entry's separator, written and cut off, then the spare byte
-    buf = np.empty(size + len(seps[-1]) + 1, dtype=np.uint8)
-    for column, sep in enumerate(seps):
-        for offset, char in enumerate(sep):
-            buf[stops[:, column] + offset] = char
-    last, spare, rest = stops.ravel() - 1, buf.size - 1, values
-    for place in range(int(digits.max())):
-        quot = rest // 10
-        buf[np.where(digits > place, last - place, spare)] = rest - 10 * quot + ord("0")
-        rest = quot
-    return buf[:size].tobytes().decode()
+    seps = [np.frombuffer(sep.encode(), dtype=np.uint8) for sep in seps]
+    lane = np.uint32 if table.max() < 2 ** 32 else np.uint64
+    widths = [len(str(int(column.max()))) for column in table.T]
+    cells = np.empty((len(table), sum(widths) + sum(map(len, seps))), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    stop = 0  # one past the column's last digit cell
+    for column, width, sep in zip(table.T, widths, seps):
+        stop += width
+        rest = column.astype(lane)
+        for at in range(stop - 1, stop - width, -1):
+            quot = rest // 10
+            cells[:, at] = rest - 10 * quot + ord("0")
+            rest = quot
+            keep[:, at - 1] = rest != 0  # a digit cell left of the entry's first is a zero
+        cells[:, stop - width] = rest + ord("0")
+        cells[:, stop:stop + len(sep)] = sep
+        stop += len(sep)
+    keep[-1, cells.shape[1] - len(seps[-1]):] = False
+    return cells[keep].tobytes().decode()
 
 
 _INT_TOKEN = re.compile(r"([+-]?)0*([0-9]{1,19})")  # in range, an int64 in base 10
@@ -123,7 +125,7 @@ class ColoredGraph:
         self.alphabet = Alphabet(m)
         self.colors = colors.copy()
         self.colors.setflags(write=False)
-        self.edges = edges[_edge_order(0, edges[:, 0], edges[:, 1], n)]
+        self.edges = np.column_stack(_edge_order(0, edges[:, 0], edges[:, 1], n)[1:])
         self.edges.setflags(write=False)
 
     @property
@@ -389,5 +391,5 @@ def sample_conditional_batch(omega_n, pair_n, seed, count):
         rng.shuffle(colors[r])
         for (_, _, S, k), end in zip(plan, ends):
             slots[r, end - k:end] = rng.choice(S, k, replace=False, shuffle=False)
-    rep, u, v = _decode_edges(colors, slots.ravel(), ks * count, m)
-    return colors, np.stack((u, v), axis=-1)[_edge_order(rep, u, v, n)].reshape(*slots.shape, 2)
+    _, u, v = _edge_order(*_decode_edges(colors, slots.ravel(), ks * count, m), n)
+    return colors, np.stack((u, v), axis=-1).reshape(*slots.shape, 2)

@@ -156,6 +156,13 @@ def _order_key(rows):
     return key
 
 
+def _stable_order(key):
+    """The stable argsort of a nonnegative int64 key, run on the key in its smallest
+    unsigned type: the same order, and numpy's O(n) radix sort where that type has
+    at most 16 bits."""
+    return np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
+
+
 def _atom_table(m, colors, ells, values, n=None):
     """(colors, ells, values) checked, sorted in (color, ell) tuple order and read-only.
 
@@ -175,7 +182,7 @@ def _atom_table(m, colors, ells, values, n=None):
     values = values.astype(np.int64 if n else float)
     key = _order_key(rows)
     if (key[1:] < key[:-1]).any():  # sort only a table not yet in tuple order
-        order = np.argsort(key, kind="stable")
+        order = _stable_order(key)
         key, rows, values = key[order], rows[order], values[order]
     colors, ells = rows[:, 0], rows[:, 1:]
     dup = np.flatnonzero(key[1:] == key[:-1])
@@ -218,7 +225,7 @@ def _merged(colors, ells, values):
     values of equal atoms added in their order."""
     _check_atoms(None, colors, ells)  # a negative entry would alias another row's key
     key = _order_key(np.column_stack((colors, ells)))
-    order = np.argsort(key, kind="stable")
+    order = _stable_order(key)
     key = key[order]
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     first = order[starts]

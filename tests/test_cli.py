@@ -20,6 +20,8 @@ BENCH = {"mu": [0.5, 0.5], "C": [[3.0, 1.0], [1.0, 2.0]]}
 ER_MC = {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc", "sizes": [50], "replicas": 100,
          "seed": 3}
 ER_EXACT = {"mu": [1.0], "C": 2.0, "x": 1.5, "mode": "exact"}
+# an mc config with an event reads no top-level x
+ER_MC_EVENT = {k: v for k, v in ER_MC.items() if k != "x"}
 
 
 def _write(tmp_path, name, payload):
@@ -233,7 +235,9 @@ def test_manifest_echoes_the_command_and_resolved_config(tmp_path, command, make
                                                           draws):
     cfg = make_cfg()
     runs = [(cfg, [], cfg)]
-    if command not in ("rate", "degree-rate", "ising"):
+    # rate, degree-rate, ising and edge-rate outside mc mode refuse --seed
+    if command not in ("rate", "degree-rate", "ising") and not (
+            command == "edge-rate" and cfg.get("mode", "zeta") != "mc"):
         runs.append((cfg, ["--seed", "5"], dict(cfg, seed=5) if draws else cfg))
     if draws:  # a seed given only by the flag is added to the echoed config
         bare = {k: v for k, v in cfg.items() if k != "seed"}
@@ -403,14 +407,14 @@ def test_edge_rate_mc_csv(tmp_path):
 def test_edge_rate_mc_prediction_matches_event(tmp_path):
     def run(name, event):
         cfg = _write(tmp_path, f"{name}.json",
-                     {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc",
+                     {"mu": [1.0], "C": 2.0, "mode": "mc",
                       "sizes": [50], "replicas": 200, "seed": 3, "event": event})
         code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg],
                               name=f"{name}-out.json")
         assert code == 0
         return doc["rate_prediction"]
 
-    # the edge rate is taken at the event's own x, not the top-level one
+    # the edge rate is taken at the event's own x
     assert run("edges", {"kind": "edges", "x": 1.5}) == pytest.approx(
         rate_zeta_er(1.5, 2.0), abs=1e-8)
     # no edge rate predicts the isolated-vertex tail
@@ -874,7 +878,7 @@ def _with(cfg, path, value):
     ("rate", dict(BENCH, pair={"m": 2, "weights": [[1.0, 0.5], [0.5, 1.0]]},
                   nu={"m": 2, "atoms": [{"color": 0, "ell": 5, "mass": 1.0}]}),
      "bad measure in config"),
-    ("edge-rate", dict(ER_MC, event={"kind": ["edges"], "x": 1.2}),
+    ("edge-rate", dict(ER_MC_EVENT, event={"kind": ["edges"], "x": 1.2}),
      "unknown event kind ['edges']"),
     ("approximate", dict(BENCH, eps=0.01, n=100, seed=1, cap="no"),
      "'cap' must be true or false, got 'no'"),
@@ -893,11 +897,11 @@ def _with(cfg, path, value):
     ("approximate", dict(BENCH, eps=10 ** 400), "'eps' is too large for a float"),
     ("degree-rate", {"degrees": {"0": 10 ** 400}, "c": 1.0}, "degrees must map integers"),
     # so is a Monte Carlo event threshold of that size
-    ("edge-rate", dict(ER_MC, event={"kind": "edges", "x": 10 ** 400}),
+    ("edge-rate", dict(ER_MC_EVENT, event={"kind": "edges", "x": 10 ** 400}),
      "edges event threshold"),
-    ("edge-rate", dict(ER_MC, event={"kind": "degree_zero", "t": 10 ** 400}),
+    ("edge-rate", dict(ER_MC_EVENT, event={"kind": "degree_zero", "t": 10 ** 400}),
      "degree_zero event threshold"),
-    ("edge-rate", dict(ER_MC, event={"kind": "pair", "a": 0, "b": 0, "s": 10 ** 400}),
+    ("edge-rate", dict(ER_MC_EVENT, event={"kind": "pair", "a": 0, "b": 0, "s": 10 ** 400}),
      "pair event threshold"),
     # a repeated atom is refused, not merged into one of mass 0.5
     ("rate", {"mu": [1.0], "C": 2.0, "pair": {"m": 1, "weights": [[1.0]]},
@@ -1022,6 +1026,31 @@ def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # the command never ran
 
 
+@pytest.mark.parametrize("cfg, flags, mode, extra", [
+    ({"mu": [1.0], "C": 2.0, "x": 1.5, "replicas": 5, "seed": 3}, [], "zeta",
+     ["replicas", "seed"]),
+    ({"mu": [1.0], "C": 2.0, "x": 1.5}, ["--seed", "5"], "zeta", ["seed"]),
+    (dict(ER_EXACT, sizes=[50], event={"kind": "edges", "x": 1.5}), [], "exact", ["event"]),
+    (dict(ER_MC, event={"kind": "edges", "x": 1.5}), [], "mc", ["x"]),
+], ids=["zeta-mc-keys", "zeta-seed-flag", "exact-event", "mc-x-and-event"])
+def test_a_key_the_edge_rate_mode_does_not_read_exits_2(tmp_path, capsys, cfg, flags, mode,
+                                                         extra):
+    # each key is one another mode reads: zeta mode echoed replicas and seed and exited 0,
+    # and mc mode ran the event and ignored the top-level x
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["edge-rate", "--config", path, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"config error: edge-rate mode {mode!r} does not read the "
+                                 f"config keys {extra}\n")
+
+
+@pytest.mark.parametrize("mode", ["ZETA", ["mc"], None])
+def test_an_unknown_edge_rate_mode_exits_2(tmp_path, capsys, mode):
+    path = _write(tmp_path, "cfg.json", {"mu": [1.0], "C": 2.0, "x": 1.5, "mode": mode})
+    assert main(["edge-rate", "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: unknown edge-rate mode {mode!r}\n"
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_out_of_range_seed_flag_exit_2(tmp_path, capsys, seed):
     cfg = _write(tmp_path, "gen.json", dict(BENCH, n=10, seed=1))
@@ -1085,7 +1114,7 @@ def test_approximate_refuses_a_limit_law_past_the_atom_limit(tmp_path, capsys, m
 
 @pytest.mark.parametrize("make, huge, plain, code", [
     (lambda x: dict(ER_MC, x=x), 1e308, 50, 0),
-    (lambda x: dict(ER_MC, event={"kind": "edges", "x": x}), 1e308, 50, 0),
+    (lambda x: dict(ER_MC_EVENT, event={"kind": "edges", "x": x}), 1e308, 50, 0),
     # exact mode answers a threshold past n(n-1)/2 with exponent "inf"
     (lambda x: dict(ER_EXACT, x=x, sizes=[50]), 1e308, 50, 0),
     (lambda x: dict(ER_EXACT, x=x, sizes=[50]), -1e308, -1, 0),
@@ -1123,7 +1152,7 @@ def test_degree_rate_negative_infinite_mean_exit_2(tmp_path, capsys):
 
 def test_pair_event_color_outside_alphabet_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "mc.json",
-                 {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc", "sizes": [50],
+                 {"mu": [1.0], "C": 2.0, "mode": "mc", "sizes": [50],
                   "replicas": 100, "seed": 3,
                   "event": {"kind": "pair", "a": 3, "b": 0, "s": 0.1}})
     assert main(["edge-rate", "--config", cfg]) == 2
@@ -1133,7 +1162,7 @@ def test_pair_event_color_outside_alphabet_exit_2(tmp_path, capsys):
 def test_edge_rate_mc_fit_through_a_size_where_every_replica_hits(tmp_path):
     # the one vertex at n = 1 is always isolated, so p_hat = 1 and its se is floored
     cfg = _write(tmp_path, "mc.json",
-                 dict(ER_MC, sizes=[1, 50], replicas=300,
+                 dict(ER_MC_EVENT, sizes=[1, 50], replicas=300,
                       event={"kind": "degree_zero", "t": 0.1}))
     code, doc = _run_json(tmp_path, ["edge-rate", "--config", cfg])
     assert code == 0
@@ -1145,7 +1174,8 @@ def test_edge_rate_mc_fit_through_a_size_where_every_replica_hits(tmp_path):
 
 
 def test_event_key_of_another_kind_exit_2(tmp_path, capsys):
-    cfg = _write(tmp_path, "mc.json", dict(ER_MC, event={"kind": "edges", "x": 1.2, "t": 0.5}))
+    cfg = _write(tmp_path, "mc.json",
+                 dict(ER_MC_EVENT, event={"kind": "edges", "x": 1.2, "t": 0.5}))
     assert main(["edge-rate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "edges event does not take ['t']" in err
@@ -1153,7 +1183,7 @@ def test_event_key_of_another_kind_exit_2(tmp_path, capsys):
 
 def test_event_threshold_not_a_number_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "mc.json",
-                 {"mu": [1.0], "C": 2.0, "x": 1.2, "mode": "mc", "sizes": [50],
+                 {"mu": [1.0], "C": 2.0, "mode": "mc", "sizes": [50],
                   "replicas": 100, "seed": 3, "event": {"kind": "edges", "x": "big"}})
     assert main(["edge-rate", "--config", cfg]) == 2
     assert "not a finite real number" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphrates import (Alphabet, ColorCounts, ColoredGraph, ColorMeasure,
@@ -29,8 +29,7 @@ def sample_colored_batch(params, seeds):
     each seed keeps its own stream, and ColoredGraph's checks run once for the batch.
     A fast way to draw many graphs for the statistical checks below."""
     colors, rep, u, v = _free_edges(params, seeds)
-    keep = _edge_order(rep, u, v, params.n)
-    return colors, rep[keep], u[keep], v[keep]
+    return colors, *_edge_order(rep, u, v, params.n)
 
 
 def test_colored_graph_validation():
@@ -121,12 +120,28 @@ def test_graph_text_and_json_match_the_per_entry_writers(digits, m, edges, seed)
     assert g.to_json() == json.dumps(g.to_dict())
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_format_ints_matches_str(data):
-    seps = data.draw(st.lists(st.text("[], \n", max_size=4), min_size=1, max_size=3))
+@st.composite
+def _int_tables(draw):
+    """(seps, rows): one to three column separators and up to 20 rows of int64 entries."""
+    seps = draw(st.lists(st.text("[], \n", max_size=4), min_size=1, max_size=3))
     row = st.lists(st.integers(0, 2 ** 63 - 1), min_size=len(seps), max_size=len(seps))
-    rows = data.draw(st.lists(row, max_size=20))
+    return seps, draw(st.lists(row, max_size=20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_tables())
+# the edges of the digit counts and of the 32-bit lanes, which hold entries below 2**32
+@example(([" "], [[0]]))
+@example(([" "], [[9]]))
+@example(([" "], [[10]]))
+@example(([", ", "], ["], [[2 ** 32 - 1, 0], [7, 10]]))
+@example(([", ", "], ["], [[2 ** 32, 0], [7, 10]]))
+@example(([", "], [[2 ** 63 - 1], [0], [10 ** 18]]))
+@example(([" ", "\n"], [[1000, 7], [3, 10]]))  # the max exactly a power of ten
+@example(([", ", "\n"], []))  # no rows
+@example((["\n"], [[5], [123456789], [0]]))  # one column
+def test_format_ints_matches_str(table):
+    seps, rows = table
     text = "".join(str(v) + sep for r in rows for v, sep in zip(r, seps))
     expect = text[:len(text) - len(seps[-1])] if rows else ""
     assert _format_ints(np.array(rows, dtype=np.int64).reshape(-1, len(seps)), seps) == expect
@@ -305,6 +320,33 @@ def test_sample_colored_batch_matches_single_draws(m):
         assert np.array_equal(np.column_stack((u, v))[rep == r], g.edges)
     colors, rep, u, v = sample_colored_batch(params, [])
     assert colors.shape == (0, 40) and rep.size == u.size == v.size == 0
+
+
+@pytest.mark.parametrize("n, R, E", [(1, 1, 0), (5, 3, 6), (40, 20, 300), (10 ** 6, 4, 5000)])
+def test_edge_order_sorts_like_the_argsort_and_gather(n, R, E):
+    # distinct edges (rep, u, v), u < v, in random order
+    rng = np.random.default_rng(n)
+    pairs = np.sort(rng.integers(0, n, (E, 2)), axis=1)
+    triples = np.column_stack((rng.integers(0, R, E), pairs))[pairs[:, 0] < pairs[:, 1]]
+    rep, u, v = rng.permutation(np.unique(triples, axis=0)).T
+    keep = ((rep * n + u) * n + v).argsort()
+    got = _edge_order(rep, u, v, n)
+    assert [x.tolist() for x in got] == [rep[keep].tolist(), u[keep].tolist(), v[keep].tolist()]
+
+
+NO_LOOPS = "edges must satisfy 0 <= u < v < n = 5 (no loops)"
+
+
+@pytest.mark.parametrize("u, v, message", [
+    ([0, 2], [1, 2], NO_LOOPS), ([0, 3], [1, 2], NO_LOOPS), ([0, 1], [1, 5], NO_LOOPS),
+    ([-1], [1], NO_LOOPS), ([0, 1, 0], [2, 2, 2], "duplicate edges")],
+    ids=["loop", "u-past-v", "v-past-n", "negative-u", "duplicate"])
+def test_edge_order_refuses_what_colored_graph_refuses(u, v, message):
+    u, v = np.array(u), np.array(v)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _edge_order(np.zeros_like(u), u, v, 5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ColoredGraph(5, 1, [0] * 5, np.column_stack((u, v)))
 
 
 def test_slot_decoder_enumerates_pairs_for_every_small_class():

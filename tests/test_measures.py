@@ -15,8 +15,8 @@ from graphrates import (Alphabet, ColorCounts, ColorMeasure, Kernel, ModelParams
                         product_kernel_measure, quantize, relative_entropy,
                         sample_colored_graph, total_variation)
 from graphrates.errors import InfeasibleError
-from graphrates.measures import (_atom_list, _atom_table, _find, _float64, _merged, _real,
-                                 _whole)
+from graphrates.measures import (_atom_list, _atom_table, _find, _float64, _merged,
+                                 _order_key, _real, _whole)
 from graphrates.seeds import derive_child_seed
 
 A1 = Alphabet(1)
@@ -369,6 +369,45 @@ def test_merged_adds_equal_atoms_in_tuple_order(atoms):
         sums[atom] = sums.get(atom, 0) + v
     colors, ells, merged = _merged(*_arrays(atoms), np.array(values))
     assert _atom_list(colors, ells, merged) == sorted(sums.items())
+
+
+@pytest.mark.parametrize("m, top, lane", [
+    (1, 200, np.uint8), (1, 60_000, np.uint16), (2, 30_000, np.uint32),
+    (2, 2 ** 31 - 1, np.uint64)])
+def test_merged_matches_a_dict_in_every_key_width(m, top, lane):
+    # the stable argsort runs on the key in its smallest unsigned type, numpy's radix
+    # sort up to 16 bits; the order, and so the merge, is the int64 key's
+    rng = np.random.default_rng(top)
+    pool_colors, pool_ells = rng.integers(0, m, 50), rng.integers(0, top + 1, (50, m))
+    pool_colors[0], pool_ells[0] = m - 1, top
+    pick = rng.integers(0, 50, 3000)
+    colors, ells, values = pool_colors[pick], pool_ells[pick], rng.integers(1, 9, pick.size)
+    key = _order_key(np.column_stack((colors, ells)))
+    assert np.min_scalar_type(key.max()) == lane
+    sums = {}
+    for a, ell, v in zip(colors.tolist(), ells.tolist(), values.tolist()):
+        sums[a, tuple(ell)] = sums.get((a, tuple(ell)), 0) + v
+    assert _atom_list(*_merged(colors, ells, values)) == sorted(sums.items())
+
+
+def test_merged_adds_float_values_in_their_order():
+    # consistify merges each atom of nu with at most one heavy atom: an atom listed
+    # twice is the left-to-right sum of its two values, bit for bit
+    rng = np.random.default_rng(5)
+    atoms = rng.permutation(np.repeat(np.arange(400), 2))
+    values = rng.random(atoms.size) * 10.0 ** rng.integers(-8, 8, atoms.size)
+    _, ells, merged = _merged(np.zeros(atoms.size, dtype=np.int64), atoms[:, None], values)
+    assert ells.ravel().tolist() == list(range(400))
+    assert merged.tolist() == [values[i] + values[j]
+                               for i, j in (np.flatnonzero(atoms == a) for a in range(400))]
+    # numpy's reduceat does not add three or more values left to right; it adds them
+    # in the order a stable sort lists them, the order of Python's sorted
+    atoms = rng.integers(0, 30, 600)
+    values = rng.random(atoms.size) * 10.0 ** rng.integers(-8, 8, atoms.size)
+    order = sorted(range(atoms.size), key=atoms.__getitem__)
+    starts = np.flatnonzero(np.diff(atoms[order], prepend=-1))
+    _, _, merged = _merged(np.zeros(atoms.size, dtype=np.int64), atoms[:, None], values)
+    assert merged.tolist() == np.add.reduceat(values[order], starts).tolist()
 
 
 @settings(max_examples=200, deadline=None)
